@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -143,7 +144,12 @@ def _parse_values(text: str | None, axis: str):
         raise ValueError(f"--values must be comma-separated numbers: {text!r}")
     if not vals:
         raise ValueError("--values is empty")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"--values must be finite numbers: {text!r}")
     if axis == "users":
+        if not all(v.is_integer() for v in vals):
+            raise ValueError(
+                f"--values on the users axis must be whole numbers: {text!r}")
         vals = [int(v) for v in vals]
     return vals
 
@@ -153,14 +159,21 @@ def _cmd_sweep(args, axis: str) -> int:
     if out is None:
         raise ValueError("--out is required (flag or config file)")
     values = _parse_values(values_text, axis)
-    result = run_sweep(
-        config,
-        axis,
-        values=values,
-        with_exact=args.exact,
-        collect_raw=bool(args.dump_raw),
-        progress=lambda line: print(line, file=sys.stderr),
-    )
+    try:
+        result = run_sweep(
+            config,
+            axis,
+            values=values,
+            with_exact=args.exact,
+            collect_raw=bool(args.dump_raw),
+            progress=lambda line: print(line, file=sys.stderr),
+        )
+    except EnumerationBudgetError as exc:
+        raise ValueError(
+            f"--exact cannot run with {config.num_cells} cells and "
+            f"{config.num_prbs} PRBs: {exc}; use fewer cells or PRBs, "
+            f"or drop --exact"
+        ) from exc
     write_csv(result, out)
     write_meta(result, out)
     if args.dump_raw:

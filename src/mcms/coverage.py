@@ -185,6 +185,24 @@ class CoverageInstance:
                 f"N={self.prbs_per_cell})")
 
 
+def pack_users(mask: np.ndarray) -> np.ndarray:
+    """Pack a boolean [..., M] array into uint64 words [..., ceil(M / 64)].
+
+    Each user is one bit and padding bits are zero, so unions and
+    intersections are word-wise OR/AND and set sizes are
+    ``np.bitwise_count`` sums.  A last axis that is already a multiple
+    of 64 long is packed without a copy.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    num_users = mask.shape[-1]
+    padded_len = -(-num_users // 64) * 64
+    if padded_len != num_users:
+        padded = np.zeros(mask.shape[:-1] + (padded_len,), dtype=bool)
+        padded[..., :num_users] = mask
+        mask = padded
+    return np.packbits(mask, axis=-1, bitorder="little").view(np.uint64)
+
+
 def _check_primary(primary: np.ndarray, num_users: int, num_cells: int) -> None:
     if primary.shape != (num_users,):
         raise InstanceError(

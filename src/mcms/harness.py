@@ -13,6 +13,17 @@ times ``subframes`` independent fading draws per placement.  Randomness
 is keyed by (point index, trial, sub-frame) through SeedSequence spawn
 keys, so every sample is reproducible in isolation and results do not
 depend on execution order.
+
+One kernel, `_unserved_counts`, runs every sample, for `run_sweep` and
+for `run_subframe` alike.  It works one placement at a time.  The mean
+SNR of every link and a per-link fading-gain threshold are computed
+once per placement.  Each sub-frame then draws its gains and compares
+them with the threshold, with no log per link.  Gains within a narrow
+guard band of the threshold get their rate computed, so coverage is
+exactly that of `sample_rates` followed by `derive_instance`.  The
+coverage of a batch of sub-frames is packed into uint64 words, and
+`greedy_batch` and `sc_batch` solve the whole batch at once.  A fixed
+byte budget caps the batch size, whatever the number of sub-frames.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coverage import CoverageInstance, InstanceError
+from .coverage import CoverageInstance, InstanceError, pack_users
 from .scenario import (
     ChannelParams,
     DEFAULT_STREAM_RATE_BPS,
@@ -33,9 +44,23 @@ from .scenario import (
     StreamSpec,
     derive_instance,
     generate_scenario,
+    mean_snr,
     sample_rates,
+    shannon_rate_bps,
 )
-from .solvers import solve_exact, solve_greedy, solve_sc_baseline
+from .solvers import (
+    EnumerationBudgetError,
+    greedy_batch,
+    primary_words,
+    sc_batch,
+    solve_exact,
+    solve_greedy,
+    solve_sc_baseline,
+)
+
+# derive_instance, sample_rates, solve_greedy and solve_sc_baseline are
+# not called here: they stay bound so that perfbench/tracing.py, which
+# rebinds this module's names of the layers below, finds all of them.
 
 DEFAULT_USER_SWEEP = (100, 125, 150, 175, 200, 225, 250)
 DEFAULT_RADIUS_SWEEP = (200, 250, 300, 350, 400)
@@ -113,28 +138,122 @@ def run_subframe(
 ) -> tuple[int, int]:
     """Sample one sub-frame and count unserved users (MC greedy, SC).
 
-    Draws the rates for ``subframe`` from ``rng``, thresholds them into
-    a coverage instance, then runs the greedy cross-cell solver for the
-    MC count and the per-cell baseline for the SC count.
+    Draws the fading of one sub-frame from ``rng`` and counts the users
+    the greedy cross-cell solver (MC) and the per-cell baseline (SC)
+    leave unserved: the sweep kernel run on one sub-frame.  The counts
+    equal those of `sample_rates` with the same ``rng``, then
+    `derive_instance`, `solve_greedy` and `solve_sc_baseline`.
+    ``subframe`` only labels the draw.
     """
-    realization = sample_rates(scenario, params, subframe, rng, num_prbs)
-    instance = derive_instance(scenario, realization, stream)
-    mc, sc, _ = _evaluate_instance(instance, with_exact=False)
-    return mc, sc
+    mc, sc, _ = _unserved_counts(scenario, params, stream, num_prbs, [rng])
+    return int(mc[0]), int(sc[0])
 
 
-def _evaluate_instance(
-    instance: CoverageInstance,
-    with_exact: bool,
-    exact_budget: int = 10_000_000,
-) -> tuple[int, int, int | None]:
-    m = instance.num_users
-    unserved_mc = m - solve_greedy(instance).objective
-    unserved_sc = m - solve_sc_baseline(instance).objective
-    unserved_exact = None
-    if with_exact:
-        unserved_exact = m - solve_exact(instance, budget=exact_budget).objective
-    return unserved_mc, unserved_sc, unserved_exact
+# Byte budget of the coverage bits of one batch of sub-frames, unpacked
+# and packed; it bounds the kernel's memory whatever the sub-frame count.
+_BATCH_BYTES = 2 << 20
+# Half-width, relative to 1 + x, of the band around the SNR threshold x
+# inside which a link's rate is computed rather than decided by its gain.
+_GUARD = 1e-9
+
+
+def _batch_subframes(subframes: int, num_cells: int, num_prbs: int,
+                     num_users: int) -> int:
+    """Sub-frames per batch under _BATCH_BYTES, at least one."""
+    per_subframe = num_cells * num_prbs * -(-num_users // 64) * (64 + 8)
+    return max(1, min(subframes, _BATCH_BYTES // max(per_subframe, 1)))
+
+
+def _gain_bounds(snr: np.ndarray, params: ChannelParams,
+                 stream: StreamSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Fading-gain bounds [cells, 1, users] of the decode rule.
+
+    A link decodes when its rate ``shannon_rate_bps(snr * gain, B)``
+    reaches the stream rate R, that is when ``snr * gain`` reaches
+    ``x = expm1(R / B * ln 2)``, or the gain reaches ``g* = x / snr``.
+    Rounding makes the two rules differ near the threshold, by a
+    relative error in ``1 + snr * gain`` of about (R / B * ln 2 + 4)
+    units in the last place: below 2e-13 while x is finite.  So a gain
+    of at least ``hi`` decodes, a gain below ``lo`` does not, and gains
+    in between, ``g*`` give or take _GUARD * (1 + x) / snr, get their
+    rate computed.  The band is relative to 1 + x, not to x: at low
+    SNR, ``1 + snr * gain`` keeps few bits of ``snr * gain``.  Links
+    whose bounds are not finite (the threshold overflows, or a zero
+    SNR) have every gain in between.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
+        half = _GUARD * (1.0 + x)
+        lo = (x - half) / snr
+        hi = (x + half) / snr
+    exact = ~(np.isfinite(lo) & np.isfinite(hi))
+    lo[exact] = -np.inf
+    hi[exact] = np.inf
+    return lo[:, None, :], hi[:, None, :]
+
+
+def _unserved_counts(
+    scenario: Scenario,
+    params: ChannelParams,
+    stream: StreamSpec,
+    num_prbs: int,
+    fading_seeds: Sequence,
+    exact_budget: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The Monte Carlo kernel: unserved users of one placement, per
+    sub-frame.
+
+    ``fading_seeds`` holds one seed per sub-frame, anything
+    ``np.random.default_rng`` accepts.  Each sub-frame draws its
+    Rayleigh gains from its seed as `sample_rates` does, and a link
+    covers its user when the gain clears the threshold of
+    `_gain_bounds` (the same rule as `derive_instance`, with no log
+    per link).  Sub-frames are packed into uint64 words in batches of
+    `_batch_subframes` and each batch is solved at once by
+    `greedy_batch` (MC) and `sc_batch` (SC).  With ``exact_budget``,
+    every sub-frame also gets a CoverageInstance and `solve_exact`.
+
+    Returns the unserved counts ``(mc, sc, exact)``, arrays of one entry
+    per sub-frame; ``exact`` is None without ``exact_budget``.
+    """
+    if num_prbs < 1:
+        raise ValueError("num_prbs must be >= 1")
+    snr = mean_snr(scenario, params)
+    num_cells, num_users = snr.shape
+    lo, hi = _gain_bounds(snr, params, stream)
+    owners = primary_words(scenario.primary_cell, num_cells)
+    subframes = len(fading_seeds)
+    batch = _batch_subframes(subframes, num_cells, num_prbs, num_users)
+    gains = np.ones((num_cells, num_prbs, num_users))
+    maybe = np.empty(gains.shape, dtype=bool)
+    bits = np.zeros((batch, num_cells, num_prbs, -(-num_users // 64) * 64),
+                    dtype=bool)
+    mc = np.empty(subframes, dtype=np.int64)
+    sc = np.empty_like(mc)
+    exact = np.empty_like(mc) if exact_budget is not None else None
+    for start in range(0, subframes, batch):
+        stop = min(start + batch, subframes)
+        for i, seed in enumerate(fading_seeds[start:stop]):
+            if params.fading == "rayleigh":
+                np.random.default_rng(seed).standard_exponential(out=gains)
+            covers = bits[i, :, :, :num_users]
+            np.greater_equal(gains, hi, out=covers)
+            np.greater_equal(gains, lo, out=maybe)
+            if np.count_nonzero(maybe) != np.count_nonzero(covers):
+                c, j, u = np.nonzero(maybe & ~covers)
+                covers[c, j, u] = shannon_rate_bps(
+                    snr[c, u] * gains[c, j, u], params.bandwidth_hz
+                ) >= stream.rate_bps
+        words = pack_users(bits[:stop - start])
+        mc[start:stop] = num_users - greedy_batch(words)[1]
+        sc[start:stop] = num_users - sc_batch(words, owners)[1]
+        if exact is not None:
+            for i in range(stop - start):
+                instance = CoverageInstance.from_membership(
+                    bits[i, :, :, :num_users], scenario.primary_cell)
+                exact[start + i] = num_users - solve_exact(
+                    instance, budget=exact_budget).objective
+    return mc, sc, exact
 
 
 def _point_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
@@ -158,8 +277,9 @@ def run_sweep(
 
     ``values`` must be strictly increasing and defaults to
     DEFAULT_USER_SWEEP or DEFAULT_RADIUS_SWEEP.  With ``with_exact``
-    every sub-frame also gets the brute-force optimum (only feasible
-    while num_prbs ** num_cells stays within ``exact_budget``).  With
+    every sub-frame also gets the brute-force optimum; it raises
+    EnumerationBudgetError before the first sample unless
+    num_prbs ** num_cells stays within ``exact_budget``.  With
     ``collect_raw`` the per-sample counts are kept on the result so the
     reported means can be recomputed from them.
     """
@@ -170,16 +290,17 @@ def run_sweep(
         raise ValueError("need at least one sweep value")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"sweep values must be strictly increasing: {values}")
+    if with_exact and config.num_prbs ** config.num_cells > exact_budget:
+        raise EnumerationBudgetError(config.num_prbs ** config.num_cells,
+                                     exact_budget)
     params = config.channel
     stream = StreamSpec(rate_bps=config.stream_rate_bps)
     points = []
     raw: list[RawSample] = []
     for pi, value in enumerate(values):
         pc = _point_config(config, axis, value)
-        sc_counts = np.empty(pc.trials * pc.subframes, dtype=np.int64)
-        mc_counts = np.empty_like(sc_counts)
-        exact_counts = np.empty_like(sc_counts) if with_exact else None
-        i = 0
+        unserved = np.empty((3 if with_exact else 2, pc.trials, pc.subframes),
+                            dtype=np.int64)
         for trial in range(pc.trials):
             placement_rng = np.random.default_rng(
                 np.random.SeedSequence(pc.seed, spawn_key=(pi, trial, 0))
@@ -187,36 +308,36 @@ def run_sweep(
             scenario = generate_scenario(
                 pc.num_cells, pc.radius_m, pc.users_per_cell, placement_rng
             )
-            for t in range(pc.subframes):
-                fading_rng = np.random.default_rng(
-                    np.random.SeedSequence(pc.seed, spawn_key=(pi, trial, 1, t))
-                )
-                realization = sample_rates(scenario, params, t, fading_rng,
-                                           num_prbs=pc.num_prbs)
-                instance = derive_instance(scenario, realization, stream)
-                mc, sc, exact = _evaluate_instance(
-                    instance, with_exact, exact_budget
-                )
-                mc_counts[i] = mc
-                sc_counts[i] = sc
-                if with_exact:
-                    exact_counts[i] = exact
-                i += 1
-                if collect_raw:
-                    raw.append(RawSample(
-                        value=value, trial=trial, subframe=t,
-                        unserved_sc=sc, unserved_mc=mc, unserved_exact=exact,
-                    ))
+            fading_seeds = [
+                np.random.SeedSequence(pc.seed, spawn_key=(pi, trial, 1, t))
+                for t in range(pc.subframes)
+            ]
+            mc, sc, exact = _unserved_counts(
+                scenario, params, stream, pc.num_prbs, fading_seeds,
+                exact_budget if with_exact else None,
+            )
+            unserved[:2, trial] = mc, sc
+            if with_exact:
+                unserved[2, trial] = exact
+        if collect_raw:
+            mc, sc, *exact = unserved.tolist()
+            raw.extend(
+                RawSample(value=value, trial=trial, subframe=t,
+                          unserved_sc=sc[trial][t], unserved_mc=mc[trial][t],
+                          unserved_exact=exact[0][trial][t] if exact else None)
+                for trial in range(pc.trials) for t in range(pc.subframes)
+            )
+        mc, sc, *exact = unserved.reshape(len(unserved), -1)
         points.append(SweepPoint(
             value=value,
-            unserved_sc=float(sc_counts.mean()),
-            unserved_mc=float(mc_counts.mean()),
-            std_sc=float(sc_counts.std()),
-            std_mc=float(mc_counts.std()),
-            samples=i,
+            unserved_sc=float(sc.mean()),
+            unserved_mc=float(mc.mean()),
+            std_sc=float(sc.std()),
+            std_mc=float(mc.std()),
+            samples=mc.size,
             trials=pc.trials,
-            unserved_exact=float(exact_counts.mean()) if with_exact else None,
-            std_exact=float(exact_counts.std()) if with_exact else None,
+            unserved_exact=float(exact[0].mean()) if exact else None,
+            std_exact=float(exact[0].std()) if exact else None,
         ))
         if progress is not None:
             progress(f"{axis}={value:g}: SC={points[-1].unserved_sc:.3f} "

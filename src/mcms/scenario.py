@@ -15,6 +15,13 @@ multicast stream and the limit is the link budget.
 A user can decode the stream on (cell, PRB) when the realized rate
 reaches the stream rate; `derive_instance` turns one rate realization
 plus a stream rate into a coverage problem.
+
+`mean_snr` is the one place the link budget lives.  `sample_rates` uses
+it per call; the Monte Carlo kernel in `mcms.harness` uses it once per
+placement, then decides each link by comparing the fading gain with the
+gain threshold ``expm1(R / B * ln 2) / snr``, computing the rate only
+for gains within a narrow guard band of it.  Both give the same
+coverage.
 """
 
 from __future__ import annotations
@@ -230,6 +237,24 @@ def shannon_rate_bps(snr_linear, bandwidth_hz: float):
     return bandwidth_hz * np.log2(1.0 + snr_linear)
 
 
+def mean_snr(scenario: Scenario, params: ChannelParams) -> np.ndarray:
+    """Linear mean SNR [cells, users] of every link, before fading.
+
+    Raises ValueError unless every entry is finite (a power ratio, it is
+    never negative), so rates derived from it with a finite fading gain
+    are finite and non-negative too.
+    """
+    delta = scenario.user_positions[None, :, :] - scenario.cell_centers[:, None, :]
+    dist = np.hypot(delta[..., 0], delta[..., 1])  # [C, M]
+    snr_db = (params.tx_power_dbm
+              - pathloss_db(dist, params)
+              - params.noise_power_dbm)
+    snr = 10.0 ** (snr_db / 10.0)
+    if not np.all(np.isfinite(snr)):
+        raise ValueError("mean SNR must be finite")
+    return snr
+
+
 @dataclass(frozen=True)
 class RateRealization:
     """Achievable rates in one sub-frame: rates[c, j, k] is the bps user
@@ -280,18 +305,13 @@ def sample_rates(
     if num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
     rng = np.random.default_rng(rng)
-    delta = scenario.user_positions[None, :, :] - scenario.cell_centers[:, None, :]
-    dist = np.hypot(delta[..., 0], delta[..., 1])  # [C, M]
-    snr_db = (params.tx_power_dbm
-              - pathloss_db(dist, params)
-              - params.noise_power_dbm)
-    mean_snr = 10.0 ** (snr_db / 10.0)
+    snr = mean_snr(scenario, params)
     shape = (scenario.num_cells, num_prbs, scenario.num_users)
     if params.fading == "rayleigh":
         gain = rng.exponential(1.0, size=shape)
     else:
         gain = np.ones(shape)
-    rates = shannon_rate_bps(mean_snr[:, None, :] * gain, params.bandwidth_hz)
+    rates = shannon_rate_bps(snr[:, None, :] * gain, params.bandwidth_hz)
     return RateRealization(subframe=subframe, rates=rates)
 
 

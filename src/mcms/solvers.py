@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import Allocation, CoverageInstance
+from .coverage import Allocation, CoverageInstance, pack_users
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -50,38 +50,77 @@ def greedy_bound(opt: int) -> int:
     return math.ceil((1.0 - 1.0 / math.e) * opt - 1e-9)
 
 
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set sizes of packed user sets: bit counts summed over the last axis."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def greedy_batch(
+    words: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`solve_greedy` on a batch of instances at once.
+
+    ``words`` is a uint64 tensor [batch, cells, prbs, words] of packed
+    coverage sets (see `pack_users`).  Returns ``(chosen, served,
+    marginals)``: the PRB per cell [batch, cells], the union coverage
+    [batch] and the gain of each step in commit order [batch, cells].
+    """
+    batch, num_cells, num_prbs, _ = words.shape
+    rows = np.arange(batch)
+    chosen = np.zeros((batch, num_cells), dtype=np.intp)
+    marginals = np.zeros((batch, num_cells), dtype=np.int64)
+    remaining = np.ones((batch, num_cells), dtype=bool)
+    covered = np.zeros((batch, words.shape[3]), dtype=np.uint64)
+    for step in range(num_cells):
+        gains = _popcount(words & ~covered[:, None, None, :])
+        gains[~remaining] = -1  # assigned cells never win again
+        # First maximum in row-major order: lowest cell, then lowest PRB.
+        c, j = np.divmod(gains.reshape(batch, -1).argmax(axis=1), num_prbs)
+        chosen[rows, c] = j
+        remaining[rows, c] = False
+        marginals[:, step] = gains[rows, c, j]
+        covered |= words[rows, c, j]
+    return chosen, _popcount(covered), marginals
+
+
+def sc_batch(
+    words: np.ndarray, owners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_sc_baseline` on a batch of instances at once.
+
+    ``words`` is as for `greedy_batch`; ``owners`` [cells, words] packs,
+    per cell, the users whose primary cell it is (see `primary_words`).
+    Returns ``(chosen, served)``: the PRB per cell [batch, cells] and the
+    SC served count [batch].
+    """
+    counts = _popcount(words & owners[:, None, :])
+    return counts.argmax(axis=2), counts.max(axis=2).sum(axis=1)
+
+
+def primary_words(primary_cell: np.ndarray, num_cells: int) -> np.ndarray:
+    """Packed primary-user set of every cell, [cells, words]."""
+    return pack_users(np.asarray(primary_cell)[None, :]
+                      == np.arange(num_cells)[:, None])
+
+
 def solve_greedy(instance: CoverageInstance) -> SolveResult:
     """Greedy cross-cell PRB assignment maximizing union (MC) coverage.
 
     Each of the C steps picks the (cell, PRB) pair with the largest
     marginal gain over the users covered so far, restricted to cells
     without an assignment yet.  Ties go to the lowest cell index, then
-    the lowest PRB index.  Runs in O(C^2 * N * M / 64) time via the
-    boolean membership tensor.
+    the lowest PRB index.  Runs in O(C^2 * N * M / 64) time on the
+    packed membership words; this is `greedy_batch` on a batch of one.
 
     Returns a SolveResult whose ``per_step_marginals`` holds the C gains
     in commit order; they are non-increasing.
     """
-    member = instance.membership_matrix()
-    num_cells, num_prbs, num_users = member.shape
-    chosen = [-1] * num_cells
-    covered = np.zeros(num_users, dtype=bool)
-    remaining = np.ones(num_cells, dtype=bool)
-    marginals = []
-    for _ in range(num_cells):
-        gains = np.count_nonzero(member & ~covered, axis=2)
-        gains[~remaining] = -1  # assigned cells never win again
-        flat = int(np.argmax(gains))  # first max in row-major order:
-        c, j = divmod(flat, num_prbs)  # lowest cell, then lowest PRB
-        chosen[c] = j
-        remaining[c] = False
-        marginals.append(int(max(gains[c, j], 0)))
-        covered |= member[c, j]
-    alloc = Allocation(tuple(chosen))
+    chosen, served, marginals = greedy_batch(
+        pack_users(instance.membership_matrix())[None])
     return SolveResult(
-        alloc=alloc,
-        objective=int(np.count_nonzero(covered)),
-        per_step_marginals=tuple(marginals),
+        alloc=Allocation(tuple(chosen[0].tolist())),
+        objective=int(served[0]),
+        per_step_marginals=tuple(marginals[0].tolist()),
     )
 
 
@@ -133,21 +172,15 @@ def solve_sc_baseline(instance: CoverageInstance) -> SolveResult:
 
     No coordination between cells; the stored objective is the SC served
     count (sum of the per-cell winners, which partition the users).
-    Per-cell ties go to the lowest PRB index.
+    Per-cell ties go to the lowest PRB index.  This is `sc_batch` on a
+    batch of one.
     """
-    member = instance.membership_matrix()
-    num_cells, num_prbs, num_users = member.shape
-    primary = instance.primary_cell
-    chosen = []
-    total = 0
-    for c in range(num_cells):
-        mine = primary == c
-        counts = np.count_nonzero(member[c][:, mine], axis=1)
-        j = int(np.argmax(counts))
-        chosen.append(j)
-        total += int(counts[j])
-    alloc = Allocation(tuple(chosen))
-    return SolveResult(alloc=alloc, objective=total)
+    chosen, served = sc_batch(
+        pack_users(instance.membership_matrix())[None],
+        primary_words(instance.primary_cell, instance.num_cells),
+    )
+    return SolveResult(alloc=Allocation(tuple(chosen[0].tolist())),
+                       objective=int(served[0]))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+import mcms.harness as harness
 from mcms import (
     ChannelParams,
     CoverageInstance,
+    EnumerationBudgetError,
     ExperimentConfig,
     InstanceError,
     Mode,
@@ -380,6 +382,44 @@ def test_cli_rejects_bad_values(tmp_path, capsys):
     rc = main(["sweep-users", "--out", str(tmp_path / "x.csv"),
                "--values", "30,20", "--trials", "1", "--subframes", "1"])
     assert rc == 2
+
+
+def test_cli_rejects_fractional_users_values(tmp_path, capsys):
+    # 100.2 and 100.7 must not be truncated to 100,100
+    rc = main(["sweep-users", "--out", str(tmp_path / "x.csv"),
+               "--values", "100.2,100.7", "--trials", "1", "--subframes", "1"])
+    assert rc == 2
+    assert "whole numbers" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    rc = main(["sweep-users", "--out", str(tmp_path / "x.csv"),
+               "--values", "100,inf", "--trials", "1", "--subframes", "1"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    # whole numbers written as floats are fine on the users axis, and
+    # fractions are fine on the radius axis
+    assert main(["sweep-users", "--out", str(tmp_path / "u.csv"),
+                 "--values", "20.0", "--trials", "1", "--subframes", "1"]) == 0
+    assert main(["sweep-radius", "--out", str(tmp_path / "r.csv"),
+                 "--values", "250.5", "--users-per-cell", "10",
+                 "--trials", "1", "--subframes", "1"]) == 0
+    assert (tmp_path / "r.csv").read_text().splitlines()[1].startswith("250.5,")
+
+
+def test_cli_exact_infeasible_exits_before_sampling(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(harness, "generate_scenario", no_sampling)
+    out = tmp_path / "x.csv"
+    rc = main(["sweep-users", "--cells", "19", "--exact", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--exact cannot run with 19 cells and 4 PRBs" in err
+    assert "274877906944" in err
+    assert not out.exists()
+    with pytest.raises(EnumerationBudgetError):
+        run_sweep(ExperimentConfig(num_cells=19), "users", with_exact=True)
 
 
 def test_cli_deterministic_fading_flag(tmp_path):

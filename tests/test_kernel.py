@@ -1,0 +1,248 @@
+"""The batched Monte Carlo kernel against the one-instance pipeline.
+
+The kernel decides coverage by comparing fading gains with a per-link
+threshold and solves sub-frames in packed batches.  These tests hold it
+to `sample_rates -> derive_instance -> solve_greedy/solve_sc_baseline`
+where the two rules are hardest to keep apart (stream rates equal to
+realized link rates), for every batch size, and hold the packed solvers
+to the boolean-tensor solvers they replaced.
+"""
+
+import dataclasses
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mcms.harness as harness
+from mcms import (
+    ChannelParams,
+    CoverageInstance,
+    ExperimentConfig,
+    StreamSpec,
+    derive_instance,
+    generate_scenario,
+    run_subframe,
+    run_sweep,
+    sample_rates,
+    solve_greedy,
+    solve_sc_baseline,
+)
+from mcms.coverage import pack_users
+from mcms.scenario import mean_snr
+from mcms.solvers import greedy_batch, primary_words, sc_batch
+
+# With one cell and one PRB every link decides whether its user is
+# served, so a single misjudged link changes the unserved counts.
+BOUNDARY_CONFIGS = (
+    ExperimentConfig(num_cells=1, users_per_cell=60, num_prbs=1,
+                     trials=2, subframes=3, seed=21),
+    ExperimentConfig(num_cells=7, users_per_cell=12, num_prbs=4,
+                     trials=2, subframes=3, seed=21),
+    # Mean SNRs of 1e-15 to 1e-12: 1 + snr * gain keeps only a few
+    # significant bits of snr * gain, so the rate rule's own rounding is
+    # coarse, far beyond a band relative to the gain threshold alone.
+    ExperimentConfig(num_cells=1, users_per_cell=60, num_prbs=1,
+                     trials=2, subframes=3, seed=22,
+                     channel=ChannelParams(tx_power_dbm=-150.0)),
+)
+
+
+def pipeline_counts(scenario, params, stream, rng, num_prbs):
+    """Unserved (MC, SC) of one sub-frame through the public pipeline."""
+    realization = sample_rates(scenario, params, 0, rng, num_prbs)
+    instance = derive_instance(scenario, realization, stream)
+    m = instance.num_users
+    return (m - solve_greedy(instance).objective,
+            m - solve_sc_baseline(instance).objective)
+
+
+def sweep_sample(config, trial, t):
+    """Scenario and fading seed of sample (point 0, trial, t) of a sweep."""
+    scenario = generate_scenario(
+        config.num_cells, config.radius_m, config.users_per_cell,
+        np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(0, trial, 0))),
+    )
+    fading = np.random.SeedSequence(config.seed, spawn_key=(0, trial, 1, t))
+    return scenario, fading
+
+
+def boundary_rates(config):
+    """Stream rates equal to realized link rates of the sweep's first
+    sample: each puts one link exactly on the decode threshold."""
+    scenario, fading = sweep_sample(config, 0, 0)
+    rates = sample_rates(scenario, config.channel, 0,
+                         np.random.default_rng(fading),
+                         config.num_prbs).rates.ravel()
+    rates = np.sort(rates[rates > 0])
+    return [float(r) for r in rates[:: max(1, len(rates) // 60)]]
+
+
+def test_boundary_family_defeats_a_plain_gain_threshold():
+    # The family must be adversarial: comparing gains with
+    # expm1(R / B ln 2) / snr, with no guard band, flips some links.
+    config = BOUNDARY_CONFIGS[0]
+    scenario, fading = sweep_sample(config, 0, 0)
+    params = config.channel
+    snr = mean_snr(scenario, params)[:, None, :]
+    gains = np.random.default_rng(fading).exponential(
+        1.0, size=(scenario.num_cells, config.num_prbs, scenario.num_users))
+    rates = sample_rates(scenario, params, 0, np.random.default_rng(fading),
+                         config.num_prbs).rates
+    flips = 0
+    for rate in boundary_rates(config):
+        naive = gains >= np.expm1(rate / params.bandwidth_hz * math.log(2)) / snr
+        flips += int(np.count_nonzero(naive != (rates >= rate)))
+    assert flips > 0
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_CONFIGS,
+                         ids=["1cell_1prb", "7cells_4prbs", "low_snr"])
+def test_kernel_matches_pipeline_at_realized_rates(boundary):
+    params = boundary.channel
+    for rate in boundary_rates(boundary):
+        stream = StreamSpec(rate_bps=rate)
+        config = dataclasses.replace(boundary, stream_rate_bps=rate)
+        result = run_sweep(config, "users", values=(boundary.users_per_cell,),
+                           collect_raw=True)
+        for sample in result.raw:
+            scenario, fading = sweep_sample(config, sample.trial,
+                                            sample.subframe)
+            want = pipeline_counts(scenario, params, stream,
+                                   np.random.default_rng(fading),
+                                   config.num_prbs)
+            assert (sample.unserved_mc, sample.unserved_sc) == want, rate
+            got = run_subframe(scenario, params, stream, sample.subframe,
+                               np.random.default_rng(fading), config.num_prbs)
+            assert got == want, rate
+
+
+def test_kernel_matches_pipeline_without_fading():
+    params = ChannelParams(fading="none")
+    scenario = generate_scenario(7, 500.0, 15, 4)
+    snr = mean_snr(scenario, params)
+    # Rates at which some mean-SNR links sit exactly on the threshold.
+    for snr_value in np.quantile(snr, [0.2, 0.5, 0.8]):
+        rate = float(params.bandwidth_hz * np.log2(1.0 + snr_value))
+        stream = StreamSpec(rate_bps=rate)
+        assert (run_subframe(scenario, params, stream, 0, 0)
+                == pipeline_counts(scenario, params, stream, 0, 4))
+
+
+def forced_batches(config, users):
+    """Byte budgets that make the kernel batch 1, 3 and all sub-frames."""
+    c, n, t = config.num_cells, config.num_prbs, config.subframes
+    m = c * users
+    per_subframe = c * n * -(-m // 64) * (64 + 8)
+    budgets = [(1, per_subframe), (min(3, t), 3 * per_subframe),
+               (t, 1 << 62)]
+    for want, budget in budgets:
+        with mock.patch.object(harness, "_BATCH_BYTES", budget):
+            assert harness._batch_subframes(t, c, n, m) == want
+    return [budget for _, budget in budgets]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([1, 7]),
+    prbs=st.integers(1, 4),
+    users=st.integers(1, 12),
+    subframes=st.integers(1, 9),
+    rate=st.floats(2e5, 4e6),
+    fading=st.sampled_from(["rayleigh", "none"]),
+)
+def test_results_do_not_depend_on_batch_size(seed, cells, prbs, users,
+                                             subframes, rate, fading):
+    config = ExperimentConfig(num_cells=cells, num_prbs=prbs, trials=2,
+                              subframes=subframes, users_per_cell=users,
+                              stream_rate_bps=rate, seed=seed,
+                              channel=ChannelParams(fading=fading))
+    with_exact = prbs ** cells <= 256
+    results = []
+    for budget in forced_batches(config, users):
+        with mock.patch.object(harness, "_BATCH_BYTES", budget):
+            results.append(run_sweep(config, "users", values=(users,),
+                                     with_exact=with_exact, collect_raw=True))
+    assert results[0] == results[1] == results[2]
+
+
+# The boolean-tensor solvers the packed kernels replaced, kept as oracles.
+
+
+def tensor_greedy(instance):
+    member = instance.membership_matrix()
+    num_cells, num_prbs, num_users = member.shape
+    chosen = [-1] * num_cells
+    covered = np.zeros(num_users, dtype=bool)
+    remaining = np.ones(num_cells, dtype=bool)
+    marginals = []
+    for _ in range(num_cells):
+        gains = np.count_nonzero(member & ~covered, axis=2)
+        gains[~remaining] = -1
+        c, j = divmod(int(np.argmax(gains)), num_prbs)
+        chosen[c] = j
+        remaining[c] = False
+        marginals.append(int(max(gains[c, j], 0)))
+        covered |= member[c, j]
+    return tuple(chosen), int(np.count_nonzero(covered)), tuple(marginals)
+
+
+def tensor_sc(instance):
+    member = instance.membership_matrix()
+    chosen, total = [], 0
+    for c in range(instance.num_cells):
+        counts = np.count_nonzero(member[c][:, instance.primary_cell == c],
+                                  axis=1)
+        chosen.append(int(np.argmax(counts)))
+        total += int(counts[chosen[-1]])
+    return tuple(chosen), total
+
+
+@st.composite
+def instance_batches(draw):
+    """Instances of one shape: random, with empty coverage sets, with no
+    coverage at all, or with every set equal (every step a tie)."""
+    cells = draw(st.integers(1, 4))
+    prbs = draw(st.integers(1, 4))
+    users = draw(st.sampled_from([0, 1, 3, 63, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = []
+    for kind in draw(st.lists(
+            st.sampled_from(["random", "empty_sets", "empty", "all_tie"]),
+            min_size=1, max_size=4)):
+        shape = (cells, prbs, users)
+        if kind == "all_tie":
+            member = np.broadcast_to(rng.random(users) < 0.5, shape)
+        elif kind == "empty":
+            member = np.zeros(shape, dtype=bool)
+        else:
+            member = rng.random(shape) < rng.uniform(0.05, 0.95)
+            if kind == "empty_sets":
+                member &= rng.random((cells, prbs, 1)) < 0.5
+        batch.append(CoverageInstance.from_membership(
+            member, rng.integers(0, cells, size=users)))
+    return batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_batches())
+def test_packed_solvers_match_tensor_solvers(batch):
+    words = pack_users(np.stack([inst.membership_matrix() for inst in batch]))
+    chosen, served, marginals = greedy_batch(words)
+    for k, inst in enumerate(batch):
+        want = tensor_greedy(inst)
+        assert (tuple(chosen[k].tolist()), int(served[k]),
+                tuple(marginals[k].tolist())) == want
+        res = solve_greedy(inst)
+        assert (res.alloc.chosen, res.objective,
+                res.per_step_marginals) == want
+        sc_chosen, sc_served = sc_batch(
+            words[k:k + 1], primary_words(inst.primary_cell, inst.num_cells))
+        want = tensor_sc(inst)
+        assert (tuple(sc_chosen[0].tolist()), int(sc_served[0])) == want
+        res = solve_sc_baseline(inst)
+        assert (res.alloc.chosen, res.objective) == want

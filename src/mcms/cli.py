@@ -5,8 +5,9 @@ Subcommands:
 * ``sweep-users``   Monte Carlo sweep over users per cell, CSV out.
 * ``sweep-radius``  Monte Carlo sweep over cell radius, CSV out.
 * ``solve``         run the solvers on one instance JSON file.
-* ``oracle-check``  audit the greedy against brute force on random
-  instances and report ratio statistics.
+* ``oracle-check``  audit the greedy against the exact optimum on
+  random instances, holding it to ``greedy_bound`` (half the optimum),
+  and report ratio statistics.
 
 Option precedence for experiment knobs: command-line flag, then the
 --config JSON file (keys named like the flags, underscores for

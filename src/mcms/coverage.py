@@ -14,6 +14,7 @@ operation here is a pure function that is safe to call concurrently.
 from __future__ import annotations
 
 import enum
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -81,9 +82,10 @@ class CoverageInstance:
         collections: Iterable[Iterable[Iterable[int]]],
         primary_cell: Iterable[int],
     ):
-        cells = [tuple(frozenset(int(u) for u in prb_set) for prb_set in cell)
+        cells = [tuple(frozenset(whole_number(u, "user id") for u in prb_set)
+                       for prb_set in cell)
                  for cell in collections]
-        num_users = int(num_users)
+        num_users = whole_number(num_users, "num_users")
         if num_users < 0:
             raise InstanceError("num_users must be >= 0")
         if not cells:
@@ -109,7 +111,9 @@ class CoverageInstance:
                         )
                     membership[c, j, u] = True
 
-        primary = np.asarray([int(p) for p in primary_cell], dtype=np.intp)
+        primary = np.asarray(
+            [whole_number(p, "primary cell") for p in primary_cell],
+            dtype=np.intp)
         _check_primary(primary, num_users, len(cells))
         membership.setflags(write=False)
         primary.setflags(write=False)
@@ -190,10 +194,11 @@ def pack_users(mask: np.ndarray) -> np.ndarray:
 
     Each user is one bit and padding bits are zero, so unions and
     intersections are word-wise OR/AND and set sizes are
-    ``np.bitwise_count`` sums.  A last axis that is already a multiple
-    of 64 long is packed without a copy.
+    ``np.bitwise_count`` sums.  A C-contiguous last axis that is already
+    a multiple of 64 long is packed without a copy; any other layout is
+    copied first, as the uint64 view needs contiguous bytes.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.ascontiguousarray(mask, dtype=bool)
     num_users = mask.shape[-1]
     padded_len = -(-num_users // 64) * 64
     if padded_len != num_users:
@@ -201,6 +206,19 @@ def pack_users(mask: np.ndarray) -> np.ndarray:
         padded[..., :num_users] = mask
         mask = padded
     return np.packbits(mask, axis=-1, bitorder="little").view(np.uint64)
+
+
+def whole_number(value, what: str) -> int:
+    """``value`` as an int; InstanceError unless it is a whole number.
+
+    Integral floats such as 2.0 pass; fractions, non-finite numbers,
+    bools and strings do not, so no id is silently truncated.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if not whole or isinstance(value, (bool, np.bool_)):
+        raise InstanceError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _check_primary(primary: np.ndarray, num_users: int, num_cells: int) -> None:

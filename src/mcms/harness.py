@@ -22,8 +22,11 @@ them with the threshold, with no log per link.  Gains within a narrow
 guard band of the threshold get their rate computed, so coverage is
 exactly that of `sample_rates` followed by `derive_instance`.  The
 coverage of a batch of sub-frames is packed into uint64 words, and
-`greedy_batch` and `sc_batch` solve the whole batch at once.  A fixed
-byte budget caps the batch size, whatever the number of sub-frames.
+`greedy_batch` and `sc_batch` solve the whole batch at once.  With the
+EXACT column, `exact_batch` finds the optimum of every sub-frame of the
+batch from the same coverage bits, enumerating only the users some
+allocations serve and others do not.  A fixed byte budget caps the
+batch size, whatever the number of sub-frames.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .coverage import CoverageInstance, InstanceError, pack_users
+from .coverage import (
+    CoverageInstance,
+    InstanceError,
+    pack_users,
+    whole_number,
+)
 from .scenario import (
     ChannelParams,
     DEFAULT_STREAM_RATE_BPS,
@@ -50,6 +58,7 @@ from .scenario import (
 )
 from .solvers import (
     EnumerationBudgetError,
+    exact_batch,
     greedy_batch,
     primary_words,
     sc_batch,
@@ -58,9 +67,10 @@ from .solvers import (
     solve_sc_baseline,
 )
 
-# derive_instance, sample_rates, solve_greedy and solve_sc_baseline are
-# not called here: they stay bound so that perfbench/tracing.py, which
-# rebinds this module's names of the layers below, finds all of them.
+# derive_instance, sample_rates, solve_exact, solve_greedy and
+# solve_sc_baseline are not called here: they stay bound so that
+# perfbench/tracing.py, which rebinds this module's names of the layers
+# below, finds all of them.
 
 DEFAULT_USER_SWEEP = (100, 125, 150, 175, 200, 225, 250)
 DEFAULT_RADIUS_SWEEP = (200, 250, 300, 350, 400)
@@ -198,7 +208,7 @@ def _unserved_counts(
     stream: StreamSpec,
     num_prbs: int,
     fading_seeds: Sequence,
-    exact_budget: int | None = None,
+    with_exact: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The Monte Carlo kernel: unserved users of one placement, per
     sub-frame.
@@ -210,11 +220,12 @@ def _unserved_counts(
     `_gain_bounds` (the same rule as `derive_instance`, with no log
     per link).  Sub-frames are packed into uint64 words in batches of
     `_batch_subframes` and each batch is solved at once by
-    `greedy_batch` (MC) and `sc_batch` (SC).  With ``exact_budget``,
-    every sub-frame also gets a CoverageInstance and `solve_exact`.
+    `greedy_batch` (MC) and `sc_batch` (SC).  With ``with_exact``, each
+    batch is also solved by `exact_batch`; the caller checks that
+    ``num_prbs ** num_cells`` is within its enumeration budget.
 
     Returns the unserved counts ``(mc, sc, exact)``, arrays of one entry
-    per sub-frame; ``exact`` is None without ``exact_budget``.
+    per sub-frame; ``exact`` is None without ``with_exact``.
     """
     if num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
@@ -230,7 +241,7 @@ def _unserved_counts(
                     dtype=bool)
     mc = np.empty(subframes, dtype=np.int64)
     sc = np.empty_like(mc)
-    exact = np.empty_like(mc) if exact_budget is not None else None
+    exact = np.empty_like(mc) if with_exact else None
     for start in range(0, subframes, batch):
         stop = min(start + batch, subframes)
         for i, seed in enumerate(fading_seeds[start:stop]):
@@ -244,15 +255,13 @@ def _unserved_counts(
                 covers[c, j, u] = shannon_rate_bps(
                     snr[c, u] * gains[c, j, u], params.bandwidth_hz
                 ) >= stream.rate_bps
-        words = pack_users(bits[:stop - start])
+        n = stop - start
+        words = pack_users(bits[:n])
         mc[start:stop] = num_users - greedy_batch(words)[1]
         sc[start:stop] = num_users - sc_batch(words, owners)[1]
         if exact is not None:
-            for i in range(stop - start):
-                instance = CoverageInstance.from_membership(
-                    bits[i, :, :, :num_users], scenario.primary_cell)
-                exact[start + i] = num_users - solve_exact(
-                    instance, budget=exact_budget).objective
+            exact[start:stop] = num_users - exact_batch(
+                bits[:n, :, :, :num_users])[1]
     return mc, sc, exact
 
 
@@ -277,7 +286,7 @@ def run_sweep(
 
     ``values`` must be strictly increasing and defaults to
     DEFAULT_USER_SWEEP or DEFAULT_RADIUS_SWEEP.  With ``with_exact``
-    every sub-frame also gets the brute-force optimum; it raises
+    every sub-frame also gets the optimum (`exact_batch`); it raises
     EnumerationBudgetError before the first sample unless
     num_prbs ** num_cells stays within ``exact_budget``.  With
     ``collect_raw`` the per-sample counts are kept on the result so the
@@ -314,7 +323,7 @@ def run_sweep(
             ]
             mc, sc, exact = _unserved_counts(
                 scenario, params, stream, pc.num_prbs, fading_seeds,
-                exact_budget if with_exact else None,
+                with_exact,
             )
             unserved[:2, trial] = mc, sc
             if with_exact:
@@ -459,25 +468,25 @@ def instance_to_dict(instance: CoverageInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> CoverageInstance:
+    """Instance of a JSON document; InstanceError if it is malformed,
+    including any count or id that is not a whole number."""
     try:
-        m = int(data["M"])
-        c = int(data["C"])
-        n = int(data["N"])
+        m, c, n = (whole_number(data[key], key) for key in ("M", "C", "N"))
         collections = data["collections"]
         primary = data["primary"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"bad instance document: {exc}") from exc
-    if len(collections) != c:
-        raise InstanceError(
-            f"C={c} but collections lists {len(collections)} cells"
-        )
-    for i, cell in enumerate(collections):
-        if len(cell) != n:
+        if len(collections) != c:
             raise InstanceError(
-                f"N={n} but cell {i} lists {len(cell)} PRB sets"
+                f"C={c} but collections lists {len(collections)} cells"
             )
-    return CoverageInstance(num_users=m, collections=collections,
-                            primary_cell=primary)
+        for i, cell in enumerate(collections):
+            if len(cell) != n:
+                raise InstanceError(
+                    f"N={n} but cell {i} lists {len(cell)} PRB sets"
+                )
+        return CoverageInstance(num_users=m, collections=collections,
+                                primary_cell=primary)
+    except (KeyError, TypeError) as exc:
+        raise InstanceError(f"bad instance document: {exc}") from exc
 
 
 def load_instance(path) -> CoverageInstance:

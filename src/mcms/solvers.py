@@ -2,18 +2,24 @@
 
 `solve_greedy` is the cross-cell greedy: each step scans every
 (cell, PRB) pair of the cells not yet assigned and commits the pair
-covering the most still-uncovered users.  It returns an allocation whose
-union coverage is at least (1 - 1/e) of the optimum.  `solve_exact` is a
-brute-force oracle over all N^C allocations, usable for small instances
-and for auditing the greedy.  `solve_sc_baseline` models cells that
-cannot cooperate: each cell independently picks the PRB that covers the
-most of its own primary users.  `solve_mcp_greedy` is the classic greedy
-for budgeted maximum coverage over a flat list of sets.
+covering the most still-uncovered users.  One PRB per cell is a
+partition matroid, and for it the greedy is a 1/2-approximation (Fisher,
+Nemhauser & Wolsey 1978): it serves at least ``greedy_bound(opt)`` =
+ceil(opt / 2) users, and no more can be promised.  Two users show it:
+cell 0 covers {0} or {1}, cell 1 covers {0} or nothing; the greedy takes
+{0} first and serves 1, the optimum serves 2.  `solve_exact` finds the
+optimum over all N^C allocations: `exact_batch` drops the users whose
+service no allocation changes and enumerates the unions of the others
+as packed words.  `solve_sc_baseline` models cells that cannot
+cooperate: each cell independently picks the PRB that covers the most
+of its own primary users.  `solve_mcp_greedy` is the classic greedy for
+budgeted maximum coverage over a flat list of sets, where the
+cardinality constraint gives it the (1 - 1/e) guarantee of
+``mcp_greedy_bound``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,9 +50,16 @@ class SolveResult:
 
 
 def greedy_bound(opt: int) -> int:
-    """Smallest served count the greedy is guaranteed to reach when the
-    optimum is ``opt``: ceil((1 - 1/e) * opt), with a small slack so the
-    ceiling never rounds up on floating-point dust."""
+    """Smallest served count `solve_greedy` is guaranteed to reach when
+    the optimum is ``opt``: ceil(opt / 2), the greedy's bound under a
+    partition matroid."""
+    return -(-opt // 2)
+
+
+def mcp_greedy_bound(opt: int) -> int:
+    """Smallest coverage `solve_mcp_greedy` is guaranteed to reach when
+    the optimum is ``opt``: ceil((1 - 1/e) * opt), with a small slack so
+    the ceiling never rounds up on floating-point dust."""
     return math.ceil((1.0 - 1.0 / math.e) * opt - 1e-9)
 
 
@@ -109,7 +122,9 @@ def solve_greedy(instance: CoverageInstance) -> SolveResult:
     Each of the C steps picks the (cell, PRB) pair with the largest
     marginal gain over the users covered so far, restricted to cells
     without an assignment yet.  Ties go to the lowest cell index, then
-    the lowest PRB index.  Runs in O(C^2 * N * M / 64) time on the
+    the lowest PRB index.  The result serves at least half of the
+    optimum (`greedy_bound`); (1 - 1/e) does not hold under the
+    one-PRB-per-cell constraint.  Runs in O(C^2 * N * M / 64) time on the
     packed membership words; this is `greedy_batch` on a batch of one.
 
     Returns a SolveResult whose ``per_step_marginals`` holds the C gains
@@ -124,18 +139,91 @@ def solve_greedy(instance: CoverageInstance) -> SolveResult:
     )
 
 
-def _cell_masks(member: np.ndarray) -> list[list[int]]:
-    # Pack each coverage set into one Python int so candidate unions are
-    # single big-int ORs instead of M-length array ops.
-    num_cells, num_prbs, _ = member.shape
-    masks: list[list[int]] = []
-    for c in range(num_cells):
-        row = []
-        for j in range(num_prbs):
-            packed = np.packbits(member[c, j], bitorder="little")
-            row.append(int.from_bytes(packed.tobytes(), "little"))
-        masks.append(row)
-    return masks
+# Byte budget of each temporary of the exact search: the table of tail
+# unions and each block of head unions ORed with it.
+_EXACT_BYTES = 64 << 10
+
+
+def _exact_split(num_cells: int, num_prbs: int, num_words: int
+                 ) -> tuple[int, int]:
+    """``(tail_cells, head_rows)`` of the exact search under _EXACT_BYTES.
+
+    The last ``tail_cells`` cells, as many as fit, form the table of tail
+    unions; ``head_rows`` unions of the other cells are ORed with the
+    whole table at a time, at least one.
+    """
+    row_bytes = num_words * 8
+    tail_cells = 0
+    while (tail_cells < num_cells
+           and num_prbs ** (tail_cells + 1) * row_bytes <= _EXACT_BYTES):
+        tail_cells += 1
+    return tail_cells, max(1, _EXACT_BYTES
+                           // (num_prbs ** tail_cells * row_bytes))
+
+
+def _unions(words: np.ndarray) -> np.ndarray:
+    """Unions [words, prbs ** cells] of one set per cell of ``words``
+    [cells, words, prbs], in lexicographic order of the PRB tuples with
+    cell 0 most significant.  Words lead so that every OR and count runs
+    over the long union axis."""
+    unions = np.zeros((words.shape[1], 1), dtype=np.uint64)
+    for cell in words[::-1]:  # each earlier cell is a more significant digit
+        unions = (cell[:, :, None] | unions[:, None, :]).reshape(
+            len(unions), -1)
+    return unions
+
+
+def _count_words(unions: np.ndarray) -> np.ndarray:
+    """Set sizes of word-major packed sets [words, ...]."""
+    counts = np.bitwise_count(unions[0]).astype(np.intp)
+    for word in unions[1:]:
+        counts += np.bitwise_count(word)
+    return counts
+
+
+def exact_batch(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_exact` on a batch of instances at once.
+
+    ``member`` is a boolean tensor [batch, cells, prbs, users] of
+    coverage sets.  Returns ``(chosen, served)``: an optimal PRB per cell
+    [batch, cells], the lexicographically smallest optimal tuple, and
+    its union coverage [batch].
+
+    Only the contested users can change the answer.  A user covered by
+    every PRB of some cell is served by every allocation and is counted
+    as a constant; a user in no set is never served and is dropped.  The
+    contested users are packed into uint64 words and every union of one
+    set per cell is enumerated with word-wise ORs and popcounted.  The
+    last cells form one table of unions (`_exact_split`); blocks of
+    unions of the other cells are ORed with all of it.  The first
+    maximum wins, within a block by ``argmax`` and across blocks by a
+    strict ``>``, which keeps the lexicographically smallest tuple.
+    """
+    batch, num_cells, num_prbs, _ = member.shape
+    always = member.all(axis=2).any(axis=1)
+    contested = member.any(axis=(1, 2)) & ~always
+    chosen = np.zeros((batch, num_cells), dtype=np.intp)
+    served = np.count_nonzero(always, axis=1)
+    for k in range(batch):
+        words = pack_users(member[k][:, :, contested[k]])
+        if words.shape[2] == 0:  # no contested user: one all-zero word
+            words = np.zeros((num_cells, num_prbs, 1), dtype=np.uint64)
+        words = np.ascontiguousarray(words.transpose(0, 2, 1))
+        tail_cells, head_rows = _exact_split(num_cells, num_prbs,
+                                             words.shape[1])
+        head_cells = num_cells - tail_cells
+        tail = _unions(words[head_cells:])
+        head = _unions(words[:head_cells])
+        best, best_index = -1, 0
+        for start in range(0, head.shape[1], head_rows):
+            counts = _count_words(head[:, start:start + head_rows, None]
+                                  | tail[:, None, :]).ravel()
+            i = int(counts.argmax())
+            if counts[i] > best:  # strict: the earlier block keeps a tie
+                best, best_index = int(counts[i]), start * tail.shape[1] + i
+        chosen[k] = np.unravel_index(best_index, (num_prbs,) * num_cells)
+        served[k] += best
+    return chosen, served
 
 
 def solve_exact(
@@ -144,27 +232,16 @@ def solve_exact(
     """Optimal allocation by exhaustive search over all N^C allocations.
 
     Ties break toward the lexicographically smallest PRB tuple.  Raises
-    EnumerationBudgetError if N^C exceeds ``budget``; the exception
-    carries the allocation count so callers can report it.
+    EnumerationBudgetError if N^C exceeds ``budget``, before any search;
+    the exception carries the allocation count so callers can report it.
+    This is `exact_batch` on a batch of one.
     """
-    member = instance.membership_matrix()
-    num_cells, num_prbs, _ = member.shape
-    total = num_prbs ** num_cells
+    total = instance.prbs_per_cell ** instance.num_cells
     if total > budget:
         raise EnumerationBudgetError(total, budget)
-    masks = _cell_masks(member)
-    best_count = -1
-    best: tuple[int, ...] | None = None
-    for combo in itertools.product(range(num_prbs), repeat=num_cells):
-        union = 0
-        for c, j in enumerate(combo):
-            union |= masks[c][j]
-        count = union.bit_count()
-        if count > best_count:  # strict: first (lex-smallest) winner kept
-            best_count = count
-            best = combo
-    assert best is not None
-    return SolveResult(alloc=Allocation(best), objective=best_count)
+    chosen, served = exact_batch(instance.membership_matrix()[None])
+    return SolveResult(alloc=Allocation(tuple(chosen[0].tolist())),
+                       objective=int(served[0]))
 
 
 def solve_sc_baseline(instance: CoverageInstance) -> SolveResult:
@@ -217,7 +294,7 @@ def solve_mcp_greedy(instance: MCPInstance) -> MCPResult:
     """Greedy maximum coverage: repeatedly take the set adding the most
     uncovered elements, stopping early once no set adds anything.  Ties
     go to the lowest set index.  Guarantees a (1 - 1/e) fraction of the
-    optimal coverage."""
+    optimal coverage (`mcp_greedy_bound`)."""
     covered: set[int] = set()
     chosen: list[int] = []
     picks = min(instance.budget, len(instance.sets))

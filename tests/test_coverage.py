@@ -17,6 +17,7 @@ from mcms import (
     validate_allocation,
     validate_instance,
 )
+from mcms.coverage import pack_users
 
 
 def test_minimal_instance_is_valid():
@@ -167,12 +168,6 @@ def _random_case(rng):
     return inst, alloc
 
 
-def test_served_sc_subset_of_served_mc(rng):
-    for _ in range(200):
-        inst, alloc = _random_case(rng)
-        assert served_sc(inst, alloc) <= served_mc(inst, alloc)
-
-
 def test_objective_bounds(rng):
     # MC objective is at most M and at least the largest chosen set
     for _ in range(100):
@@ -210,6 +205,13 @@ def instance_and_alloc(draw):
     return CoverageInstance.from_membership(member, primary), Allocation(tuple(alloc))
 
 
+@settings(max_examples=100, deadline=None)
+@given(instance_and_alloc())
+def test_served_sc_subset_of_served_mc(case):
+    inst, alloc = case
+    assert served_sc(inst, alloc) <= served_mc(inst, alloc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(instance_and_alloc())
 def test_served_sets_are_consistent(case):
@@ -231,3 +233,23 @@ def test_enlarging_a_chosen_set_never_hurts_mc(rng):
         member[c, alloc[c]] |= extra
         grown = CoverageInstance.from_membership(member, inst.primary_cell)
         assert objective(grown, alloc, Mode.MC) >= before
+
+
+def _unpack(words, num_users):
+    return np.unpackbits(words.view(np.uint8), axis=-1,
+                         bitorder="little")[..., :num_users].astype(bool)
+
+
+@pytest.mark.parametrize("num_users", [64, 128])
+def test_pack_users_accepts_non_contiguous_masks(num_users):
+    rng = np.random.default_rng(num_users)
+    transposed = (rng.random((num_users, 3)) < 0.5).T
+    wide = rng.random((3, num_users + 37)) < 0.5
+    keep = np.ones(num_users + 37, dtype=bool)
+    keep[rng.choice(num_users + 37, 37, replace=False)] = False
+    selected = wide[:, keep]
+    for mask in (transposed, selected):
+        assert not mask.flags.c_contiguous
+        words = pack_users(mask)
+        assert words.shape == (3, num_users // 64)
+        assert np.array_equal(_unpack(words, num_users), mask)

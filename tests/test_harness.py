@@ -271,6 +271,39 @@ def test_cli_solve_respects_budget(tmp_path, capsys):
     assert "needs 4 evaluations" in out
 
 
+@pytest.mark.parametrize("change", [
+    {"collections": [[[1.7]]]},
+    {"primary": [0, 0.5]},
+    {"collections": [[[True]]]},
+    {"primary": [0, False]},
+    {"collections": [[["1"]]]},
+    {"M": 2.5},
+    {"N": "1"},
+    {"collections": [[1]]},
+], ids=["fractional_user", "fractional_primary", "bool_user",
+        "bool_primary", "string_user", "fractional_M", "string_N",
+        "set_not_a_list"])
+def test_cli_solve_rejects_non_integer_ids(tmp_path, capsys, change):
+    doc = {"M": 2, "C": 1, "N": 1, "collections": [[[1]]],
+           "primary": [0, 0], **change}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_solve_accepts_integral_floats(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"M": 2.0, "C": 1, "N": 1,
+                                "collections": [[[1.0]]],
+                                "primary": [0, 0.0]}))
+    assert main(["solve", str(path)]) == 0
+    assert "exact=1 alloc=0" in capsys.readouterr().out
+
+
 def test_cli_solve_missing_file_fails(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "absent.json")])
     assert rc == 2
@@ -438,6 +471,16 @@ def test_cli_oracle_check_reports_ratio(capsys):
     assert rc == 0
     assert "violations=0" in out
     assert "min_ratio=" in out
+
+
+def test_cli_oracle_check_holds_greedy_to_half_of_optimum(capsys):
+    # These random instances include greedy = opt / 2 cases, which the
+    # (1 - 1/e) bound wrongly reported as violations.
+    rc = main(["oracle-check", "--trials", "2000", "--users", "6",
+               "--cells", "3", "--prbs", "2", "--density", "0.3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "violations=0 min_ratio=0.5000" in out
 
 
 def test_cli_exact_flag_adds_column(tmp_path):

@@ -5,10 +5,11 @@ threshold and solves sub-frames in packed batches.  These tests hold it
 to `sample_rates -> derive_instance -> solve_greedy/solve_sc_baseline`
 where the two rules are hardest to keep apart (stream rates equal to
 realized link rates), for every batch size, and hold the packed solvers
-to the boolean-tensor solvers they replaced.
+to the boolean-tensor and big-int solvers they replaced.
 """
 
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mcms.harness as harness
+import mcms.solvers as solvers
 from mcms import (
     ChannelParams,
     CoverageInstance,
@@ -27,12 +29,13 @@ from mcms import (
     run_subframe,
     run_sweep,
     sample_rates,
+    solve_exact,
     solve_greedy,
     solve_sc_baseline,
 )
 from mcms.coverage import pack_users
 from mcms.scenario import mean_snr
-from mcms.solvers import greedy_batch, primary_words, sc_batch
+from mcms.solvers import exact_batch, greedy_batch, primary_words, sc_batch
 
 # With one cell and one PRB every link decides whether its user is
 # served, so a single misjudged link changes the unserved counts.
@@ -202,17 +205,36 @@ def tensor_sc(instance):
     return tuple(chosen), total
 
 
+def bigint_exact(instance):
+    """Every allocation's union as one Python int; first maximizer wins."""
+    member = instance.membership_matrix()
+    masks = [[int.from_bytes(np.packbits(s, bitorder="little").tobytes(),
+                             "little") for s in cell] for cell in member]
+    best_count, best = -1, None
+    for combo in itertools.product(range(instance.prbs_per_cell),
+                                   repeat=instance.num_cells):
+        union = 0
+        for c, j in enumerate(combo):
+            union |= masks[c][j]
+        if union.bit_count() > best_count:
+            best_count, best = union.bit_count(), combo
+    return best, best_count
+
+
 @st.composite
 def instance_batches(draw):
     """Instances of one shape: random, with empty coverage sets, with no
-    coverage at all, or with every set equal (every step a tie)."""
+    coverage at all, with every set equal (every step a tie), with every
+    user covered by every PRB of some cell, or with no contested user
+    (each user covered by every PRB of some cell, or by no set)."""
     cells = draw(st.integers(1, 4))
     prbs = draw(st.integers(1, 4))
     users = draw(st.sampled_from([0, 1, 3, 63, 64, 65, 130]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batch = []
     for kind in draw(st.lists(
-            st.sampled_from(["random", "empty_sets", "empty", "all_tie"]),
+            st.sampled_from(["random", "empty_sets", "empty", "all_tie",
+                             "all_covered", "uncontested"]),
             min_size=1, max_size=4)):
         shape = (cells, prbs, users)
         if kind == "all_tie":
@@ -223,6 +245,14 @@ def instance_batches(draw):
             member = rng.random(shape) < rng.uniform(0.05, 0.95)
             if kind == "empty_sets":
                 member &= rng.random((cells, prbs, 1)) < 0.5
+        if kind in ("all_covered", "uncontested"):
+            # Each user gets a cell whose every PRB covers it.
+            owner = rng.integers(0, cells, size=users)
+            served = (np.ones(users, dtype=bool) if kind == "all_covered"
+                      else rng.random(users) < 0.5)
+            member[owner, :, np.arange(users)] |= served[:, None]
+            if kind == "uncontested":
+                member &= served
         batch.append(CoverageInstance.from_membership(
             member, rng.integers(0, cells, size=users)))
     return batch
@@ -246,3 +276,75 @@ def test_packed_solvers_match_tensor_solvers(batch):
         assert (tuple(sc_chosen[0].tolist()), int(sc_served[0])) == want
         res = solve_sc_baseline(inst)
         assert (res.alloc.chosen, res.objective) == want
+
+
+def exact_caps(num_cells, num_prbs, num_words):
+    """Byte budgets that make the exact search OR 1 head row at a time
+    over a split table, several head rows at a time, and the whole
+    enumeration as one table with no split."""
+    row = num_words * 8
+    tail = num_prbs ** (num_cells - 1) * row
+    caps = {"one_row": tail, "rows": 2 * tail, "no_split": 1 << 62}
+    want = {"one_row": (num_cells - 1, 1), "rows": (num_cells - 1, 2),
+            "no_split": (num_cells, (1 << 62) // (tail * num_prbs))}
+    for name, cap in caps.items():
+        with mock.patch.object(solvers, "_EXACT_BYTES", cap):
+            assert solvers._exact_split(num_cells, num_prbs,
+                                        num_words) == want[name]
+    return caps
+
+
+@pytest.mark.parametrize("regime", ["one_row", "rows", "no_split"])
+def test_exact_search_splits_as_its_byte_budget_says(regime):
+    # 3 cells of 3 PRBs and 70 contested users (2 words): forced splits
+    # must find the same allocation as the oracle, ties included.
+    rng = np.random.default_rng(5)
+    cap = exact_caps(3, 3, 2)[regime]
+    users = np.arange(70)
+    with mock.patch.object(solvers, "_EXACT_BYTES", cap):
+        for density in (0.02, 0.2, 0.5):
+            member = rng.random((3, 3, 70)) < density
+            # Every user misses one PRB of each cell and is in some set.
+            member[:, users % 3, users] = False
+            member[users % 3, (users + 1) % 3, users] = True
+            assert member.any(axis=(0, 1)).all()
+            assert not member.all(axis=1).any()
+            inst = CoverageInstance.from_membership(member, np.zeros(70, int))
+            res = solve_exact(inst)
+            assert (res.alloc.chosen, res.objective) == bigint_exact(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=instance_batches(),
+       cap=st.sampled_from([1, 8, 16, 24, 40, 200, 4096, None]))
+def test_exact_batch_matches_bigint_oracle(batch, cap):
+    member = np.stack([inst.membership_matrix() for inst in batch])
+    with mock.patch.object(solvers, "_EXACT_BYTES",
+                           cap or solvers._EXACT_BYTES):
+        chosen, served = exact_batch(member)
+        for k, inst in enumerate(batch):
+            want = bigint_exact(inst)
+            assert (tuple(chosen[k].tolist()), int(served[k])) == want
+            res = solve_exact(inst)
+            assert (res.alloc.chosen, res.objective) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([1, 7]),
+    prbs=st.integers(1, 3),
+    users=st.integers(1, 30),
+    rate=st.floats(2e5, 4e6),
+)
+def test_sweep_exact_never_leaves_more_unserved(seed, cells, prbs, users,
+                                                rate):
+    config = ExperimentConfig(num_cells=cells, num_prbs=prbs, trials=2,
+                              subframes=3, users_per_cell=users,
+                              stream_rate_bps=rate, seed=seed)
+    result = run_sweep(config, "users", values=(users,), with_exact=True,
+                       collect_raw=True)
+    assert len(result.raw) == 6
+    for sample in result.raw:
+        assert sample.unserved_exact <= sample.unserved_mc
+        assert sample.unserved_exact <= sample.unserved_sc

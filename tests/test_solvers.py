@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcms import (
     Allocation,
@@ -17,6 +18,7 @@ from mcms import (
     MCPInstance,
     Mode,
     greedy_bound,
+    mcp_greedy_bound,
     objective,
     random_instance,
     solve_exact,
@@ -231,10 +233,48 @@ def test_sc_baseline_is_optimal_for_sc(rng):
 
 
 def test_greedy_bound_values():
+    # ceil(opt / 2): the partition-matroid greedy's bound
     assert greedy_bound(0) == 0
     assert greedy_bound(1) == 1
-    assert greedy_bound(7) == 5
-    assert greedy_bound(100) == 64
+    assert greedy_bound(2) == 1
+    assert greedy_bound(7) == 4
+    assert greedy_bound(100) == 50
+
+
+def test_mcp_greedy_bound_values():
+    assert mcp_greedy_bound(0) == 0
+    assert mcp_greedy_bound(1) == 1
+    assert mcp_greedy_bound(7) == 5
+    assert mcp_greedy_bound(100) == 64
+
+
+def half_gap_instance(block, extra_cells=0):
+    """The greedy serves exactly half of the optimum.
+
+    Cell 0 covers block A or block B, cell 1 covers A or nothing, and
+    ``extra_cells`` more cells cover nothing.  The greedy ties A and B,
+    takes A for cell 0 and then has nothing to add; the optimum gives B
+    to cell 0 and A to cell 1.
+    """
+    a = set(range(block))
+    b = set(range(block, 2 * block))
+    collections = ([[a, b], [a, set()]]
+                   + [[set(), set()] for _ in range(extra_cells)])
+    return CoverageInstance(2 * block, collections, [0] * (2 * block))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=st.integers(1, 130), extra_cells=st.integers(0, 3))
+def test_greedy_is_only_a_half_approximation(block, extra_cells):
+    inst = half_gap_instance(block, extra_cells)
+    greedy = solve_greedy(inst)
+    exact = solve_exact(inst)
+    assert greedy.objective == block
+    assert exact.objective == 2 * block
+    assert exact.alloc.chosen[:2] == (1, 0)
+    assert greedy.objective == greedy_bound(exact.objective)
+    # the (1 - 1/e) claim this family refutes
+    assert greedy.objective < mcp_greedy_bound(exact.objective)
 
 
 def test_greedy_meets_bound_on_random_instances(rng):
@@ -303,4 +343,4 @@ def test_mcp_greedy_meets_bound(rng):
         mcp = MCPInstance(universe, sets, budget=k)
         got = solve_mcp_greedy(mcp).covered_count
         opt = reference_mcp_optimum(mcp)
-        assert opt >= got >= greedy_bound(opt)
+        assert opt >= got >= mcp_greedy_bound(opt)

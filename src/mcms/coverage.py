@@ -130,7 +130,9 @@ class CoverageInstance:
         """Build an instance directly from a boolean [C, N, M] tensor.
 
         The set view is only materialized if :attr:`collections` is read,
-        which keeps instance derivation cheap in simulation loops.
+        which keeps instance derivation cheap in simulation loops.  Primary
+        cells must be whole numbers, as for the constructor; an integer
+        array is taken as it is.
         """
         membership = np.asarray(membership, dtype=bool)
         if membership.ndim != 3:
@@ -141,7 +143,13 @@ class CoverageInstance:
         num_cells, num_prbs, num_users = membership.shape
         if num_cells < 1 or num_prbs < 1:
             raise InstanceError("need at least one cell and one PRB per cell")
-        primary = np.asarray([int(p) for p in primary_cell], dtype=np.intp)
+        if (isinstance(primary_cell, np.ndarray)
+                and primary_cell.dtype.kind in "iu"):  # no per-id check
+            primary = primary_cell.astype(np.intp)
+        else:
+            primary = np.asarray(
+                [whole_number(p, "primary cell") for p in primary_cell],
+                dtype=np.intp)
         _check_primary(primary, num_users, num_cells)
         membership = membership.copy()
         membership.setflags(write=False)

@@ -23,7 +23,7 @@ guard band of the threshold get their rate computed, so coverage is
 exactly that of `sample_rates` followed by `derive_instance`.  The
 coverage of a batch of sub-frames is packed into uint64 words, and
 `greedy_batch` and `sc_batch` solve the whole batch at once.  With the
-EXACT column, `exact_batch` finds the optimum of every sub-frame of the
+EXACT column, `exact_search` finds the optimum of every sub-frame of the
 batch from the same coverage bits, enumerating only the users some
 allocations serve and others do not.  A fixed byte budget caps the
 batch size, whatever the number of sub-frames.
@@ -58,7 +58,7 @@ from .scenario import (
 )
 from .solvers import (
     EnumerationBudgetError,
-    exact_batch,
+    exact_search,
     greedy_batch,
     primary_words,
     sc_batch,
@@ -221,7 +221,7 @@ def _unserved_counts(
     per link).  Sub-frames are packed into uint64 words in batches of
     `_batch_subframes` and each batch is solved at once by
     `greedy_batch` (MC) and `sc_batch` (SC).  With ``with_exact``, each
-    batch is also solved by `exact_batch`; the caller checks that
+    sub-frame is also solved by `exact_search`; the caller checks that
     ``num_prbs ** num_cells`` is within its enumeration budget.
 
     Returns the unserved counts ``(mc, sc, exact)``, arrays of one entry
@@ -260,8 +260,9 @@ def _unserved_counts(
         mc[start:stop] = num_users - greedy_batch(words)[1]
         sc[start:stop] = num_users - sc_batch(words, owners)[1]
         if exact is not None:
-            exact[start:stop] = num_users - exact_batch(
-                bits[:n, :, :, :num_users])[1]
+            for t in range(n):
+                exact[start + t] = num_users - exact_search(
+                    bits[t, :, :, :num_users])[1]
     return mc, sc, exact
 
 
@@ -286,7 +287,7 @@ def run_sweep(
 
     ``values`` must be strictly increasing and defaults to
     DEFAULT_USER_SWEEP or DEFAULT_RADIUS_SWEEP.  With ``with_exact``
-    every sub-frame also gets the optimum (`exact_batch`); it raises
+    every sub-frame also gets the optimum (`exact_search`); it raises
     EnumerationBudgetError before the first sample unless
     num_prbs ** num_cells stays within ``exact_budget``.  With
     ``collect_raw`` the per-sample counts are kept on the result so the

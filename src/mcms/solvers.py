@@ -8,7 +8,7 @@ Nemhauser & Wolsey 1978): it serves at least ``greedy_bound(opt)`` =
 ceil(opt / 2) users, and no more can be promised.  Two users show it:
 cell 0 covers {0} or {1}, cell 1 covers {0} or nothing; the greedy takes
 {0} first and serves 1, the optimum serves 2.  `solve_exact` finds the
-optimum over all N^C allocations: `exact_batch` drops the users whose
+optimum over all N^C allocations: `exact_search` drops the users whose
 service no allocation changes and enumerates the unions of the others
 as packed words.  `solve_sc_baseline` models cells that cannot
 cooperate: each cell independently picks the PRB that covers the most
@@ -149,8 +149,8 @@ def _exact_split(num_cells: int, num_prbs: int, num_words: int
     """``(tail_cells, head_rows)`` of the exact search under _EXACT_BYTES.
 
     The last ``tail_cells`` cells, as many as fit, form the table of tail
-    unions; ``head_rows`` unions of the other cells are ORed with the
-    whole table at a time, at least one.
+    unions; ``head_rows`` unions of the other cells are built and ORed
+    with the whole table at a time, at least one.
     """
     row_bytes = num_words * 8
     tail_cells = 0
@@ -173,6 +173,18 @@ def _unions(words: np.ndarray) -> np.ndarray:
     return unions
 
 
+def _union_block(words: np.ndarray, start: int, rows: int) -> np.ndarray:
+    """Columns ``start`` up to ``start + rows`` of `_unions` of ``words``,
+    built without the rest of the table."""
+    num_prbs = words.shape[2]
+    index = np.arange(start, min(start + rows, num_prbs ** len(words)))
+    block = np.zeros((words.shape[1], len(index)), dtype=np.uint64)
+    for cell in words[::-1]:
+        index, digit = np.divmod(index, num_prbs)
+        block |= cell[:, digit]
+    return block
+
+
 def _count_words(unions: np.ndarray) -> np.ndarray:
     """Set sizes of word-major packed sets [words, ...]."""
     counts = np.bitwise_count(unions[0]).astype(np.intp)
@@ -181,13 +193,10 @@ def _count_words(unions: np.ndarray) -> np.ndarray:
     return counts
 
 
-def exact_batch(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`solve_exact` on a batch of instances at once.
-
-    ``member`` is a boolean tensor [batch, cells, prbs, users] of
-    coverage sets.  Returns ``(chosen, served)``: an optimal PRB per cell
-    [batch, cells], the lexicographically smallest optimal tuple, and
-    its union coverage [batch].
+def exact_search(member: np.ndarray) -> tuple[tuple[int, ...], int]:
+    """Optimal allocation of one boolean coverage tensor [cells, prbs,
+    users]: the lexicographically smallest optimal PRB tuple and its
+    union coverage.
 
     Only the contested users can change the answer.  A user covered by
     every PRB of some cell is served by every allocation and is counted
@@ -195,35 +204,30 @@ def exact_batch(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     contested users are packed into uint64 words and every union of one
     set per cell is enumerated with word-wise ORs and popcounted.  The
     last cells form one table of unions (`_exact_split`); blocks of
-    unions of the other cells are ORed with all of it.  The first
-    maximum wins, within a block by ``argmax`` and across blocks by a
-    strict ``>``, which keeps the lexicographically smallest tuple.
+    unions of the other cells are built one at a time and ORed with all
+    of it, so no temporary outgrows _EXACT_BYTES by more than one row.
+    The first maximum wins, within a block by ``argmax`` and across
+    blocks by a strict ``>``, which keeps the lexicographically smallest
+    tuple.
     """
-    batch, num_cells, num_prbs, _ = member.shape
-    always = member.all(axis=2).any(axis=1)
-    contested = member.any(axis=(1, 2)) & ~always
-    chosen = np.zeros((batch, num_cells), dtype=np.intp)
-    served = np.count_nonzero(always, axis=1)
-    for k in range(batch):
-        words = pack_users(member[k][:, :, contested[k]])
-        if words.shape[2] == 0:  # no contested user: one all-zero word
-            words = np.zeros((num_cells, num_prbs, 1), dtype=np.uint64)
-        words = np.ascontiguousarray(words.transpose(0, 2, 1))
-        tail_cells, head_rows = _exact_split(num_cells, num_prbs,
-                                             words.shape[1])
-        head_cells = num_cells - tail_cells
-        tail = _unions(words[head_cells:])
-        head = _unions(words[:head_cells])
-        best, best_index = -1, 0
-        for start in range(0, head.shape[1], head_rows):
-            counts = _count_words(head[:, start:start + head_rows, None]
-                                  | tail[:, None, :]).ravel()
-            i = int(counts.argmax())
-            if counts[i] > best:  # strict: the earlier block keeps a tie
-                best, best_index = int(counts[i]), start * tail.shape[1] + i
-        chosen[k] = np.unravel_index(best_index, (num_prbs,) * num_cells)
-        served[k] += best
-    return chosen, served
+    num_cells, num_prbs, _ = member.shape
+    always = member.all(axis=1).any(axis=0)
+    words = pack_users(member[:, :, member.any(axis=(0, 1)) & ~always])
+    if words.shape[2] == 0:  # no contested user: one all-zero word
+        words = np.zeros((num_cells, num_prbs, 1), dtype=np.uint64)
+    words = np.ascontiguousarray(words.transpose(0, 2, 1))
+    tail_cells, head_rows = _exact_split(num_cells, num_prbs, words.shape[1])
+    head_cells = num_cells - tail_cells
+    tail = _unions(words[head_cells:])
+    best, best_index = -1, 0
+    for start in range(0, num_prbs ** head_cells, head_rows):
+        head = _union_block(words[:head_cells], start, head_rows)
+        counts = _count_words(head[:, :, None] | tail[:, None, :]).ravel()
+        i = int(counts.argmax())
+        if counts[i] > best:  # strict: the earlier block keeps a tie
+            best, best_index = int(counts[i]), start * tail.shape[1] + i
+    chosen = np.unravel_index(best_index, (num_prbs,) * num_cells)
+    return tuple(int(j) for j in chosen), int(np.count_nonzero(always)) + best
 
 
 def solve_exact(
@@ -234,14 +238,13 @@ def solve_exact(
     Ties break toward the lexicographically smallest PRB tuple.  Raises
     EnumerationBudgetError if N^C exceeds ``budget``, before any search;
     the exception carries the allocation count so callers can report it.
-    This is `exact_batch` on a batch of one.
+    The search is `exact_search`.
     """
     total = instance.prbs_per_cell ** instance.num_cells
     if total > budget:
         raise EnumerationBudgetError(total, budget)
-    chosen, served = exact_batch(instance.membership_matrix()[None])
-    return SolveResult(alloc=Allocation(tuple(chosen[0].tolist())),
-                       objective=int(served[0]))
+    chosen, served = exact_search(instance.membership_matrix())
+    return SolveResult(alloc=Allocation(chosen), objective=served)
 
 
 def solve_sc_baseline(instance: CoverageInstance) -> SolveResult:

@@ -81,6 +81,25 @@ def test_from_membership_rejects_bad_shapes():
         CoverageInstance.from_membership(np.zeros((1, 1, 2), dtype=bool), [0, 9])
 
 
+@pytest.mark.parametrize("primary", [[0, 1.7], np.array([0.0, 0.5]),
+                                     [0, True], np.array([False, True]),
+                                     [0, "1"]])
+def test_from_membership_rejects_non_integral_primary_cells(primary):
+    with pytest.raises(InstanceError, match="whole number"):
+        CoverageInstance.from_membership(np.ones((2, 1, 2), dtype=bool),
+                                         primary)
+
+
+@pytest.mark.parametrize("primary", [[0, 1], (0, 1.0), np.array([0, 1]),
+                                     np.array([0, 1], dtype=np.uint8),
+                                     np.array([0.0, 1.0]), iter([0, 1])])
+def test_from_membership_accepts_whole_primary_cells(primary):
+    inst = CoverageInstance.from_membership(np.ones((2, 1, 2), dtype=bool),
+                                            primary)
+    assert inst.primary_cell.tolist() == [0, 1]
+    assert inst.primary_cell.dtype == np.intp
+
+
 def test_membership_is_immutable():
     inst = CoverageInstance(2, [[{0}]], [0, 0])
     with pytest.raises(ValueError):
@@ -168,6 +187,12 @@ def _random_case(rng):
     return inst, alloc
 
 
+def test_served_sc_subset_of_served_mc(rng):
+    for _ in range(200):
+        inst, alloc = _random_case(rng)
+        assert served_sc(inst, alloc) <= served_mc(inst, alloc)
+
+
 def test_objective_bounds(rng):
     # MC objective is at most M and at least the largest chosen set
     for _ in range(100):
@@ -207,7 +232,7 @@ def instance_and_alloc(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(instance_and_alloc())
-def test_served_sc_subset_of_served_mc(case):
+def test_served_sc_subset_of_served_mc_for_any_allocation(case):
     inst, alloc = case
     assert served_sc(inst, alloc) <= served_mc(inst, alloc)
 

@@ -11,6 +11,7 @@ to the boolean-tensor and big-int solvers they replaced.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ from mcms import (
 )
 from mcms.coverage import pack_users
 from mcms.scenario import mean_snr
-from mcms.solvers import exact_batch, greedy_batch, primary_words, sc_batch
+from mcms.solvers import exact_search, greedy_batch, primary_words, sc_batch
 
 # With one cell and one PRB every link decides whether its user is
 # served, so a single misjudged link changes the unserved counts.
@@ -317,16 +318,35 @@ def test_exact_search_splits_as_its_byte_budget_says(regime):
 @settings(max_examples=150, deadline=None)
 @given(batch=instance_batches(),
        cap=st.sampled_from([1, 8, 16, 24, 40, 200, 4096, None]))
-def test_exact_batch_matches_bigint_oracle(batch, cap):
-    member = np.stack([inst.membership_matrix() for inst in batch])
+def test_exact_search_matches_bigint_oracle(batch, cap):
     with mock.patch.object(solvers, "_EXACT_BYTES",
                            cap or solvers._EXACT_BYTES):
-        chosen, served = exact_batch(member)
-        for k, inst in enumerate(batch):
+        for inst in batch:
             want = bigint_exact(inst)
-            assert (tuple(chosen[k].tolist()), int(served[k])) == want
+            assert exact_search(inst.membership_matrix()) == want
             res = solve_exact(inst)
             assert (res.alloc.chosen, res.objective) == want
+
+
+def test_exact_search_builds_head_unions_a_block_at_a_time():
+    # 7 cells of 4 PRBs and 512 contested users (8 words).  A 512 B
+    # budget leaves one tail cell and ORs 2 head unions at a time; all
+    # 4^6 head unions at once would take 256 KiB.
+    rng = np.random.default_rng(3)
+    users = np.arange(512)
+    member = rng.random((7, 4, 512)) < 0.2
+    member[:, users % 4, users] = False  # no cell covers a user always
+    with mock.patch.object(solvers, "_EXACT_BYTES", 512):
+        assert solvers._exact_split(7, 4, 8) == (1, 2)
+        tracemalloc.start()
+        try:
+            found = exact_search(member)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 << 10, peak
+    inst = CoverageInstance.from_membership(member, np.zeros(512, int))
+    assert found == bigint_exact(inst)
 
 
 @settings(max_examples=25, deadline=None)

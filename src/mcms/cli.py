@@ -12,7 +12,10 @@ Subcommands:
 Option precedence for experiment knobs: command-line flag, then the
 --config JSON file (keys named like the flags, underscores for
 dashes), then the MCMS_SEED environment variable (seed only), then
-built-in defaults.
+built-in defaults.  A count that is not a whole number, a radius or
+rate that is not a finite positive number, a non-boolean
+``deterministic_fading`` or an out-of-range ``oracle-check`` argument
+is an error with exit code 2, never coerced.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .coverage import AllocationError, InstanceError
+from .coverage import AllocationError, InstanceError, whole_number
 from .harness import (
     ExperimentConfig,
     load_instance,
@@ -75,7 +78,11 @@ def _resolve(args) -> tuple[ExperimentConfig, str | None, str | None]:
     def pick(flag_value, key):
         return flag_value if flag_value is not None else cfg.get(key)
 
-    seed = pick(args.seed, "seed")
+    def pick_count(flag_value, key):
+        value = pick(flag_value, key)
+        return None if value is None else whole_number(value, key)
+
+    seed = pick_count(args.seed, "seed")
     if seed is None:
         env = os.environ.get("MCMS_SEED")
         if env is not None:
@@ -84,25 +91,29 @@ def _resolve(args) -> tuple[ExperimentConfig, str | None, str | None]:
             except ValueError:
                 raise ValueError(f"MCMS_SEED must be an integer, got {env!r}")
 
-    deterministic = args.deterministic_fading or bool(
-        cfg.get("deterministic_fading")
-    )
+    deterministic = cfg.get("deterministic_fading", False)
+    if not isinstance(deterministic, bool):
+        raise ValueError("deterministic_fading must be true or false, "
+                         f"got {deterministic!r}")
     fields = {
-        "num_cells": pick(args.cells, "cells"),
+        "num_cells": pick_count(args.cells, "cells"),
         "radius_m": pick(getattr(args, "radius", None), "radius"),
-        "users_per_cell": pick(getattr(args, "users_per_cell", None),
-                               "users_per_cell"),
-        "num_prbs": pick(args.prbs, "prbs"),
-        "subframes": pick(args.subframes, "subframes"),
-        "trials": pick(args.trials, "trials"),
+        "users_per_cell": pick_count(getattr(args, "users_per_cell", None),
+                                     "users_per_cell"),
+        "num_prbs": pick_count(args.prbs, "prbs"),
+        "subframes": pick_count(args.subframes, "subframes"),
+        "trials": pick_count(args.trials, "trials"),
         "stream_rate_bps": pick(args.rate, "rate"),
-        "channel": ChannelParams(fading="none") if deterministic else None,
+        "channel": (ChannelParams(fading="none")
+                    if args.deterministic_fading or deterministic else None),
         "seed": seed,
     }
     config = ExperimentConfig(
         **{k: v for k, v in fields.items() if v is not None}
     )
     out = pick(args.out, "out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"out must be a path string, got {out!r}")
     values = pick(args.values, "values")
     return config, out, values
 
@@ -206,6 +217,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    for flag, value, least in (("--trials", args.trials, 1),
+                               ("--users", args.users, 0),
+                               ("--cells", args.cells, 1),
+                               ("--prbs", args.prbs, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+    if not 0.0 <= args.density <= 1.0:  # also rejects nan
+        raise ValueError(
+            f"--density must be a number in [0, 1], got {args.density}")
     ratios = []
     violations = 0
     for i in range(args.trials):
@@ -220,7 +240,12 @@ def _cmd_oracle_check(args) -> int:
             density=args.density,
         )
         greedy = solve_greedy(instance)
-        exact = solve_exact(instance)
+        try:
+            exact = solve_exact(instance)
+        except EnumerationBudgetError as exc:
+            raise ValueError(
+                f"oracle-check cannot run with {args.cells} cells and "
+                f"{args.prbs} PRBs: {exc}") from exc
         ratio = (greedy.objective / exact.objective
                  if exact.objective else 1.0)
         ratios.append(ratio)

@@ -20,31 +20,37 @@ SNR of every link and a per-link fading-gain threshold are computed
 once per placement.  Each sub-frame then draws its gains and compares
 them with the threshold, with no log per link.  Gains within a narrow
 guard band of the threshold get their rate computed, so coverage is
-exactly that of `sample_rates` followed by `derive_instance`.  The
-coverage of a batch of sub-frames is packed into uint64 words, and
-`greedy_batch` and `sc_batch` solve the whole batch at once.  With the
-EXACT column, `exact_search` finds the optimum of every sub-frame of the
-batch from the same coverage bits, enumerating only the users some
-allocations serve and others do not.  A fixed byte budget caps the
-batch size, whatever the number of sub-frames.
+exactly that of `sample_rates` followed by `derive_instance`.
+Sub-frames go in batches, capped by a fixed byte budget whatever the
+number of sub-frames.  One thread per available CPU, the calling
+thread and helpers from a pool, draws and thresholds the sub-frames of
+a batch, each taking the next one left, and packs each one's coverage
+into uint64 words (numpy's generator fills and comparisons release the
+interpreter lock).  The calling thread then solves the whole batch at
+once with `greedy_batch` and `sc_batch`.  With the EXACT column,
+`exact_search` finds the optimum of every sub-frame of the batch from
+the same coverage bits, enumerating only the users some allocations
+serve and others do not.  Results depend on neither the batch size nor
+the number of threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Callable, Sequence
+import math
+import numbers
+import os
+import sys
+import threading
+import time
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .coverage import (
-    CoverageInstance,
-    InstanceError,
-    pack_users,
-    whole_number,
-)
+from .coverage import CoverageInstance, InstanceError, whole_number
 from .scenario import (
     ChannelParams,
     DEFAULT_STREAM_RATE_BPS,
@@ -91,15 +97,33 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_cells", "users_per_cell", "num_prbs", "subframes",
+                     "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_cells not in (1, 7, 19):
             raise ValueError("num_cells must be 1, 7 or 19")
+        if self.seed < 0:  # SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("users_per_cell", "num_prbs", "subframes", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be > 0")
-        if self.stream_rate_bps <= 0:
-            raise ValueError("stream_rate_bps must be > 0")
+        for name in ("radius_m", "stream_rate_bps"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise ValueError(
+                    f"{name} must be a finite number > 0, got {value!r}")
+        # The rate over one PRB is B * log2(1 + snr) with 1 + snr below
+        # 2 ** max_exp, so no link reaches a higher stream rate.
+        ceiling = self.channel.bandwidth_hz * sys.float_info.max_exp
+        if self.stream_rate_bps >= ceiling:
+            raise ValueError(
+                f"stream_rate_bps must be below {ceiling:g} "
+                f"({sys.float_info.max_exp} x the PRB bandwidth): no "
+                f"finite SNR reaches it, got {self.stream_rate_bps!r}")
 
 
 @dataclass(frozen=True)
@@ -159,18 +183,53 @@ def run_subframe(
     return int(mc[0]), int(sc[0])
 
 
-# Byte budget of the coverage bits of one batch of sub-frames, unpacked
-# and packed; it bounds the kernel's memory whatever the sub-frame count.
-_BATCH_BYTES = 2 << 20
+# Byte budget of the packed coverage words of one batch of sub-frames;
+# it bounds the kernel's memory whatever the sub-frame count.
+_BATCH_BYTES = 256 << 10
 # Half-width, relative to 1 + x, of the band around the SNR threshold x
 # inside which a link's rate is computed rather than decided by its gain.
 _GUARD = 1e-9
 
 
+# Threads that draw and threshold the sub-frames of a batch, the calling
+# thread included: one per CPU this process may run on.  numpy's
+# generator fills and ufuncs release the interpreter lock, so the draws
+# run in parallel.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _thread_pool():
+    """The shared pool of the _WORKERS - 1 helper threads, started on
+    first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1,
+                                       thread_name_prefix="mcms-draw")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's threads: the pool would
+    # take tasks and never run them, and its lock may be held.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _batch_subframes(subframes: int, num_cells: int, num_prbs: int,
                      num_users: int) -> int:
     """Sub-frames per batch under _BATCH_BYTES, at least one."""
-    per_subframe = num_cells * num_prbs * -(-num_users // 64) * (64 + 8)
+    per_subframe = num_cells * num_prbs * -(-num_users // 64) * 8
     return max(1, min(subframes, _BATCH_BYTES // max(per_subframe, 1)))
 
 
@@ -218,11 +277,19 @@ def _unserved_counts(
     Rayleigh gains from its seed as `sample_rates` does, and a link
     covers its user when the gain clears the threshold of
     `_gain_bounds` (the same rule as `derive_instance`, with no log
-    per link).  Sub-frames are packed into uint64 words in batches of
-    `_batch_subframes` and each batch is solved at once by
-    `greedy_batch` (MC) and `sc_batch` (SC).  With ``with_exact``, each
-    sub-frame is also solved by `exact_search`; the caller checks that
-    ``num_prbs ** num_cells`` is within its enumeration budget.
+    per link).  Sub-frames go in batches of `_batch_subframes`.  The
+    calling thread and up to _WORKERS - 1 helper threads of a shared
+    pool draw and threshold the sub-frames of a batch, each taking the
+    next sub-frame not yet taken, and pack each sub-frame's coverage
+    straight into the batch's uint64 words; a helper's error is raised
+    here.  The calling thread then solves the whole batch at once with
+    `greedy_batch` (MC) and `sc_batch` (SC).
+    With ``with_exact``, it also solves each sub-frame, unpacked, with
+    `exact_search`; the caller checks that ``num_prbs ** num_cells`` is
+    within its enumeration budget.  Each sub-frame's result depends on
+    its seed alone, so the counts do not depend on the batch size, the
+    number of threads or which thread draws which sub-frame.  A batch of
+    one sub-frame, as in `run_subframe`, never touches the pool.
 
     Returns the unserved counts ``(mc, sc, exact)``, arrays of one entry
     per sub-frame; ``exact`` is None without ``with_exact``.
@@ -235,19 +302,30 @@ def _unserved_counts(
     owners = primary_words(scenario.primary_cell, num_cells)
     subframes = len(fading_seeds)
     batch = _batch_subframes(subframes, num_cells, num_prbs, num_users)
-    gains = np.ones((num_cells, num_prbs, num_users))
-    maybe = np.empty(gains.shape, dtype=bool)
-    bits = np.zeros((batch, num_cells, num_prbs, -(-num_users // 64) * 64),
-                    dtype=bool)
-    mc = np.empty(subframes, dtype=np.int64)
-    sc = np.empty_like(mc)
-    exact = np.empty_like(mc) if with_exact else None
-    for start in range(0, subframes, batch):
-        stop = min(start + batch, subframes)
-        for i, seed in enumerate(fading_seeds[start:stop]):
+    padded_users = -(-num_users // 64) * 64
+    words = np.empty((batch, num_cells, num_prbs, padded_users // 64),
+                     dtype=np.uint64)
+    workers = min(_WORKERS, batch)
+    # Per worker: gains, the band mask, and coverage bits padded to
+    # whole words with zeros.
+    buffers = [(np.ones((num_cells, num_prbs, num_users)),
+                np.empty((num_cells, num_prbs, num_users), dtype=bool),
+                np.zeros((num_cells, num_prbs, padded_users), dtype=bool))
+               for _ in range(workers)]
+    lock = threading.Lock()  # guards next() on the shared iterator
+
+    def draw(worker: int, start: int, todo: Iterator[int]) -> None:
+        # Takes sub-frames of the batch from ``todo`` until none is left.
+        gains, maybe, padded = buffers[worker]
+        covers = padded[:, :, :num_users]
+        while True:
+            with lock:
+                t = next(todo, None)
+            if t is None:
+                return
             if params.fading == "rayleigh":
-                np.random.default_rng(seed).standard_exponential(out=gains)
-            covers = bits[i, :, :, :num_users]
+                np.random.default_rng(
+                    fading_seeds[t]).standard_exponential(out=gains)
             np.greater_equal(gains, hi, out=covers)
             np.greater_equal(gains, lo, out=maybe)
             if np.count_nonzero(maybe) != np.count_nonzero(covers):
@@ -255,14 +333,33 @@ def _unserved_counts(
                 covers[c, j, u] = shannon_rate_bps(
                     snr[c, u] * gains[c, j, u], params.bandwidth_hz
                 ) >= stream.rate_bps
+            words[t - start] = np.packbits(
+                padded, axis=-1, bitorder="little").view(np.uint64)
+
+    mc = np.empty(subframes, dtype=np.int64)
+    sc = np.empty_like(mc)
+    exact = np.empty_like(mc) if with_exact else None
+    for start in range(0, subframes, batch):
+        stop = min(start + batch, subframes)
         n = stop - start
-        words = pack_users(bits[:n])
-        mc[start:stop] = num_users - greedy_batch(words)[1]
-        sc[start:stop] = num_users - sc_batch(words, owners)[1]
+        # The calling thread draws too, and each thread takes the next
+        # sub-frame left: a helper idle since the last batch can start
+        # ~0.25 ms late (2-vCPU Xeon VM), and fixed shares would make
+        # every thread wait for it.
+        todo = iter(range(start, stop))
+        helpers = [_thread_pool().submit(draw, w, start, todo)
+                   for w in range(1, min(workers, n))]
+        draw(0, start, todo)
+        for helper in helpers:
+            helper.result()  # waits, and re-raises a helper's error
+        mc[start:stop] = num_users - greedy_batch(words[:n])[1]
+        sc[start:stop] = num_users - sc_batch(words[:n], owners)[1]
         if exact is not None:
             for t in range(n):
-                exact[start + t] = num_users - exact_search(
-                    bits[t, :, :, :num_users])[1]
+                member = np.unpackbits(
+                    words[t].view(np.uint8), axis=-1, count=num_users,
+                    bitorder="little").view(bool)
+                exact[start + t] = num_users - exact_search(member)[1]
     return mc, sc, exact
 
 
@@ -308,6 +405,7 @@ def run_sweep(
     points = []
     raw: list[RawSample] = []
     for pi, value in enumerate(values):
+        started = time.perf_counter()
         pc = _point_config(config, axis, value)
         unserved = np.empty((3 if with_exact else 2, pc.trials, pc.subframes),
                             dtype=np.int64)
@@ -350,8 +448,10 @@ def run_sweep(
             std_exact=float(exact[0].std()) if exact else None,
         ))
         if progress is not None:
+            rate = mc.size / (time.perf_counter() - started)
             progress(f"{axis}={value:g}: SC={points[-1].unserved_sc:.3f} "
-                     f"MC={points[-1].unserved_mc:.3f}")
+                     f"MC={points[-1].unserved_mc:.3f} "
+                     f"({rate:.0f} samples/s)")
     return SweepResult(axis=axis, config=config, points=tuple(points),
                        raw=tuple(raw))
 

@@ -1,6 +1,7 @@
 """Experiment-harness and CLI tests."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -55,6 +56,31 @@ def test_config_validation():
         ExperimentConfig(radius_m=-10.0)
     with pytest.raises(ValueError):
         ExperimentConfig(stream_rate_bps=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_cells", 7.0), ("trials", True), ("subframes", 2.5), ("seed", "1"),
+    ("radius_m", float("nan")), ("radius_m", float("inf")),
+    ("radius_m", "300"), ("stream_rate_bps", float("inf")), ("seed", -1),
+    ("stream_rate_bps", 1e300),
+])
+def test_config_rejects_non_numbers_and_unreachable_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_run_sweep_progress_lines_report_samples_per_second():
+    lines = []
+    result = run_sweep(TINY, "users", values=(20, 30), progress=lines.append)
+    assert len(lines) == 2
+    for line, point in zip(lines, result.points):
+        m = re.fullmatch(r"users=(\d+): SC=(\d+\.\d{3}) MC=(\d+\.\d{3}) "
+                         r"\((\d+) samples/s\)", line)
+        assert m, line
+        assert float(m[1]) == point.value
+        assert m[2] == f"{point.unserved_sc:.3f}"
+        assert m[3] == f"{point.unserved_mc:.3f}"
+        assert int(m[4]) > 0
 
 
 def test_run_subframe_extremes():
@@ -401,6 +427,64 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"cells": 7.5}, "cells must be a whole number"),
+    ({"seed": 1.5}, "seed must be a whole number"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"trials": True}, "trials must be a whole number"),
+    ({"trials": "1"}, "trials must be a whole number"),
+    ({"trials": 1.5}, "trials must be a whole number"),
+    ({"prbs": False}, "prbs must be a whole number"),
+    ({"rate": "fast"}, "stream_rate_bps must be a finite number"),
+    ({"radius": True}, "radius_m must be a finite number"),
+    ({"deterministic_fading": "false"}, "deterministic_fading must be true"),
+    ({"deterministic_fading": 0}, "deterministic_fading must be true"),
+    ({"out": 5}, "out must be a path string"),
+])
+def test_cli_rejects_bad_config_values(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"values": "20", "out": str(tmp_path / "x.csv"),
+                               **doc}))
+    rc = main(["sweep-users", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_config_accepts_integral_floats_and_json_booleans(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cells": 7.0, "trials": 1.0, "subframes": 2,
+                               "deterministic_fading": True}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep-users", "--out", str(out), "--values", "20",
+                 "--config", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert meta["config"]["num_cells"] == 7
+    assert meta["config"]["trials"] == 1
+    assert meta["config"]["channel"]["fading"] == "none"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--radius", "nan"], "radius_m must be a finite number"),
+    (["--radius", "inf"], "radius_m must be a finite number"),
+    (["--radius", "0"], "radius_m must be a finite number"),
+    (["--rate", "inf"], "stream_rate_bps must be a finite number"),
+    (["--rate", "nan"], "stream_rate_bps must be a finite number"),
+    # No finite SNR reaches 1024 x the 180 kHz PRB bandwidth.
+    (["--rate", "1e300"], "no finite SNR reaches it"),
+    (["--rate", "1.8432e8"], "no finite SNR reaches it"),
+])
+def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    rc = main(["sweep-users", "--out", str(out), "--values", "20",
+               "--trials", "1", "--subframes", "1"] + flags)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_requires_out(capsys):
     rc = main(["sweep-users", "--values", "20", "--trials", "1",
                "--subframes", "1"])
@@ -481,6 +565,30 @@ def test_cli_oracle_check_holds_greedy_to_half_of_optimum(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "violations=0 min_ratio=0.5000" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--trials", "0"], "--trials must be >= 1"),
+    (["--users", "-1"], "--users must be >= 0"),
+    (["--cells", "0"], "--cells must be >= 1"),
+    (["--prbs", "0"], "--prbs must be >= 1"),
+    (["--density", "1.5"], "--density must be a number in [0, 1]"),
+    (["--density", "-0.1"], "--density must be a number in [0, 1]"),
+    (["--density", "nan"], "--density must be a number in [0, 1]"),
+    (["--cells", "12", "--prbs", "4"],
+     "oracle-check cannot run with 12 cells and 4 PRBs"),
+])
+def test_cli_oracle_check_rejects_bad_arguments(capsys, flags, message):
+    rc = main(["oracle-check"] + flags)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_oracle_check_accepts_edge_arguments(capsys):
+    rc = main(["oracle-check", "--trials", "1", "--users", "0",
+               "--density", "1"])
+    assert rc == 0
+    assert "violations=0" in capsys.readouterr().out
 
 
 def test_cli_exact_flag_adds_column(tmp_path):

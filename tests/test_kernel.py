@@ -4,13 +4,18 @@ The kernel decides coverage by comparing fading gains with a per-link
 threshold and solves sub-frames in packed batches.  These tests hold it
 to `sample_rates -> derive_instance -> solve_greedy/solve_sc_baseline`
 where the two rules are hardest to keep apart (stream rates equal to
-realized link rates), for every batch size, and hold the packed solvers
-to the boolean-tensor and big-int solvers they replaced.
+realized link rates), for every batch size and number of drawing
+threads, check that the thread pool survives a fork and passes a
+helper's error to the caller, and hold the packed solvers to the
+boolean-tensor and big-int solvers they replaced.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -103,9 +108,25 @@ def test_boundary_family_defeats_a_plain_gain_threshold():
     assert flips > 0
 
 
-@pytest.mark.parametrize("boundary", BOUNDARY_CONFIGS,
-                         ids=["1cell_1prb", "7cells_4prbs", "low_snr"])
-def test_kernel_matches_pipeline_at_realized_rates(boundary):
+@contextlib.contextmanager
+def worker_threads(count):
+    """Run the kernel with ``count`` drawing threads, the calling thread
+    and helpers from a pool of its own."""
+    with mock.patch.object(harness, "_WORKERS", count), \
+            mock.patch.object(harness, "_pool", None):
+        try:
+            yield
+        finally:
+            if harness._pool is not None:
+                harness._pool.shutdown(wait=False)
+
+
+def in_helper():
+    """Whether this is one of the kernel's helper threads."""
+    return threading.current_thread().name.startswith("mcms-draw")
+
+
+def check_sweep_at_realized_rates(boundary, with_subframe=True):
     params = boundary.channel
     for rate in boundary_rates(boundary):
         stream = StreamSpec(rate_bps=rate)
@@ -119,9 +140,51 @@ def test_kernel_matches_pipeline_at_realized_rates(boundary):
                                    np.random.default_rng(fading),
                                    config.num_prbs)
             assert (sample.unserved_mc, sample.unserved_sc) == want, rate
-            got = run_subframe(scenario, params, stream, sample.subframe,
-                               np.random.default_rng(fading), config.num_prbs)
-            assert got == want, rate
+            if with_subframe:
+                got = run_subframe(scenario, params, stream, sample.subframe,
+                                   np.random.default_rng(fading),
+                                   config.num_prbs)
+                assert got == want, rate
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_CONFIGS,
+                         ids=["1cell_1prb", "7cells_4prbs", "low_snr"])
+def test_kernel_matches_pipeline_at_realized_rates(boundary):
+    check_sweep_at_realized_rates(boundary)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("boundary", BOUNDARY_CONFIGS,
+                         ids=["1cell_1prb", "7cells_4prbs", "low_snr"])
+def test_kernel_matches_pipeline_in_worker_threads(boundary, workers):
+    with worker_threads(workers):
+        check_sweep_at_realized_rates(boundary, with_subframe=False)
+    # Every sub-frame below repeats one with links on the threshold.  The
+    # calling thread holds its first guard-band fix-up until a helper
+    # thread has made one, so helpers must compute some of the rates.
+    scenario, fading = sweep_sample(boundary, 0, 0)
+    params = boundary.channel
+    helper_fixed = threading.Event()
+    real_rate = harness.shannon_rate_bps
+
+    def spy(*args):
+        if in_helper():
+            helper_fixed.set()
+        else:
+            assert helper_fixed.wait(timeout=10), "no helper took a sub-frame"
+        return real_rate(*args)
+
+    for rate in boundary_rates(boundary):
+        stream = StreamSpec(rate_bps=rate)
+        want = pipeline_counts(scenario, params, stream,
+                               np.random.default_rng(fading),
+                               boundary.num_prbs)
+        with worker_threads(workers), \
+                mock.patch.object(harness, "shannon_rate_bps", spy):
+            mc, sc, _ = harness._unserved_counts(
+                scenario, params, stream, boundary.num_prbs, [fading] * 16)
+        assert set(zip(mc.tolist(), sc.tolist())) == {want}, rate
+    assert helper_fixed.is_set()
 
 
 def test_kernel_matches_pipeline_without_fading():
@@ -140,7 +203,7 @@ def forced_batches(config, users):
     """Byte budgets that make the kernel batch 1, 3 and all sub-frames."""
     c, n, t = config.num_cells, config.num_prbs, config.subframes
     m = c * users
-    per_subframe = c * n * -(-m // 64) * (64 + 8)
+    per_subframe = c * n * -(-m // 64) * 8
     budgets = [(1, per_subframe), (min(3, t), 3 * per_subframe),
                (t, 1 << 62)]
     for want, budget in budgets:
@@ -172,6 +235,99 @@ def test_results_do_not_depend_on_batch_size(seed, cells, prbs, users,
             results.append(run_sweep(config, "users", values=(users,),
                                      with_exact=with_exact, collect_raw=True))
     assert results[0] == results[1] == results[2]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([1, 7]),
+    prbs=st.integers(1, 4),
+    users=st.integers(1, 12),
+    subframes=st.integers(1, 9),
+    rate=st.floats(2e5, 4e6),
+    fading=st.sampled_from(["rayleigh", "none"]),
+)
+def test_results_do_not_depend_on_worker_count(seed, cells, prbs, users,
+                                               subframes, rate, fading):
+    config = ExperimentConfig(num_cells=cells, num_prbs=prbs, trials=2,
+                              subframes=subframes, users_per_cell=users,
+                              stream_rate_bps=rate, seed=seed,
+                              channel=ChannelParams(fading=fading))
+    with_exact = prbs ** cells <= 256
+    small = forced_batches(config, users)[1]
+    results = []
+    for workers in (1, 2, 3):
+        for budget in (small, harness._BATCH_BYTES):
+            with worker_threads(workers), \
+                    mock.patch.object(harness, "_BATCH_BYTES", budget):
+                results.append(run_sweep(config, "users", values=(users,),
+                                         with_exact=with_exact,
+                                         collect_raw=True))
+    assert all(result == results[0] for result in results)
+
+
+def sweep_in_child(config, want):
+    assert run_sweep(config, "users", values=(20,), collect_raw=True) == want
+
+
+def test_sweep_runs_in_a_child_forked_after_a_sweep():
+    # The child inherits the pool object but none of its threads; without
+    # the fork hook its first batch waits forever.
+    config = ExperimentConfig(trials=1, subframes=6, users_per_cell=20,
+                              seed=4)
+    with worker_threads(2):
+        want = run_sweep(config, "users", values=(20,), collect_raw=True)
+        assert harness._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=sweep_in_child, args=(config, want))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the sweep in the forked child hung")
+    assert child.exitcode == 0
+
+
+class HelperGetsBadSeed(list):
+    """Fading seeds whose sub-frames drawn by a helper thread have an
+    invalid seed; the calling thread waits until a helper has taken one,
+    then gets valid seeds."""
+
+    def __init__(self, length):
+        super().__init__(range(length))
+        self.helper_took = threading.Event()
+
+    def __getitem__(self, t):
+        if in_helper():
+            self.helper_took.set()
+            return -1  # SeedSequence rejects negative entropy
+        self.helper_took.wait(timeout=10)
+        return t
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_helper_error_reaches_the_caller(workers):
+    scenario = generate_scenario(7, 300.0, 20, 5)
+    seeds = HelperGetsBadSeed(8)
+    errors = []
+
+    def call():
+        try:
+            harness._unserved_counts(scenario, ChannelParams(), StreamSpec(),
+                                     4, seeds)
+        except ValueError as exc:
+            errors.append(exc)
+
+    with worker_threads(workers):
+        # The kernel runs in a thread of the test's own so that a hang
+        # fails the test instead of blocking it.
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the kernel hung on a helper's error"
+    assert seeds.helper_took.is_set()
+    assert len(errors) == 1
 
 
 # The boolean-tensor solvers the packed kernels replaced, kept as oracles.

@@ -15,7 +15,9 @@ dashes), then the MCMS_SEED environment variable (seed only), then
 built-in defaults.  A count that is not a whole number, a radius or
 rate that is not a finite positive number, a non-boolean
 ``deterministic_fading`` or an out-of-range ``oracle-check`` argument
-is an error with exit code 2, never coerced.
+is an error with exit code 2, never coerced.  Sweep values come from
+``--values`` as comma-separated numbers, or from the config file's
+``values`` as such a string or a JSON list of numbers.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -68,10 +71,11 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve(args) -> tuple[ExperimentConfig, str | None, str | None]:
+def _resolve(args, axis: str) -> tuple[ExperimentConfig, str | None,
+                                       list | None]:
     """Merge flags, config file, environment and defaults.
 
-    Returns (config, out path, values string).
+    Returns (config, out path, sweep values or None for the default).
     """
     cfg = _load_config_file(args.config) if args.config else {}
 
@@ -114,7 +118,10 @@ def _resolve(args) -> tuple[ExperimentConfig, str | None, str | None]:
     out = pick(args.out, "out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"out must be a path string, got {out!r}")
-    values = pick(args.values, "values")
+    if args.values is not None:
+        values = _parse_values(args.values, axis)
+    else:
+        values = _parse_values(cfg.get("values"), axis, "values")
     return config, out, values
 
 
@@ -147,30 +154,44 @@ def _add_sweep_flags(p: argparse.ArgumentParser, axis: str) -> None:
     p.add_argument("--config", help="JSON file with experiment knobs")
 
 
-def _parse_values(text: str | None, axis: str):
-    if text is None:
+def _parse_values(values, axis: str, name: str = "--values"):
+    """Sweep values from the flag's comma-separated string, or from the
+    config file's string or JSON list of numbers; errors name ``name``."""
+    if values is None:
         return None
-    try:
-        vals = [float(v) for v in str(text).split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"--values must be comma-separated numbers: {text!r}")
+    if isinstance(values, str):
+        try:
+            vals = [float(v) for v in values.split(",") if v.strip()]
+        except ValueError:
+            raise ValueError(
+                f"{name} must be comma-separated numbers: {values!r}")
+    elif isinstance(values, list):
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in values):
+            raise ValueError(f"{name} must be a list of numbers: {values!r}")
+        try:
+            vals = [float(v) for v in values]
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"{name} must be finite numbers: {values!r}")
+    else:
+        raise ValueError(f"{name} must be a list of numbers or a "
+                         f"comma-separated string: {values!r}")
     if not vals:
-        raise ValueError("--values is empty")
+        raise ValueError(f"{name} is empty")
     if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"--values must be finite numbers: {text!r}")
+        raise ValueError(f"{name} must be finite numbers: {values!r}")
     if axis == "users":
         if not all(v.is_integer() for v in vals):
             raise ValueError(
-                f"--values on the users axis must be whole numbers: {text!r}")
+                f"{name} on the users axis must be whole numbers: {values!r}")
         vals = [int(v) for v in vals]
     return vals
 
 
 def _cmd_sweep(args, axis: str) -> int:
-    config, out, values_text = _resolve(args)
+    config, out, values = _resolve(args, axis)
     if out is None:
         raise ValueError("--out is required (flag or config file)")
-    values = _parse_values(values_text, axis)
     try:
         result = run_sweep(
             config,

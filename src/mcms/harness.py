@@ -14,37 +14,22 @@ is keyed by (point index, trial, sub-frame) through SeedSequence spawn
 keys, so every sample is reproducible in isolation and results do not
 depend on execution order.
 
-One kernel, `_unserved_counts`, runs every sample, for `run_sweep` and
-for `run_subframe` alike.  It works one placement at a time.  The mean
-SNR of every link and a per-link fading-gain threshold are computed
-once per placement.  Each sub-frame then draws its gains and compares
-them with the threshold, with no log per link.  Gains within a narrow
-guard band of the threshold get their rate computed, so coverage is
-exactly that of `sample_rates` followed by `derive_instance`.
-Sub-frames go in batches, capped by a fixed byte budget whatever the
-number of sub-frames.  One thread per available CPU, the calling
-thread and helpers from a pool, draws and thresholds the sub-frames of
-a batch, each taking the next one left, and packs each one's coverage
-into uint64 words (numpy's generator fills and comparisons release the
-interpreter lock).  The calling thread then solves the whole batch at
-once with `greedy_batch` and `sc_batch`.  With the EXACT column,
-`exact_search` finds the optimum of every sub-frame of the batch from
-the same coverage bits, enumerating only the users some allocations
-serve and others do not.  Results depend on neither the batch size nor
-the number of threads.
+Every sample goes through one Monte Carlo kernel,
+`mcms.kernel.unserved_counts`: `run_sweep` hands it all placements of
+all points as one stream and reads back each placement's unserved
+counts, and `run_subframe` is the kernel on one sub-frame.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import numbers
-import os
 import sys
-import threading
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,20 +43,15 @@ from .scenario import (
     StreamSpec,
     derive_instance,
     generate_scenario,
-    mean_snr,
     sample_rates,
-    shannon_rate_bps,
 )
 from .solvers import (
     EnumerationBudgetError,
-    exact_search,
-    greedy_batch,
-    primary_words,
-    sc_batch,
     solve_exact,
     solve_greedy,
     solve_sc_baseline,
 )
+from .kernel import unserved_counts
 
 # derive_instance, sample_rates, solve_exact, solve_greedy and
 # solve_sc_baseline are not called here: they stay bound so that
@@ -174,193 +154,29 @@ def run_subframe(
 
     Draws the fading of one sub-frame from ``rng`` and counts the users
     the greedy cross-cell solver (MC) and the per-cell baseline (SC)
-    leave unserved: the sweep kernel run on one sub-frame.  The counts
-    equal those of `sample_rates` with the same ``rng``, then
-    `derive_instance`, `solve_greedy` and `solve_sc_baseline`.
-    ``subframe`` only labels the draw.
+    leave unserved: the sweep kernel run on one sub-frame, in the
+    calling thread.  The counts equal those of `sample_rates` with the
+    same ``rng``, then `derive_instance`, `solve_greedy` and
+    `solve_sc_baseline`.  ``subframe`` only labels the draw.
     """
-    mc, sc, _ = _unserved_counts(scenario, params, stream, num_prbs, [rng])
+    mc, sc, _ = next(unserved_counts([(scenario, [rng])], params, stream,
+                                      num_prbs))
     return int(mc[0]), int(sc[0])
 
 
-# Byte budget of the packed coverage words of one batch of sub-frames;
-# it bounds the kernel's memory whatever the sub-frame count.
-_BATCH_BYTES = 256 << 10
-# Half-width, relative to 1 + x, of the band around the SNR threshold x
-# inside which a link's rate is computed rather than decided by its gain.
-_GUARD = 1e-9
+class _FadingSeeds:
+    """The fading seeds of the sub-frames of placement (point, trial) of
+    a sweep, each built when its sub-frame is drawn."""
 
+    def __init__(self, seed: int, point: int, trial: int, subframes: int):
+        self.seed, self.subframes = seed, subframes
+        self.key = (point, trial, 1)
 
-# Threads that draw and threshold the sub-frames of a batch, the calling
-# thread included: one per CPU this process may run on.  numpy's
-# generator fills and ufuncs release the interpreter lock, so the draws
-# run in parallel.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
+    def __len__(self) -> int:
+        return self.subframes
 
-
-def _thread_pool():
-    """The shared pool of the _WORKERS - 1 helper threads, started on
-    first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1,
-                                       thread_name_prefix="mcms-draw")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the parent's threads: the pool would
-    # take tasks and never run them, and its lock may be held.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _batch_subframes(subframes: int, num_cells: int, num_prbs: int,
-                     num_users: int) -> int:
-    """Sub-frames per batch under _BATCH_BYTES, at least one."""
-    per_subframe = num_cells * num_prbs * -(-num_users // 64) * 8
-    return max(1, min(subframes, _BATCH_BYTES // max(per_subframe, 1)))
-
-
-def _gain_bounds(snr: np.ndarray, params: ChannelParams,
-                 stream: StreamSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Fading-gain bounds [cells, 1, users] of the decode rule.
-
-    A link decodes when its rate ``shannon_rate_bps(snr * gain, B)``
-    reaches the stream rate R, that is when ``snr * gain`` reaches
-    ``x = expm1(R / B * ln 2)``, or the gain reaches ``g* = x / snr``.
-    Rounding makes the two rules differ near the threshold, by a
-    relative error in ``1 + snr * gain`` of about (R / B * ln 2 + 4)
-    units in the last place: below 2e-13 while x is finite.  So a gain
-    of at least ``hi`` decodes, a gain below ``lo`` does not, and gains
-    in between, ``g*`` give or take _GUARD * (1 + x) / snr, get their
-    rate computed.  The band is relative to 1 + x, not to x: at low
-    SNR, ``1 + snr * gain`` keeps few bits of ``snr * gain``.  Links
-    whose bounds are not finite (the threshold overflows, or a zero
-    SNR) have every gain in between.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
-        half = _GUARD * (1.0 + x)
-        lo = (x - half) / snr
-        hi = (x + half) / snr
-    exact = ~(np.isfinite(lo) & np.isfinite(hi))
-    lo[exact] = -np.inf
-    hi[exact] = np.inf
-    return lo[:, None, :], hi[:, None, :]
-
-
-def _unserved_counts(
-    scenario: Scenario,
-    params: ChannelParams,
-    stream: StreamSpec,
-    num_prbs: int,
-    fading_seeds: Sequence,
-    with_exact: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The Monte Carlo kernel: unserved users of one placement, per
-    sub-frame.
-
-    ``fading_seeds`` holds one seed per sub-frame, anything
-    ``np.random.default_rng`` accepts.  Each sub-frame draws its
-    Rayleigh gains from its seed as `sample_rates` does, and a link
-    covers its user when the gain clears the threshold of
-    `_gain_bounds` (the same rule as `derive_instance`, with no log
-    per link).  Sub-frames go in batches of `_batch_subframes`.  The
-    calling thread and up to _WORKERS - 1 helper threads of a shared
-    pool draw and threshold the sub-frames of a batch, each taking the
-    next sub-frame not yet taken, and pack each sub-frame's coverage
-    straight into the batch's uint64 words; a helper's error is raised
-    here.  The calling thread then solves the whole batch at once with
-    `greedy_batch` (MC) and `sc_batch` (SC).
-    With ``with_exact``, it also solves each sub-frame, unpacked, with
-    `exact_search`; the caller checks that ``num_prbs ** num_cells`` is
-    within its enumeration budget.  Each sub-frame's result depends on
-    its seed alone, so the counts do not depend on the batch size, the
-    number of threads or which thread draws which sub-frame.  A batch of
-    one sub-frame, as in `run_subframe`, never touches the pool.
-
-    Returns the unserved counts ``(mc, sc, exact)``, arrays of one entry
-    per sub-frame; ``exact`` is None without ``with_exact``.
-    """
-    if num_prbs < 1:
-        raise ValueError("num_prbs must be >= 1")
-    snr = mean_snr(scenario, params)
-    num_cells, num_users = snr.shape
-    lo, hi = _gain_bounds(snr, params, stream)
-    owners = primary_words(scenario.primary_cell, num_cells)
-    subframes = len(fading_seeds)
-    batch = _batch_subframes(subframes, num_cells, num_prbs, num_users)
-    padded_users = -(-num_users // 64) * 64
-    words = np.empty((batch, num_cells, num_prbs, padded_users // 64),
-                     dtype=np.uint64)
-    workers = min(_WORKERS, batch)
-    # Per worker: gains, the band mask, and coverage bits padded to
-    # whole words with zeros.
-    buffers = [(np.ones((num_cells, num_prbs, num_users)),
-                np.empty((num_cells, num_prbs, num_users), dtype=bool),
-                np.zeros((num_cells, num_prbs, padded_users), dtype=bool))
-               for _ in range(workers)]
-    lock = threading.Lock()  # guards next() on the shared iterator
-
-    def draw(worker: int, start: int, todo: Iterator[int]) -> None:
-        # Takes sub-frames of the batch from ``todo`` until none is left.
-        gains, maybe, padded = buffers[worker]
-        covers = padded[:, :, :num_users]
-        while True:
-            with lock:
-                t = next(todo, None)
-            if t is None:
-                return
-            if params.fading == "rayleigh":
-                np.random.default_rng(
-                    fading_seeds[t]).standard_exponential(out=gains)
-            np.greater_equal(gains, hi, out=covers)
-            np.greater_equal(gains, lo, out=maybe)
-            if np.count_nonzero(maybe) != np.count_nonzero(covers):
-                c, j, u = np.nonzero(maybe & ~covers)
-                covers[c, j, u] = shannon_rate_bps(
-                    snr[c, u] * gains[c, j, u], params.bandwidth_hz
-                ) >= stream.rate_bps
-            words[t - start] = np.packbits(
-                padded, axis=-1, bitorder="little").view(np.uint64)
-
-    mc = np.empty(subframes, dtype=np.int64)
-    sc = np.empty_like(mc)
-    exact = np.empty_like(mc) if with_exact else None
-    for start in range(0, subframes, batch):
-        stop = min(start + batch, subframes)
-        n = stop - start
-        # The calling thread draws too, and each thread takes the next
-        # sub-frame left: a helper idle since the last batch can start
-        # ~0.25 ms late (2-vCPU Xeon VM), and fixed shares would make
-        # every thread wait for it.
-        todo = iter(range(start, stop))
-        helpers = [_thread_pool().submit(draw, w, start, todo)
-                   for w in range(1, min(workers, n))]
-        draw(0, start, todo)
-        for helper in helpers:
-            helper.result()  # waits, and re-raises a helper's error
-        mc[start:stop] = num_users - greedy_batch(words[:n])[1]
-        sc[start:stop] = num_users - sc_batch(words[:n], owners)[1]
-        if exact is not None:
-            for t in range(n):
-                member = np.unpackbits(
-                    words[t].view(np.uint8), axis=-1, count=num_users,
-                    bitorder="little").view(bool)
-                exact[start + t] = num_users - exact_search(member)[1]
-    return mc, sc, exact
+    def __getitem__(self, t: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self.seed, spawn_key=(*self.key, t))
 
 
 def _point_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
@@ -388,7 +204,8 @@ def run_sweep(
     EnumerationBudgetError before the first sample unless
     num_prbs ** num_cells stays within ``exact_budget``.  With
     ``collect_raw`` the per-sample counts are kept on the result so the
-    reported means can be recomputed from them.
+    reported means can be recomputed from them.  Every placement of
+    every point goes through one run of the kernel, `unserved_counts`.
     """
     if values is None:
         values = DEFAULT_USER_SWEEP if axis == "users" else DEFAULT_RADIUS_SWEEP
@@ -400,58 +217,66 @@ def run_sweep(
     if with_exact and config.num_prbs ** config.num_cells > exact_budget:
         raise EnumerationBudgetError(config.num_prbs ** config.num_cells,
                                      exact_budget)
-    params = config.channel
-    stream = StreamSpec(rate_bps=config.stream_rate_bps)
+    point_configs = [_point_config(config, axis, value) for value in values]
+
+    def placements():
+        for pi, pc in enumerate(point_configs):
+            for trial in range(pc.trials):
+                placement_rng = np.random.default_rng(
+                    np.random.SeedSequence(pc.seed, spawn_key=(pi, trial, 0))
+                )
+                scenario = generate_scenario(
+                    pc.num_cells, pc.radius_m, pc.users_per_cell,
+                    placement_rng
+                )
+                yield scenario, _FadingSeeds(pc.seed, pi, trial, pc.subframes)
+
     points = []
     raw: list[RawSample] = []
-    for pi, value in enumerate(values):
+    counts = unserved_counts(placements(), config.channel,
+                             StreamSpec(rate_bps=config.stream_rate_bps),
+                             config.num_prbs, with_exact)
+    with contextlib.closing(counts):
         started = time.perf_counter()
-        pc = _point_config(config, axis, value)
-        unserved = np.empty((3 if with_exact else 2, pc.trials, pc.subframes),
-                            dtype=np.int64)
-        for trial in range(pc.trials):
-            placement_rng = np.random.default_rng(
-                np.random.SeedSequence(pc.seed, spawn_key=(pi, trial, 0))
-            )
-            scenario = generate_scenario(
-                pc.num_cells, pc.radius_m, pc.users_per_cell, placement_rng
-            )
-            fading_seeds = [
-                np.random.SeedSequence(pc.seed, spawn_key=(pi, trial, 1, t))
-                for t in range(pc.subframes)
-            ]
-            mc, sc, exact = _unserved_counts(
-                scenario, params, stream, pc.num_prbs, fading_seeds,
-                with_exact,
-            )
-            unserved[:2, trial] = mc, sc
-            if with_exact:
-                unserved[2, trial] = exact
-        if collect_raw:
-            mc, sc, *exact = unserved.tolist()
-            raw.extend(
-                RawSample(value=value, trial=trial, subframe=t,
-                          unserved_sc=sc[trial][t], unserved_mc=mc[trial][t],
-                          unserved_exact=exact[0][trial][t] if exact else None)
-                for trial in range(pc.trials) for t in range(pc.subframes)
-            )
-        mc, sc, *exact = unserved.reshape(len(unserved), -1)
-        points.append(SweepPoint(
-            value=value,
-            unserved_sc=float(sc.mean()),
-            unserved_mc=float(mc.mean()),
-            std_sc=float(sc.std()),
-            std_mc=float(mc.std()),
-            samples=mc.size,
-            trials=pc.trials,
-            unserved_exact=float(exact[0].mean()) if exact else None,
-            std_exact=float(exact[0].std()) if exact else None,
-        ))
-        if progress is not None:
-            rate = mc.size / (time.perf_counter() - started)
-            progress(f"{axis}={value:g}: SC={points[-1].unserved_sc:.3f} "
-                     f"MC={points[-1].unserved_mc:.3f} "
-                     f"({rate:.0f} samples/s)")
+        for value, pc in zip(values, point_configs):
+            unserved = np.empty(
+                (3 if with_exact else 2, pc.trials, pc.subframes),
+                dtype=np.int64)
+            for trial in range(pc.trials):
+                mc, sc, exact = next(counts)
+                unserved[:2, trial] = mc, sc
+                if with_exact:
+                    unserved[2, trial] = exact
+            if collect_raw:
+                mc, sc, *exact = unserved.tolist()
+                raw.extend(
+                    RawSample(value=value, trial=trial, subframe=t,
+                              unserved_sc=sc[trial][t],
+                              unserved_mc=mc[trial][t],
+                              unserved_exact=(exact[0][trial][t] if exact
+                                              else None))
+                    for trial in range(pc.trials)
+                    for t in range(pc.subframes)
+                )
+            mc, sc, *exact = unserved.reshape(len(unserved), -1)
+            points.append(SweepPoint(
+                value=value,
+                unserved_sc=float(sc.mean()),
+                unserved_mc=float(mc.mean()),
+                std_sc=float(sc.std()),
+                std_mc=float(mc.std()),
+                samples=mc.size,
+                trials=pc.trials,
+                unserved_exact=float(exact[0].mean()) if exact else None,
+                std_exact=float(exact[0].std()) if exact else None,
+            ))
+            if progress is not None:
+                now = time.perf_counter()
+                rate = mc.size / (now - started)
+                started = now
+                progress(f"{axis}={value:g}: SC={points[-1].unserved_sc:.3f} "
+                         f"MC={points[-1].unserved_mc:.3f} "
+                         f"({rate:.0f} samples/s)")
     return SweepResult(axis=axis, config=config, points=tuple(points),
                        raw=tuple(raw))
 

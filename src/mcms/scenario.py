@@ -227,10 +227,16 @@ def generate_scenario(
     )
 
 
-def pathloss_db(distance_m, params: ChannelParams):
-    """Log-distance path loss in dB; distances clamp at min_distance_m."""
-    d_km = np.maximum(distance_m, params.min_distance_m) / 1000.0
-    return params.pathloss_const_db + params.pathloss_slope_db * np.log10(d_km)
+def pathloss_db(distance_m, params: ChannelParams, out=None):
+    """Log-distance path loss in dB; distances clamp at min_distance_m.
+    With ``out``, an array the shape of ``distance_m``, it is computed
+    in place there."""
+    d_km = np.divide(np.maximum(distance_m, params.min_distance_m, out=out),
+                     1000.0, out=out)
+    loss = np.log10(d_km, out=out)
+    loss *= params.pathloss_slope_db
+    loss += params.pathloss_const_db
+    return loss
 
 
 def shannon_rate_bps(snr_linear, bandwidth_hz: float):
@@ -244,12 +250,17 @@ def mean_snr(scenario: Scenario, params: ChannelParams) -> np.ndarray:
     never negative), so rates derived from it with a finite fading gain
     are finite and non-negative too.
     """
-    delta = scenario.user_positions[None, :, :] - scenario.cell_centers[:, None, :]
-    dist = np.hypot(delta[..., 0], delta[..., 1])  # [C, M]
-    snr_db = (params.tx_power_dbm
-              - pathloss_db(dist, params)
-              - params.noise_power_dbm)
-    snr = 10.0 ** (snr_db / 10.0)
+    users, cells = scenario.user_positions, scenario.cell_centers
+    # One [C, M] array goes from distance to path loss, SNR in dB and
+    # linear SNR, in place, by the same operations in the same order as
+    # 10 ** ((tx_power - pathloss_db(distance) - noise_power) / 10).
+    snr = np.subtract(users[None, :, 0], cells[:, None, 0])
+    np.hypot(snr, users[None, :, 1] - cells[:, None, 1], out=snr)
+    pathloss_db(snr, params, out=snr)
+    np.subtract(params.tx_power_dbm, snr, out=snr)
+    snr -= params.noise_power_dbm
+    snr /= 10.0
+    np.power(10.0, snr, out=snr)
     if not np.all(np.isfinite(snr)):
         raise ValueError("mean SNR must be finite")
     return snr

@@ -418,6 +418,66 @@ def test_cli_config_file_supplies_knobs(tmp_path):
     assert (tmp_path / "from_cfg.csv").read_bytes() == direct.read_bytes()
 
 
+@pytest.mark.parametrize("axis, values, flag", [
+    ("users", [20, 30], "20,30"),
+    ("users", [20.0, 30], "20,30"),
+    ("users", "20,30", "20,30"),
+    ("radius", [250, 300.5], "250,300.5"),
+])
+def test_cli_config_values_list_matches_the_flag(tmp_path, axis, values,
+                                                 flag):
+    extra = (["--users-per-cell", "10"] if axis == "radius" else [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"values": values,
+                               "out": str(tmp_path / "from_cfg.csv")}))
+    base = [f"sweep-{axis}", "--trials", "1", "--subframes", "2", "--seed",
+            "5", *extra]
+    assert main(base + ["--config", str(cfg)]) == 0
+    direct = tmp_path / "direct.csv"
+    assert main(base + ["--out", str(direct), "--values", flag]) == 0
+    assert (tmp_path / "from_cfg.csv").read_bytes() == direct.read_bytes()
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("users", [], "values is empty"),
+    ("users", "", "values is empty"),
+    ("users", [20.5, 30], "values on the users axis must be whole numbers"),
+    ("users", [20, True], "values must be a list of numbers"),
+    ("users", [20, "30"], "values must be a list of numbers"),
+    ("users", [20, None], "values must be a list of numbers"),
+    ("users", [20, [30]], "values must be a list of numbers"),
+    ("radius", [250, 1e400], "values must be finite numbers"),
+    ("users", [20, 10 ** 400], "values must be finite numbers"),
+    ("users", 20, "values must be a list of numbers or a comma-separated"),
+    ("users", {"a": 20}, "values must be a list of numbers or a comma-sep"),
+    ("users", "20,x", "values must be comma-separated numbers"),
+    ("users", [30, 20], "sweep values must be strictly increasing"),
+])
+def test_cli_rejects_bad_config_values_lists(tmp_path, capsys, axis, values,
+                                             message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"values": values,
+                               "out": str(tmp_path / "x.csv")}))
+    rc = main([f"sweep-{axis}", "--trials", "1", "--subframes", "1",
+               "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "--values" not in err  # the flag was not given
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_values_flag_overrides_config_values(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"values": ["not", "used"]}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep-users", "--out", str(out), "--values", "20",
+                 "--trials", "1", "--subframes", "1",
+                 "--config", str(cfg)]) == 0
+    assert out.read_text().splitlines()[1].startswith("20,")
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sded": 1}))

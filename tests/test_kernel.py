@@ -4,10 +4,12 @@ The kernel decides coverage by comparing fading gains with a per-link
 threshold and solves sub-frames in packed batches.  These tests hold it
 to `sample_rates -> derive_instance -> solve_greedy/solve_sc_baseline`
 where the two rules are hardest to keep apart (stream rates equal to
-realized link rates), for every batch size and number of drawing
-threads, check that the thread pool survives a fork and passes a
-helper's error to the caller, and hold the packed solvers to the
-boolean-tensor and big-int solvers they replaced.
+realized link rates), for every batch size, slab size and number of
+drawing threads, check that the thread pool survives a fork, that a
+helper's error (also one drawing ahead) reaches the caller and leaves
+the next sweep unharmed, and that fading seeds are built as they are
+drawn, and hold the packed solvers to the boolean-tensor and big-int
+solvers they replaced.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import dataclasses
 import itertools
 import math
 import multiprocessing
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mcms.harness as harness
+import mcms.kernel as kernel
 import mcms.solvers as solvers
 from mcms import (
     ChannelParams,
@@ -112,13 +115,13 @@ def test_boundary_family_defeats_a_plain_gain_threshold():
 def worker_threads(count):
     """Run the kernel with ``count`` drawing threads, the calling thread
     and helpers from a pool of its own."""
-    with mock.patch.object(harness, "_WORKERS", count), \
-            mock.patch.object(harness, "_pool", None):
+    with mock.patch.object(kernel, "_WORKERS", count), \
+            mock.patch.object(kernel, "_pool", None):
         try:
             yield
         finally:
-            if harness._pool is not None:
-                harness._pool.shutdown(wait=False)
+            if kernel._pool is not None:
+                kernel._pool.shutdown(wait=False)
 
 
 def in_helper():
@@ -165,7 +168,7 @@ def test_kernel_matches_pipeline_in_worker_threads(boundary, workers):
     scenario, fading = sweep_sample(boundary, 0, 0)
     params = boundary.channel
     helper_fixed = threading.Event()
-    real_rate = harness.shannon_rate_bps
+    real_rate = kernel.shannon_rate_bps
 
     def spy(*args):
         if in_helper():
@@ -180,9 +183,10 @@ def test_kernel_matches_pipeline_in_worker_threads(boundary, workers):
                                np.random.default_rng(fading),
                                boundary.num_prbs)
         with worker_threads(workers), \
-                mock.patch.object(harness, "shannon_rate_bps", spy):
-            mc, sc, _ = harness._unserved_counts(
-                scenario, params, stream, boundary.num_prbs, [fading] * 16)
+                mock.patch.object(kernel, "shannon_rate_bps", spy):
+            mc, sc, _ = next(kernel.unserved_counts(
+                [(scenario, [fading] * 16)], params, stream,
+                boundary.num_prbs))
         assert set(zip(mc.tolist(), sc.tolist())) == {want}, rate
     assert helper_fixed.is_set()
 
@@ -200,15 +204,15 @@ def test_kernel_matches_pipeline_without_fading():
 
 
 def forced_batches(config, users):
-    """Byte budgets that make the kernel batch 1, 3 and all sub-frames."""
-    c, n, t = config.num_cells, config.num_prbs, config.subframes
-    m = c * users
-    per_subframe = c * n * -(-m // 64) * 8
-    budgets = [(1, per_subframe), (min(3, t), 3 * per_subframe),
-               (t, 1 << 62)]
+    """Per-cell byte budgets that make the kernel batch 1, 3 and all
+    sub-frames."""
+    n, t = config.num_prbs, config.subframes
+    m = config.num_cells * users
+    per_cell = n * -(-m // 64) * 8
+    budgets = [(1, per_cell), (min(3, t), 3 * per_cell), (t, 1 << 62)]
     for want, budget in budgets:
-        with mock.patch.object(harness, "_BATCH_BYTES", budget):
-            assert harness._batch_subframes(t, c, n, m) == want
+        with mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget):
+            assert kernel._batch_subframes(t, n, m) == want
     return [budget for _, budget in budgets]
 
 
@@ -231,7 +235,7 @@ def test_results_do_not_depend_on_batch_size(seed, cells, prbs, users,
     with_exact = prbs ** cells <= 256
     results = []
     for budget in forced_batches(config, users):
-        with mock.patch.object(harness, "_BATCH_BYTES", budget):
+        with mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget):
             results.append(run_sweep(config, "users", values=(users,),
                                      with_exact=with_exact, collect_raw=True))
     assert results[0] == results[1] == results[2]
@@ -242,27 +246,35 @@ def test_results_do_not_depend_on_batch_size(seed, cells, prbs, users,
     seed=st.integers(0, 2**32 - 1),
     cells=st.sampled_from([1, 7]),
     prbs=st.integers(1, 4),
-    users=st.integers(1, 12),
+    users=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
+    trials=st.integers(1, 3),
     subframes=st.integers(1, 9),
     rate=st.floats(2e5, 4e6),
     fading=st.sampled_from(["rayleigh", "none"]),
 )
 def test_results_do_not_depend_on_worker_count(seed, cells, prbs, users,
-                                               subframes, rate, fading):
-    config = ExperimentConfig(num_cells=cells, num_prbs=prbs, trials=2,
-                              subframes=subframes, users_per_cell=users,
+                                               trials, subframes, rate,
+                                               fading):
+    # Several points of several placements each: the arrays change shape
+    # between placements, and helpers draw ahead across them.  Per-cell
+    # budgets of 1 byte, of three sub-frames at the largest point and of
+    # no limit batch 1, at least 3 and all sub-frames of each placement.
+    users = sorted(users)
+    config = ExperimentConfig(num_cells=cells, num_prbs=prbs, trials=trials,
+                              subframes=subframes, users_per_cell=users[-1],
                               stream_rate_bps=rate, seed=seed,
                               channel=ChannelParams(fading=fading))
     with_exact = prbs ** cells <= 256
-    small = forced_batches(config, users)[1]
+    budgets = [1, *forced_batches(config, users[-1])[1:]]
     results = []
     for workers in (1, 2, 3):
-        for budget in (small, harness._BATCH_BYTES):
+        for budget in budgets:
             with worker_threads(workers), \
-                    mock.patch.object(harness, "_BATCH_BYTES", budget):
-                results.append(run_sweep(config, "users", values=(users,),
+                    mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget):
+                results.append(run_sweep(config, "users", values=users,
                                          with_exact=with_exact,
                                          collect_raw=True))
+    assert len(results[0].raw) == len(users) * trials * subframes
     assert all(result == results[0] for result in results)
 
 
@@ -277,7 +289,7 @@ def test_sweep_runs_in_a_child_forked_after_a_sweep():
                               seed=4)
     with worker_threads(2):
         want = run_sweep(config, "users", values=(20,), collect_raw=True)
-        assert harness._pool is not None
+        assert kernel._pool is not None
         child = multiprocessing.get_context("fork").Process(
             target=sweep_in_child, args=(config, want))
         child.start()
@@ -306,28 +318,188 @@ class HelperGetsBadSeed(list):
         return t
 
 
+class WaitsForHelperSeed(list):
+    """Fading seeds whose reads on the calling thread wait until
+    ``event`` is set."""
+
+    def __init__(self, length, event):
+        super().__init__(range(length))
+        self.event = event
+
+    def __getitem__(self, t):
+        if not in_helper():
+            self.event.wait(timeout=10)
+        return t
+
+
+def run_in_thread(fn):
+    """Run ``fn`` in a thread of the test's own, so that a hang fails the
+    test instead of blocking it; returns what it raised, or None."""
+    raised = []
+
+    def call():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the kernel hung"
+    return raised[0] if raised else None
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_helper_error_reaches_the_caller(workers):
     scenario = generate_scenario(7, 300.0, 20, 5)
     seeds = HelperGetsBadSeed(8)
-    errors = []
-
-    def call():
-        try:
-            harness._unserved_counts(scenario, ChannelParams(), StreamSpec(),
-                                     4, seeds)
-        except ValueError as exc:
-            errors.append(exc)
-
     with worker_threads(workers):
-        # The kernel runs in a thread of the test's own so that a hang
-        # fails the test instead of blocking it.
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive(), "the kernel hung on a helper's error"
+        error = run_in_thread(lambda: list(kernel.unserved_counts(
+            [(scenario, seeds)], ChannelParams(), StreamSpec(), 4)))
     assert seeds.helper_took.is_set()
-    assert len(errors) == 1
+    assert isinstance(error, ValueError)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_helper_error_in_look_ahead_placement_reaches_the_caller(workers):
+    # The calling thread holds the one sub-frame of the first placement
+    # until a helper has read a seed of the second placement, and that
+    # seed is invalid: the error comes from a helper drawing ahead.
+    first = generate_scenario(7, 300.0, 20, 5)
+    second = generate_scenario(7, 300.0, 30, 6)
+    bad = HelperGetsBadSeed(6)
+    placements = [(first, WaitsForHelperSeed(1, bad.helper_took)),
+                  (second, bad)]
+    with worker_threads(workers):
+        error = run_in_thread(lambda: list(kernel.unserved_counts(
+            placements, ChannelParams(), StreamSpec(), 4)))
+    assert bad.helper_took.is_set()
+    assert isinstance(error, ValueError)
+
+
+def test_sweep_after_an_error_or_an_early_stop_gives_the_same_result():
+    config = ExperimentConfig(trials=3, subframes=7, users_per_cell=20,
+                              seed=13)
+    scenario = generate_scenario(7, 300.0, 20, 5)
+    with worker_threads(2):
+        want = run_sweep(config, "users", values=(20, 25), collect_raw=True)
+        # A helper's error, then a kernel closed after its first placement
+        # while helpers draw the second; each time, the pool's one helper
+        # thread must be free again.
+        bad = HelperGetsBadSeed(8)
+        assert isinstance(run_in_thread(lambda: list(kernel.unserved_counts(
+            [(scenario, bad)], ChannelParams(), StreamSpec(), 4))),
+            ValueError)
+        kernel._pool.submit(int).result(timeout=10)
+        counts = kernel.unserved_counts([(scenario, range(9))] * 3,
+                                        ChannelParams(), StreamSpec(), 4)
+        next(counts)
+        counts.close()
+        kernel._pool.submit(int).result(timeout=10)
+        got = []
+        assert run_in_thread(lambda: got.append(run_sweep(
+            config, "users", values=(20, 25), collect_raw=True))) is None
+    assert got == [want]
+
+
+def test_pipeline_under_thread_stress():
+    # More drawing threads than cores, batches of one to four sub-frames
+    # and a very short switch interval: a lost update of the shared
+    # hand-out state would hang the kernel, skip a sub-frame (its words
+    # stay garbage) or draw one twice, and change the result.
+    config = ExperimentConfig(trials=3, subframes=12, users_per_cell=9,
+                              num_prbs=2, seed=17)
+    values = (9, 70, 130)
+    with worker_threads(1):
+        want = run_sweep(config, "users", values=values, with_exact=True,
+                         collect_raw=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = []
+        with worker_threads(5), \
+                mock.patch.object(kernel, "_BATCH_CELL_BYTES", 64):
+            for _ in range(5):
+                assert run_in_thread(lambda: got.append(run_sweep(
+                    config, "users", values=values, with_exact=True,
+                    collect_raw=True))) is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 5
+
+
+def test_one_thread_or_one_subframe_starts_no_pool():
+    config = ExperimentConfig(trials=2, subframes=5, users_per_cell=20,
+                              seed=2)
+    with worker_threads(1):
+        one_thread = run_sweep(config, "users", values=(20, 30),
+                               collect_raw=True)
+        assert kernel._pool is None
+    scenario = generate_scenario(7, 300.0, 20, 5)
+    with worker_threads(2):
+        got = run_subframe(scenario, ChannelParams(), StreamSpec(), 0, 3)
+        assert kernel._pool is None
+        assert run_sweep(config, "users", values=(20, 30),
+                         collect_raw=True) == one_thread
+    assert got == pipeline_counts(scenario, ChannelParams(), StreamSpec(),
+                                  3, 4)
+
+
+def test_sweep_builds_fading_seeds_as_it_draws():
+    # One SeedSequence takes about 400 B, so building the seeds of all
+    # 50,000 sub-frames up front would hold some 20 MB.  Deterministic
+    # fading and one thread keep the draws themselves quick under
+    # tracemalloc; the seeds are built the same way with any thread count.
+    config = ExperimentConfig(num_cells=1, users_per_cell=1, trials=1,
+                              subframes=50_000,
+                              channel=ChannelParams(fading="none"))
+    with worker_threads(1):
+        tracemalloc.start()
+        try:
+            result = run_sweep(config, "users", values=(1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert result.points[0].samples == 50_000
+    assert peak < 50_000 * 400 // 4, peak
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([1, 7, 19]),
+    prbs=st.integers(1, 4),
+    users=st.integers(1, 30),
+    one_cell=st.booleans(),
+)
+def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
+    scenario = generate_scenario(cells, 300.0, users, seed)
+    budget = prbs * scenario.num_users * 8 if one_cell else kernel._SLAB_BYTES
+    with mock.patch.object(kernel, "_SLAB_BYTES", budget):
+        place = kernel._Placement(scenario, [seed], ChannelParams(),
+                                  StreamSpec(), prbs, False)
+        gains = kernel._DrawBuffers("rayleigh").views(place)[0]
+    if one_cell:
+        assert place.slab == 1
+    drawn = np.full((cells, prbs, scenario.num_users), np.nan)
+    firsts = []
+    for first, slab in kernel._gain_slabs(np.random.default_rng(seed),
+                                          gains, cells):
+        firsts.append(first)
+        drawn[first:first + len(slab)] = slab
+    assert firsts == list(range(0, cells, place.slab))
+    whole = np.empty_like(drawn)
+    np.random.default_rng(seed).standard_exponential(out=whole)
+    assert drawn.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("cells", [7, 19])
+def test_kernel_matches_pipeline_in_one_cell_slabs(cells):
+    boundary = dataclasses.replace(BOUNDARY_CONFIGS[1], num_cells=cells,
+                                   users_per_cell=4)
+    with mock.patch.object(kernel, "_SLAB_BYTES", 1), worker_threads(2):
+        check_sweep_at_realized_rates(boundary, with_subframe=cells == 7)
 
 
 # The boolean-tensor solvers the packed kernels replaced, kept as oracles.

@@ -4,7 +4,8 @@ that as many users as possible can decode the stream from some cell.
 The package splits into a combinatorial layer (`coverage`, `solvers`)
 that knows nothing about radio, and a simulation layer (`scenario`,
 `kernel`, `harness`) that produces coverage instances from a cellular
-model and sweeps its parameters.
+model and sweeps its parameters.  The names below are the public API;
+everything else is reached through its submodule.
 """
 
 from .coverage import (
@@ -12,55 +13,29 @@ from .coverage import (
     AllocationError,
     CoverageInstance,
     InstanceError,
-    Mode,
-    ServedReport,
-    objective,
-    served_mc,
-    served_sc,
-    served_report,
-    validate_allocation,
-    validate_instance,
+    served,
 )
 from .solvers import (
     EnumerationBudgetError,
-    MCPInstance,
-    MCPResult,
     SolveResult,
     greedy_bound,
-    mcp_greedy_bound,
     solve_exact,
     solve_greedy,
-    solve_mcp_greedy,
     solve_sc_baseline,
 )
 from .scenario import (
     ChannelParams,
-    DEFAULT_STREAM_RATE_BPS,
-    RateRealization,
     Scenario,
     StreamSpec,
     derive_instance,
     generate_scenario,
-    hex_centers,
-    in_hexagon,
-    pathloss_db,
     sample_rates,
-    scenario_to_dict,
-    shannon_rate_bps,
 )
 from .harness import (
-    DEFAULT_RADIUS_SWEEP,
-    DEFAULT_USER_SWEEP,
     ExperimentConfig,
-    RawSample,
-    SweepPoint,
     SweepResult,
-    dump_instance,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
-    random_instance,
-    run_subframe,
     run_sweep,
     write_csv,
     write_meta,
@@ -74,50 +49,24 @@ __all__ = [
     "AllocationError",
     "ChannelParams",
     "CoverageInstance",
-    "DEFAULT_RADIUS_SWEEP",
-    "DEFAULT_STREAM_RATE_BPS",
-    "DEFAULT_USER_SWEEP",
     "EnumerationBudgetError",
     "ExperimentConfig",
     "InstanceError",
-    "MCPInstance",
-    "MCPResult",
-    "Mode",
-    "RateRealization",
-    "RawSample",
     "Scenario",
-    "ServedReport",
     "SolveResult",
     "StreamSpec",
-    "SweepPoint",
     "SweepResult",
     "derive_instance",
-    "dump_instance",
     "generate_scenario",
     "greedy_bound",
-    "hex_centers",
-    "in_hexagon",
     "instance_from_dict",
-    "instance_to_dict",
     "load_instance",
-    "mcp_greedy_bound",
-    "objective",
-    "pathloss_db",
-    "random_instance",
-    "run_subframe",
     "run_sweep",
     "sample_rates",
-    "scenario_to_dict",
-    "served_mc",
-    "served_report",
-    "served_sc",
-    "shannon_rate_bps",
+    "served",
     "solve_exact",
     "solve_greedy",
-    "solve_mcp_greedy",
     "solve_sc_baseline",
-    "validate_allocation",
-    "validate_instance",
     "write_csv",
     "write_meta",
     "write_raw_csv",

@@ -14,10 +14,11 @@ Option precedence for experiment knobs: command-line flag, then the
 dashes), then the MCMS_SEED environment variable (seed only), then
 built-in defaults.  A count that is not a whole number, a radius or
 rate that is not a finite positive number, a non-boolean
-``deterministic_fading`` or an out-of-range ``oracle-check`` argument
-is an error with exit code 2, never coerced.  Sweep values come from
-``--values`` as comma-separated numbers, or from the config file's
-``values`` as such a string or a JSON list of numbers.
+``deterministic_fading``, a negative ``solve --budget`` or an
+out-of-range ``oracle-check`` argument is an error with exit code 2,
+never coerced.  Sweep values come from ``--values`` as comma-separated
+numbers, or from the config file's ``values`` as such a string or a
+JSON list of numbers.
 """
 
 from __future__ import annotations
@@ -220,6 +221,8 @@ def _fmt_alloc(alloc) -> str:
 
 
 def _cmd_solve(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     instance = load_instance(args.instance)
     greedy = solve_greedy(instance)
     print(f"greedy={greedy.objective} alloc={_fmt_alloc(greedy.alloc)}")
@@ -239,6 +242,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     for flag, value, least in (("--trials", args.trials, 1),
+                               ("--seed", args.seed, 0),
                                ("--users", args.users, 0),
                                ("--cells", args.cells, 1),
                                ("--prbs", args.prbs, 1)):
@@ -332,9 +336,6 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

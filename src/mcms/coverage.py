@@ -2,10 +2,10 @@
 
 A coverage instance records, for every (cell, PRB) pair, the set of users
 that could decode the multicast stream if that PRB carried it.  An
-allocation picks exactly one PRB per cell.  The multi-connectivity (MC)
-objective counts users covered by any chosen pair; the single-connectivity
-(SC) objective only credits a user when its own primary cell's chosen PRB
-covers it.
+allocation picks exactly one PRB per cell.  Under multi-connectivity (MC)
+a user is served when any chosen pair covers it; under single
+connectivity (SC) only when its own primary cell's chosen PRB does.
+`served` evaluates both rules.
 
 Instances and allocations are immutable after construction, so every
 operation here is a pure function that is safe to call concurrently.
@@ -13,7 +13,6 @@ operation here is a pure function that is safe to call concurrently.
 
 from __future__ import annotations
 
-import enum
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -27,13 +26,6 @@ class InstanceError(ValueError):
 
 class AllocationError(ValueError):
     """An allocation does not fit the instance it is evaluated against."""
-
-
-class Mode(enum.Enum):
-    """Connectivity rule used when counting served users."""
-
-    MC = "mc"
-    SC = "sc"
 
 
 @dataclass(frozen=True)
@@ -55,16 +47,6 @@ class Allocation:
         return self.chosen[cell]
 
 
-@dataclass(frozen=True)
-class ServedReport:
-    """Served/unserved breakdown of one allocation under both rules."""
-
-    served_mc: frozenset[int]
-    served_sc: frozenset[int]
-    unserved_mc: int
-    unserved_sc: int
-
-
 class CoverageInstance:
     """Universe of ``num_users`` users plus N candidate coverage sets per cell.
 
@@ -82,12 +64,13 @@ class CoverageInstance:
         collections: Iterable[Iterable[Iterable[int]]],
         primary_cell: Iterable[int],
     ):
-        cells = [tuple(frozenset(whole_number(u, "user id") for u in prb_set)
-                       for prb_set in cell)
-                 for cell in collections]
+        # Every check on the counts, the shape and the primary cells runs
+        # before the tensor is allocated, so a document claiming a huge
+        # num_users fails on its primary cells, not on memory.
         num_users = whole_number(num_users, "num_users")
         if num_users < 0:
             raise InstanceError("num_users must be >= 0")
+        cells = [list(cell) for cell in collections]
         if not cells:
             raise InstanceError("need at least one cell")
         num_prbs = len(cells[0])
@@ -99,29 +82,28 @@ class CoverageInstance:
                 )
         if num_prbs < 1:
             raise InstanceError("need at least one PRB set per cell")
+        primary = _primary_array(primary_cell)
+        _check_primary(primary, num_users, len(cells))
 
         membership = np.zeros((len(cells), num_prbs, num_users), dtype=bool)
         for c, cell in enumerate(cells):
             for j, users in enumerate(cell):
                 for u in users:
+                    u = whole_number(u, "user id")
                     if not 0 <= u < num_users:
                         raise InstanceError(
                             f"user id {u} out of range [0, {num_users}) "
                             f"in coverage set of cell {c}, PRB {j}"
                         )
                     membership[c, j, u] = True
+        self._store(membership, primary)
 
-        primary = np.asarray(
-            [whole_number(p, "primary cell") for p in primary_cell],
-            dtype=np.intp)
-        _check_primary(primary, num_users, len(cells))
+    def _store(self, membership: np.ndarray, primary: np.ndarray) -> None:
         membership.setflags(write=False)
         primary.setflags(write=False)
         self._membership = membership
         self._primary = primary
-        self._collections: tuple[tuple[frozenset[int], ...], ...] | None = (
-            tuple(cells)
-        )
+        self._collections: tuple[tuple[frozenset[int], ...], ...] | None = None
 
     @classmethod
     def from_membership(
@@ -129,10 +111,8 @@ class CoverageInstance:
     ) -> "CoverageInstance":
         """Build an instance directly from a boolean [C, N, M] tensor.
 
-        The set view is only materialized if :attr:`collections` is read,
-        which keeps instance derivation cheap in simulation loops.  Primary
-        cells must be whole numbers, as for the constructor; an integer
-        array is taken as it is.
+        The tensor is copied.  Primary cells must be whole numbers, as
+        for the constructor; an integer array is taken as it is.
         """
         membership = np.asarray(membership, dtype=bool)
         if membership.ndim != 3:
@@ -143,21 +123,10 @@ class CoverageInstance:
         num_cells, num_prbs, num_users = membership.shape
         if num_cells < 1 or num_prbs < 1:
             raise InstanceError("need at least one cell and one PRB per cell")
-        if (isinstance(primary_cell, np.ndarray)
-                and primary_cell.dtype.kind in "iu"):  # no per-id check
-            primary = primary_cell.astype(np.intp)
-        else:
-            primary = np.asarray(
-                [whole_number(p, "primary cell") for p in primary_cell],
-                dtype=np.intp)
+        primary = _primary_array(primary_cell)
         _check_primary(primary, num_users, num_cells)
-        membership = membership.copy()
-        membership.setflags(write=False)
-        primary.setflags(write=False)
         obj = cls.__new__(cls)
-        obj._membership = membership
-        obj._primary = primary
-        obj._collections = None
+        obj._store(membership.copy(), primary)
         return obj
 
     @property
@@ -229,6 +198,14 @@ def whole_number(value, what: str) -> int:
     return int(value)
 
 
+def _primary_array(primary_cell: Iterable[int]) -> np.ndarray:
+    if (isinstance(primary_cell, np.ndarray)
+            and primary_cell.dtype.kind in "iu"):  # no per-id check
+        return primary_cell.astype(np.intp)
+    return np.asarray([whole_number(p, "primary cell") for p in primary_cell],
+                      dtype=np.intp)
+
+
 def _check_primary(primary: np.ndarray, num_users: int, num_cells: int) -> None:
     if primary.shape != (num_users,):
         raise InstanceError(
@@ -242,31 +219,17 @@ def _check_primary(primary: np.ndarray, num_users: int, num_cells: int) -> None:
         )
 
 
-def validate_instance(instance: CoverageInstance) -> None:
-    """Re-check every instance invariant, raising InstanceError on the first
-    violation.  Instances built through the public constructors already
-    satisfy them; this is the explicit audit hook."""
-    member = instance.membership_matrix()
-    if member.ndim != 3:
-        raise InstanceError(f"membership tensor has {member.ndim} axes")
-    if member.dtype != np.bool_:
-        raise InstanceError("membership tensor must be boolean")
-    num_cells, num_prbs, num_users = member.shape
-    if num_cells < 1 or num_prbs < 1:
-        raise InstanceError("need at least one cell and one PRB per cell")
-    _check_primary(instance.primary_cell, num_users, num_cells)
-    for c, cell in enumerate(instance.collections):
-        if len(cell) != num_prbs:
-            raise InstanceError(f"ragged collections at cell {c}")
-        for j, users in enumerate(cell):
-            if any(not 0 <= u < num_users for u in users):
-                raise InstanceError(
-                    f"user id out of range in cell {c}, PRB {j}"
-                )
+def served(instance: CoverageInstance,
+           alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks ``(mc, sc)`` over the users that ``alloc`` serves.
 
-
-def validate_allocation(instance: CoverageInstance, alloc: Allocation) -> None:
-    """Raise AllocationError unless ``alloc`` picks one in-range PRB per cell."""
+    ``mc[k]`` holds when some cell's chosen PRB covers user k, ``sc[k]``
+    only when its primary cell's chosen PRB does, so ``sc`` implies
+    ``mc``.  Served counts are ``mask.sum()``.  Raises AllocationError
+    unless ``alloc`` picks one in-range PRB per cell.  This is plain
+    boolean-tensor code, apart from the packed solvers, so tests can
+    hold every solver's objective to it.
+    """
     if len(alloc) != instance.num_cells:
         raise AllocationError(
             f"allocation length {len(alloc)} != {instance.num_cells} cells"
@@ -277,55 +240,7 @@ def validate_allocation(instance: CoverageInstance, alloc: Allocation) -> None:
                 f"PRB index {j} for cell {c} out of range "
                 f"[0, {instance.prbs_per_cell})"
             )
-
-
-def _served_mask_mc(instance: CoverageInstance, alloc: Allocation) -> np.ndarray:
-    member = instance.membership_matrix()
-    mask = np.zeros(instance.num_users, dtype=bool)
-    for c, j in enumerate(alloc):
-        mask |= member[c, j]
-    return mask
-
-
-def _served_mask_sc(instance: CoverageInstance, alloc: Allocation) -> np.ndarray:
-    member = instance.membership_matrix()
-    primary = instance.primary_cell
-    chosen = np.asarray(alloc.chosen, dtype=np.intp)
-    users = np.arange(instance.num_users)
-    return member[primary, chosen[primary], users]
-
-
-def served_mc(instance: CoverageInstance, alloc: Allocation) -> frozenset[int]:
-    """Users decodable from at least one cell's chosen PRB (union coverage)."""
-    validate_allocation(instance, alloc)
-    return frozenset(np.flatnonzero(_served_mask_mc(instance, alloc)).tolist())
-
-
-def served_sc(instance: CoverageInstance, alloc: Allocation) -> frozenset[int]:
-    """Users decodable on the PRB chosen by their own primary cell."""
-    validate_allocation(instance, alloc)
-    return frozenset(np.flatnonzero(_served_mask_sc(instance, alloc)).tolist())
-
-
-def objective(instance: CoverageInstance, alloc: Allocation, mode: Mode) -> int:
-    """Number of served users under ``mode``; unserved = num_users - objective."""
-    validate_allocation(instance, alloc)
-    if mode is Mode.MC:
-        mask = _served_mask_mc(instance, alloc)
-    elif mode is Mode.SC:
-        mask = _served_mask_sc(instance, alloc)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return int(np.count_nonzero(mask))
-
-
-def served_report(instance: CoverageInstance, alloc: Allocation) -> ServedReport:
-    """Evaluate one allocation under both connectivity rules."""
-    mc = served_mc(instance, alloc)
-    sc = served_sc(instance, alloc)
-    return ServedReport(
-        served_mc=mc,
-        served_sc=sc,
-        unserved_mc=instance.num_users - len(mc),
-        unserved_sc=instance.num_users - len(sc),
-    )
+    covered = instance.membership_matrix()[np.arange(instance.num_cells),
+                                           list(alloc.chosen)]
+    return (covered.any(axis=0),
+            covered[instance.primary_cell, np.arange(instance.num_users)])

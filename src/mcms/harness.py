@@ -382,17 +382,6 @@ def write_meta(result: SweepResult, csv_path) -> None:
                     encoding="utf-8")
 
 
-def instance_to_dict(instance: CoverageInstance) -> dict:
-    """JSON-ready dict: M users, C cells, N PRB sets per cell."""
-    return {
-        "M": instance.num_users,
-        "C": instance.num_cells,
-        "N": instance.prbs_per_cell,
-        "collections": [[sorted(s) for s in cell] for cell in instance.collections],
-        "primary": [int(p) for p in instance.primary_cell],
-    }
-
-
 def instance_from_dict(data: dict) -> CoverageInstance:
     """Instance of a JSON document; InstanceError if it is malformed,
     including any count or id that is not a whole number."""
@@ -418,13 +407,6 @@ def instance_from_dict(data: dict) -> CoverageInstance:
 def load_instance(path) -> CoverageInstance:
     with open(path, encoding="utf-8") as fh:
         return instance_from_dict(json.load(fh))
-
-
-def dump_instance(instance: CoverageInstance, path) -> None:
-    Path(path).write_text(
-        json.dumps(instance_to_dict(instance), indent=2) + "\n",
-        encoding="utf-8",
-    )
 
 
 def random_instance(

@@ -17,7 +17,7 @@ reaches the stream rate; `derive_instance` turns one rate realization
 plus a stream rate into a coverage problem.
 
 `mean_snr` is the one place the link budget lives.  `sample_rates` uses
-it per call; the Monte Carlo kernel in `mcms.harness` uses it once per
+it per call; the Monte Carlo kernel in `mcms.kernel` uses it once per
 placement, then decides each link by comparing the fading gain with the
 gain threshold ``expm1(R / B * ln 2) / snr``, computing the rate only
 for gains within a narrow guard band of it.  Both give the same
@@ -357,13 +357,3 @@ def derive_instance(
         )
     membership = realization.rates >= stream.rate_bps
     return CoverageInstance.from_membership(membership, scenario.primary_cell)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """JSON-ready dict with full geometry (positions in meters)."""
-    return {
-        "radius": float(scenario.radius),
-        "cell_centers": [[float(x), float(y)] for x, y in scenario.cell_centers],
-        "user_positions": [[float(x), float(y)] for x, y in scenario.user_positions],
-        "primary_cell": [int(p) for p in scenario.primary_cell],
-    }

@@ -9,20 +9,19 @@ from mcms import (
     AllocationError,
     CoverageInstance,
     InstanceError,
-    Mode,
-    objective,
-    served_mc,
-    served_report,
-    served_sc,
-    validate_allocation,
-    validate_instance,
+    served,
 )
 from mcms.coverage import pack_users
 
 
+def served_ids(inst, alloc):
+    """The MC and SC served users as sets of ids."""
+    return tuple(set(np.flatnonzero(mask).tolist())
+                 for mask in served(inst, alloc))
+
+
 def test_minimal_instance_is_valid():
     inst = CoverageInstance(3, [[{0, 1, 2}]], [0, 0, 0])
-    validate_instance(inst)
     assert inst.num_users == 3
     assert inst.num_cells == 1
     assert inst.prbs_per_cell == 1
@@ -71,7 +70,6 @@ def test_from_membership_matches_set_constructor():
     b = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0, 0, 1, 1])
     assert a.collections == b.collections
     assert np.array_equal(a.membership_matrix(), b.membership_matrix())
-    validate_instance(a)
 
 
 def test_from_membership_rejects_bad_shapes():
@@ -118,62 +116,52 @@ def test_allocation_coerces_to_plain_ints():
 
 def test_validate_allocation_length_and_range():
     inst = CoverageInstance(2, [[{0}, {1}]], [0, 0])
-    validate_allocation(inst, Allocation((1,)))
+    served(inst, Allocation((1,)))
     with pytest.raises(AllocationError, match="length"):
-        validate_allocation(inst, Allocation((0, 0)))
+        served(inst, Allocation((0, 0)))
     with pytest.raises(AllocationError, match="out of range"):
-        validate_allocation(inst, Allocation((2,)))
+        served(inst, Allocation((2,)))
     with pytest.raises(AllocationError, match="out of range"):
-        validate_allocation(inst, Allocation((-1,)))
+        served(inst, Allocation((-1,)))
 
 
 def test_served_mc_single_set():
     inst = CoverageInstance(3, [[{0, 1, 2}]], [0, 0, 0])
-    assert served_mc(inst, Allocation((0,))) == {0, 1, 2}
+    assert served_ids(inst, Allocation((0,)))[0] == {0, 1, 2}
 
 
 def test_served_mc_empty_coverage():
     inst = CoverageInstance(2, [[set()], [set()]], [0, 1])
-    assert served_mc(inst, Allocation((0, 0))) == frozenset()
-    assert objective(inst, Allocation((0, 0)), Mode.MC) == 0
-    report = served_report(inst, Allocation((0, 0)))
-    assert report.unserved_mc == 2
+    mc, sc = served(inst, Allocation((0, 0)))
+    assert mc.tolist() == sc.tolist() == [False, False]
 
 
 def test_served_mc_is_the_union():
     inst = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0, 0, 1, 1])
-    assert served_mc(inst, Allocation((0, 0))) == {0, 1, 2, 3}
-    assert objective(inst, Allocation((0, 0)), Mode.MC) == 4
+    assert served_ids(inst, Allocation((0, 0)))[0] == {0, 1, 2, 3}
     # {1,2} | {0,3} also covers everyone
-    assert objective(inst, Allocation((1, 1)), Mode.MC) == 4
+    assert served(inst, Allocation((1, 1)))[0].sum() == 4
 
 
 def test_served_sc_uses_only_the_primary_cell():
     # user 1 appears in cell 0's set, but its primary is cell 1 whose
     # chosen set excludes it
     inst = CoverageInstance(2, [[{0, 1}], [{0}]], [0, 1])
-    assert served_sc(inst, Allocation((0, 0))) == {0}
+    assert served_ids(inst, Allocation((0, 0)))[1] == {0}
 
 
 def test_served_sc_single_primary_collapse():
     inst = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0] * 4)
     for j in range(2):
         for j2 in range(2):
-            assert served_sc(inst, Allocation((j, j2))) == inst.collections[0][j]
+            assert (served_ids(inst, Allocation((j, j2)))[1]
+                    == inst.collections[0][j])
 
 
-def test_served_report_counts():
+def test_served_under_both_rules():
     inst = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0, 0, 1, 1])
-    report = served_report(inst, Allocation((1, 1)))
-    assert report.served_mc == {0, 1, 2, 3}
-    assert report.served_sc == {1, 3}  # user 0 not in {1,2}; user 2 not in {0,3}
-    assert report.unserved_mc == 0
-    assert report.unserved_sc == 2
-
-
-def test_objective_rejects_bad_mode(gap_instance):
-    with pytest.raises(ValueError):
-        objective(gap_instance, Allocation((0, 0)), "mc")
+    # user 0 not in {1,2}; user 2 not in {0,3}
+    assert served_ids(inst, Allocation((1, 1))) == ({0, 1, 2, 3}, {1, 3})
 
 
 def _random_case(rng):
@@ -190,21 +178,23 @@ def _random_case(rng):
 def test_served_sc_subset_of_served_mc(rng):
     for _ in range(200):
         inst, alloc = _random_case(rng)
-        assert served_sc(inst, alloc) <= served_mc(inst, alloc)
+        mc, sc = served(inst, alloc)
+        assert not (sc & ~mc).any()
 
 
 def test_objective_bounds(rng):
     # MC objective is at most M and at least the largest chosen set
     for _ in range(100):
         inst, alloc = _random_case(rng)
-        mc = objective(inst, alloc, Mode.MC)
+        mc, sc = (int(mask.sum()) for mask in served(inst, alloc))
         assert 0 <= mc <= inst.num_users
         assert mc >= max(len(inst.collections[c][j]) for c, j in enumerate(alloc))
-        assert objective(inst, alloc, Mode.SC) <= mc
+        assert sc <= mc
 
 
 def test_objective_invariant_under_user_permutation(rng):
-    # relabel user k as perm[k] everywhere; objectives must not move
+    # relabel user k as perm[k] everywhere; the served masks move with
+    # the users and nothing else changes
     for _ in range(50):
         inst, alloc = _random_case(rng)
         perm = rng.permutation(inst.num_users)
@@ -212,10 +202,9 @@ def test_objective_invariant_under_user_permutation(rng):
         primary = np.empty(inst.num_users, dtype=np.intp)
         primary[perm] = inst.primary_cell
         relabeled = CoverageInstance.from_membership(member, primary)
-        assert (objective(relabeled, alloc, Mode.MC)
-                == objective(inst, alloc, Mode.MC))
-        assert (objective(relabeled, alloc, Mode.SC)
-                == objective(inst, alloc, Mode.SC))
+        for before, after in zip(served(inst, alloc),
+                                 served(relabeled, alloc)):
+            assert np.array_equal(after[perm], before)
 
 
 @st.composite
@@ -234,30 +223,34 @@ def instance_and_alloc(draw):
 @given(instance_and_alloc())
 def test_served_sc_subset_of_served_mc_for_any_allocation(case):
     inst, alloc = case
-    assert served_sc(inst, alloc) <= served_mc(inst, alloc)
+    mc, sc = served(inst, alloc)
+    assert not (sc & ~mc).any()
 
 
 @settings(max_examples=60, deadline=None)
 @given(instance_and_alloc())
 def test_served_sets_are_consistent(case):
+    # each mask is the rule applied user by user to the set view
     inst, alloc = case
-    report = served_report(inst, alloc)
-    assert report.served_sc <= report.served_mc
-    assert report.unserved_mc == inst.num_users - len(report.served_mc)
-    assert report.unserved_sc == inst.num_users - len(report.served_sc)
-    assert report.served_mc <= frozenset(range(inst.num_users))
+    mc, sc = served(inst, alloc)
+    assert mc.dtype == sc.dtype == bool
+    assert mc.shape == sc.shape == (inst.num_users,)
+    sets = [inst.collections[c][j] for c, j in enumerate(alloc)]
+    for k in range(inst.num_users):
+        assert mc[k] == any(k in s for s in sets)
+        assert sc[k] == (k in sets[inst.primary_cell[k]])
 
 
 def test_enlarging_a_chosen_set_never_hurts_mc(rng):
     for _ in range(50):
         inst, alloc = _random_case(rng)
-        before = objective(inst, alloc, Mode.MC)
+        before = served(inst, alloc)[0]
         member = inst.membership_matrix().copy()
         c = int(rng.integers(0, inst.num_cells))
         extra = rng.random(inst.num_users) < 0.3
         member[c, alloc[c]] |= extra
         grown = CoverageInstance.from_membership(member, inst.primary_cell)
-        assert objective(grown, alloc, Mode.MC) >= before
+        assert not (before & ~served(grown, alloc)[0]).any()
 
 
 def _unpack(words, num_users):

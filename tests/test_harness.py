@@ -11,25 +11,18 @@ import pytest
 import mcms.harness as harness
 from mcms import (
     ChannelParams,
-    CoverageInstance,
     EnumerationBudgetError,
     ExperimentConfig,
     InstanceError,
-    Mode,
     StreamSpec,
-    SweepPoint,
     SweepResult,
-    dump_instance,
     generate_scenario,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
-    objective,
-    random_instance,
-    run_subframe,
     run_sweep,
     sample_rates,
     derive_instance,
+    served,
     solve_greedy,
     solve_sc_baseline,
     write_csv,
@@ -37,6 +30,7 @@ from mcms import (
     write_raw_csv,
 )
 from mcms.cli import main
+from mcms.harness import SweepPoint, random_instance, run_subframe
 
 TINY = ExperimentConfig(trials=2, subframes=4, users_per_cell=20, seed=3)
 
@@ -107,8 +101,8 @@ def test_run_subframe_matches_solver_objectives():
     m = inst.num_users
     g = solve_greedy(inst)
     b = solve_sc_baseline(inst)
-    assert mc == m - objective(inst, g.alloc, Mode.MC)
-    assert sc == m - objective(inst, b.alloc, Mode.SC)
+    assert mc == m - served(inst, g.alloc)[0].sum() == m - g.objective
+    assert sc == m - served(inst, b.alloc)[1].sum() == m - b.objective
 
 
 def test_run_sweep_deterministic_and_equal():
@@ -230,20 +224,20 @@ def test_write_meta_sidecar(tmp_path):
     assert "std_sc" in meta["points"][0]
 
 
-def test_instance_json_round_trip(tmp_path, rng):
-    inst = random_instance(rng, num_users=12, num_cells=3, num_prbs=2)
+def test_instance_json_round_trip(tmp_path):
     path = tmp_path / "inst.json"
-    dump_instance(inst, path)
+    path.write_text(json.dumps(GAP_DOC))
     loaded = load_instance(path)
-    assert loaded.collections == inst.collections
-    assert np.array_equal(loaded.primary_cell, inst.primary_cell)
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"M", "C", "N", "collections", "primary"}
-    assert doc["M"] == 12 and doc["C"] == 3 and doc["N"] == 2
+    assert (loaded.num_users, loaded.num_cells, loaded.prbs_per_cell) == (
+        7, 2, 2)
+    assert [[sorted(s) for s in cell] for cell in loaded.collections] == (
+        GAP_DOC["collections"])
+    assert loaded.primary_cell.tolist() == GAP_DOC["primary"]
 
 
 def test_instance_from_dict_rejects_inconsistent_docs():
-    good = instance_to_dict(CoverageInstance(2, [[{0}, {1}]], [0, 0]))
+    good = {"M": 2, "C": 1, "N": 2, "collections": [[[0], [1]]],
+            "primary": [0, 0]}
     instance_from_dict(good)
     with pytest.raises(InstanceError):
         instance_from_dict({**good, "C": 2})
@@ -319,6 +313,33 @@ def test_cli_solve_rejects_non_integer_ids(tmp_path, capsys, change):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_cli_solve_checks_primary_cells_before_allocating(tmp_path, capsys):
+    # 10^12 users would need a terabyte tensor; the one primary cell
+    # listed is the error, found before anything is allocated
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"M": 10 ** 12, "C": 1, "N": 1,
+                                "collections": [[[]]], "primary": [0]}))
+    rc = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: primary_cell must assign every")
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["solve", "GAP", "--budget", "-1"], "--budget"),
+    (["oracle-check", "--trials", "1", "--seed", "-1"], "--seed"),
+])
+def test_cli_rejects_negative_budget_and_seed(tmp_path, capsys, command,
+                                              flag):
+    argv = [_write_gap(tmp_path) if a == "GAP" else a for a in command]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 0, got -1\n"
 
 
 def test_cli_solve_accepts_integral_floats(tmp_path, capsys):

@@ -35,7 +35,6 @@ from mcms import (
     StreamSpec,
     derive_instance,
     generate_scenario,
-    run_subframe,
     run_sweep,
     sample_rates,
     solve_exact,
@@ -43,6 +42,7 @@ from mcms import (
     solve_sc_baseline,
 )
 from mcms.coverage import pack_users
+from mcms.harness import run_subframe
 from mcms.scenario import mean_snr
 from mcms.solvers import exact_search, greedy_batch, primary_words, sc_batch
 

@@ -1,0 +1,44 @@
+"""The README's code runs as written, and the results it states hold."""
+
+import re
+from pathlib import Path
+
+import mcms
+from mcms import solve_exact, solve_greedy
+from mcms.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+
+
+def _blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README, re.S)
+
+
+def test_python_blocks_run_and_state_true_results(capsys):
+    # the blocks run in order in one namespace, as in one session
+    namespace = {}
+    blocks = _blocks("python")
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].endswith(" unserved with coordination")
+    assert printed[1].endswith(" unserved without")
+    inst = namespace["inst"]
+    assert solve_greedy(inst).objective == 6
+    assert solve_exact(inst).objective == 7
+
+
+def test_instance_document_solves_as_stated(tmp_path, capsys):
+    (doc,) = _blocks("json")
+    path = tmp_path / "instance.json"
+    path.write_text(doc)
+    assert main(["solve", str(path)]) == 0
+    assert "greedy=6 alloc=1,0" in capsys.readouterr().out.splitlines()
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from mcms import *", namespace)  # AttributeError on a stale name
+    assert set(mcms.__all__) <= set(namespace)

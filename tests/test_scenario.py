@@ -7,18 +7,20 @@ import pytest
 
 from mcms import (
     ChannelParams,
-    RateRealization,
     Scenario,
     StreamSpec,
     derive_instance,
     generate_scenario,
+    sample_rates,
+    served,
+    solve_exact,
+)
+from mcms.scenario import (
+    RateRealization,
     hex_centers,
     in_hexagon,
     pathloss_db,
-    sample_rates,
-    scenario_to_dict,
     shannon_rate_bps,
-    solve_exact,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -278,15 +280,7 @@ def test_threshold_monotonicity_of_membership_and_objective(rng):
         for cell_lo, cell_hi in zip(lo.collections, hi.collections):
             for set_lo, set_hi in zip(cell_lo, cell_hi):
                 assert set_hi <= set_lo
-        assert solve_exact(hi).objective <= solve_exact(lo).objective
-
-
-def test_scenario_to_dict_shapes():
-    s = generate_scenario(7, 300.0, 5, 2)
-    doc = scenario_to_dict(s)
-    assert doc["radius"] == 300.0
-    assert len(doc["cell_centers"]) == 7
-    assert len(doc["user_positions"]) == 35
-    assert len(doc["primary_cell"]) == 35
-    assert doc["primary_cell"][0] == 0
-    assert all(isinstance(v, float) for pt in doc["user_positions"] for v in pt)
+        exact_lo, exact_hi = solve_exact(lo), solve_exact(hi)
+        assert exact_hi.objective <= exact_lo.objective
+        for inst, res in ((lo, exact_lo), (hi, exact_hi)):
+            assert res.objective == served(inst, res.alloc)[0].sum()

@@ -15,18 +15,14 @@ from mcms import (
     Allocation,
     CoverageInstance,
     EnumerationBudgetError,
-    MCPInstance,
-    Mode,
     greedy_bound,
-    mcp_greedy_bound,
-    objective,
-    random_instance,
+    served,
     solve_exact,
     solve_greedy,
-    solve_mcp_greedy,
     solve_sc_baseline,
-    validate_allocation,
 )
+from mcms.harness import random_instance
+from mcms.solvers import MCPInstance, mcp_greedy_bound, solve_mcp_greedy
 
 
 def reference_exact(inst):
@@ -105,8 +101,7 @@ def test_greedy_marginals_non_increasing_and_sum_to_objective(rng):
         assert len(marg) == inst.num_cells
         assert all(a >= b for a, b in zip(marg, marg[1:]))
         assert sum(marg) == res.objective
-        validate_allocation(inst, res.alloc)
-        assert res.objective == objective(inst, res.alloc, Mode.MC)
+        assert res.objective == served(inst, res.alloc)[0].sum()
 
 
 def test_greedy_tie_break_lowest_cell_then_lowest_prb():
@@ -168,7 +163,7 @@ def test_exact_matches_reference_enumeration(rng):
                                density=float(rng.uniform(0.1, 0.7)))
         ref_alloc, ref_best = reference_exact(inst)
         res = solve_exact(inst)
-        assert res.objective == ref_best
+        assert res.objective == ref_best == served(inst, res.alloc)[0].sum()
         assert res.alloc.chosen == ref_alloc
 
 
@@ -194,7 +189,7 @@ def test_sc_baseline_objective_is_sc_objective(gap_instance):
     res = solve_sc_baseline(gap_instance)
     assert res.alloc.chosen == (0, 0)
     assert res.objective == 4
-    assert res.objective == objective(gap_instance, res.alloc, Mode.SC)
+    assert res.objective == served(gap_instance, res.alloc)[1].sum()
 
 
 def test_sc_baseline_cannot_serve_user_covered_only_elsewhere():
@@ -206,7 +201,7 @@ def test_sc_baseline_cannot_serve_user_covered_only_elsewhere():
          for k in range(2)]
     ))
     for alloc in itertools.product(range(1), repeat=2):
-        assert objective(inst, Allocation(alloc), Mode.SC) <= 1
+        assert served(inst, Allocation(alloc))[1].sum() <= 1
 
 
 def test_sc_baseline_never_beats_exact_mc(rng):
@@ -223,7 +218,7 @@ def test_sc_baseline_is_optimal_for_sc(rng):
     for _ in range(25):
         inst = random_instance(rng, num_users=12, num_cells=3, num_prbs=3)
         best = max(
-            objective(inst, Allocation(a), Mode.SC)
+            served(inst, Allocation(a))[1].sum()
             for a in itertools.product(range(3), repeat=3)
         )
         assert solve_sc_baseline(inst).objective == best

@@ -16,9 +16,11 @@ built-in defaults.  A count that is not a whole number, a radius or
 rate that is not a finite positive number, a non-boolean
 ``deterministic_fading``, a negative ``solve --budget`` or an
 out-of-range ``oracle-check`` argument is an error with exit code 2,
-never coerced.  Sweep values come from ``--values`` as comma-separated
-numbers, or from the config file's ``values`` as such a string or a
-JSON list of numbers.
+never coerced; so is an ``--out`` or ``--dump-raw`` path that is a
+directory or whose directory does not exist, before any sampling.
+Sweep values come from ``--values`` as comma-separated numbers, or from
+the config file's ``values`` as such a string or a JSON list of
+numbers.
 """
 
 from __future__ import annotations
@@ -193,6 +195,16 @@ def _cmd_sweep(args, axis: str) -> int:
     config, out, values = _resolve(args, axis)
     if out is None:
         raise ValueError("--out is required (flag or config file)")
+    # Fail before sampling, not after a sweep that cannot be written.
+    for flag, path in (("--out", out), ("--dump-raw", args.dump_raw)):
+        if path is None:
+            continue
+        path = os.path.abspath(path)
+        if not os.path.isdir(os.path.dirname(path)):
+            raise ValueError(f"{flag} {path!r}: no such directory "
+                             f"{os.path.dirname(path)!r}")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path!r} is a directory")
     try:
         result = run_sweep(
             config,

@@ -176,6 +176,9 @@ class _FadingSeeds:
         return self.subframes
 
     def __getitem__(self, t: int) -> np.random.SeedSequence:
+        if not 0 <= t < self.subframes:
+            raise IndexError(f"sub-frame {t} out of range [0, "
+                             f"{self.subframes})")
         return np.random.SeedSequence(self.seed, spawn_key=(*self.key, t))
 
 
@@ -200,8 +203,10 @@ def run_sweep(
 
     ``values`` must be strictly increasing and defaults to
     DEFAULT_USER_SWEEP or DEFAULT_RADIUS_SWEEP.  With ``with_exact``
-    every sub-frame also gets the optimum (`exact_search`); it raises
-    EnumerationBudgetError before the first sample unless
+    every sub-frame also gets the optimum, certified where a 1-swap from
+    the greedy's or the SC allocation serves every user some set covers
+    and enumerated by `exact_search` elsewhere (see `unserved_counts`).
+    It raises EnumerationBudgetError before the first sample unless
     num_prbs ** num_cells stays within ``exact_budget``.  With
     ``collect_raw`` the per-sample counts are kept on the result so the
     reported means can be recomputed from them.  Every placement of

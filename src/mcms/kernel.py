@@ -18,9 +18,12 @@ words (numpy's generator fills and comparisons release the interpreter
 lock).  While the calling thread solves a finished batch with
 `greedy_batch` and `sc_batch`, the helpers go on drawing the next
 batches, of this placement and of the next ones.  With the EXACT
-column, `exact_search` finds the optimum of every sub-frame from the
-same coverage bits.  Results depend on neither the batch size, the slab
-size nor the number of threads.
+column, each sub-frame's optimum lies between a lower bound, a 1-swap
+local search (`swap_batch`) from the greedy's or the SC allocation, and
+an upper bound, the users some set covers.  Where the two meet, that is
+the optimum; `exact_search` enumerates only the other sub-frames.
+Either way EXACT is the optimum.  Results depend on neither the batch
+size, the slab size nor the number of threads.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .scenario import (
     mean_snr,
     shannon_rate_bps,
 )
-from .solvers import exact_search, greedy_batch, primary_words, sc_batch
+from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
+                      swap_batch)
 
 
 # Byte budget, per cell, of the packed coverage words of one batch of
@@ -269,10 +273,15 @@ def unserved_counts(
     one not yet taken, and pack each one's coverage straight into its
     batch's uint64 words.  The calling thread draws while the batch it
     waits for is not complete, then solves it alone with `greedy_batch`
-    (MC) and `sc_batch` (SC), and with ``with_exact`` each sub-frame,
-    unpacked, with `exact_search` (the caller checks that
-    ``num_prbs ** cells`` is within its enumeration budget); meanwhile
-    the helpers draw the next batches, of this placement and the next.
+    (MC) and `sc_batch` (SC).  With ``with_exact`` it also bounds each
+    sub-frame's optimum: ``upper``, the popcount of the OR of all its
+    words, and ``lower``, `swap_batch` from the greedy's allocation and,
+    where that is below ``upper``, from the SC allocation.  Since
+    ``lower <= optimum <= upper``, a sub-frame with ``lower == upper``
+    has the optimum ``upper``; every other one is unpacked and solved by
+    `exact_search` (the caller checks that ``num_prbs ** cells`` is
+    within its enumeration budget).  Meanwhile the helpers draw the next
+    batches, of this placement and the next.
     A helper's error is raised here.  Each sub-frame's result depends on
     its seed alone, so the counts do not depend on the batch size, the
     number of threads or which thread draws which sub-frame.  A stream
@@ -395,14 +404,27 @@ def unserved_counts(
                 done.snr = done.lo = done.hi = None
             words, num_users = batch.words, done.num_users
             counts = slice(batch.start, batch.stop)
-            done.mc[counts] = num_users - greedy_batch(words)[1]
-            done.sc[counts] = num_users - sc_batch(words, done.owners)[1]
+            mc_chosen, served, _ = greedy_batch(words)
+            done.mc[counts] = num_users - served
+            sc_chosen, served = sc_batch(words, done.owners)
+            done.sc[counts] = num_users - served
             if done.exact is not None:
-                for t, packed in enumerate(words, batch.start):
+                # lower <= optimum <= upper: the users some set covers,
+                # and 1-swaps from the greedy's allocation and, where
+                # that falls short of upper, from the SC allocation.
+                upper = np.bitwise_count(np.bitwise_or.reduce(
+                    words, axis=(1, 2))).sum(axis=-1, dtype=np.int64)
+                lower = swap_batch(words, mc_chosen)[1]
+                short = np.flatnonzero(lower < upper)
+                lower[short] = np.maximum(lower[short], swap_batch(
+                    words[short], sc_chosen[short])[1])
+                done.exact[counts] = num_users - upper
+                for t in np.flatnonzero(lower < upper):
                     member = np.unpackbits(
-                        packed.view(np.uint8), axis=-1, count=num_users,
+                        words[t].view(np.uint8), axis=-1, count=num_users,
                         bitorder="little").view(bool)
-                    done.exact[t] = num_users - exact_search(member)[1]
+                    done.exact[batch.start + t] = (
+                        num_users - exact_search(member)[1])
             free.append(batch.slot)
             open_batches()
             if batch.stop == done.subframes:

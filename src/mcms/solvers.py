@@ -10,7 +10,9 @@ cell 0 covers {0} or {1}, cell 1 covers {0} or nothing; the greedy takes
 {0} first and serves 1, the optimum serves 2.  `solve_exact` finds the
 optimum over all N^C allocations: `exact_search` drops the users whose
 service no allocation changes and enumerates the unions of the others
-as packed words.  `solve_sc_baseline` models cells that cannot
+as packed words.  `swap_batch` is a best-improvement 1-swap local
+search over a batch, whose result lies between its start and the
+optimum.  `solve_sc_baseline` models cells that cannot
 cooperate: each cell independently picks the PRB that covers the most
 of its own primary users.  `solve_mcp_greedy` is the classic greedy for
 budgeted maximum coverage over a flat list of sets, where the
@@ -108,6 +110,45 @@ def sc_batch(
     """
     counts = _popcount(words & owners[:, None, :])
     return counts.argmax(axis=2), counts.max(axis=2).sum(axis=1)
+
+
+def swap_batch(
+    words: np.ndarray, chosen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-improvement 1-swap local search on a batch of instances.
+
+    ``words`` is as for `greedy_batch` and ``chosen`` [batch, cells] the
+    starting PRB per cell.  Each pass ORs, per row and cell, the other
+    cells' chosen sets from prefix and suffix ORs, counts the union of
+    every (cell, PRB) move at once and applies each row's best move (the
+    first maximum, lowest cell then lowest PRB) if it serves more.
+    Passes stop when no row improves.  Returns ``(chosen, served)``: the
+    final PRB per cell [batch, cells] and its union coverage [batch], at
+    least the start's and at most the optimum; no single (cell, PRB)
+    change serves more.  A row's result depends on its own words and
+    start alone.
+    """
+    batch, num_cells, num_prbs, num_words = words.shape
+    chosen = np.array(chosen, dtype=np.intp)
+    served = np.zeros(batch, dtype=np.int64)
+    active, sub = np.arange(batch), words  # the rows the last pass improved
+    while active.size:
+        rows = np.arange(active.size)
+        # Cell-major [cells, rows, words]: the ORs run over whole rows.
+        picked = sub[rows, np.arange(num_cells)[:, None], chosen[active].T]
+        # before[c]: OR of the cells below c; after[c]: of c and above.
+        before = np.zeros((num_cells + 1, len(rows), num_words), np.uint64)
+        after = np.zeros_like(before)
+        np.bitwise_or.accumulate(picked, axis=0, out=before[1:])
+        np.bitwise_or.accumulate(picked[::-1], axis=0, out=after[-2::-1])
+        others = (before[:-1] | after[1:]).transpose(1, 0, 2)
+        served[active] = _popcount(before[-1])
+        moves = _popcount(sub | others[:, :, None, :]).reshape(len(rows), -1)
+        best = moves.argmax(axis=1)
+        better = moves[rows, best] > served[active]
+        active, sub = active[better], sub[better]
+        chosen[active, best[better] // num_prbs] = best[better] % num_prbs
+    return chosen, served
 
 
 def primary_words(primary_cell: np.ndarray, num_cells: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Experiment-harness and CLI tests."""
 
+import itertools
 import json
 import re
 import subprocess
@@ -564,6 +565,44 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fading_seeds_are_bounded_to_the_placement():
+    seeds = harness._FadingSeeds(7, 1, 2, 3)
+    # Iteration stops at the first IndexError; islice bounds the check.
+    listed = list(itertools.islice(seeds, 4))
+    assert [s.spawn_key for s in listed] == [(1, 2, 1, t) for t in range(3)]
+    for t in (3, -1, 100):
+        with pytest.raises(IndexError):
+            seeds[t]
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--out", "{missing}/x.csv"], None, "--out"),
+    (["--out", "{tmp}"], None, "--out"),
+    (["--out", "{tmp}/x.csv", "--dump-raw", "{missing}/raw.csv"], None,
+     "--dump-raw"),
+    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}"], None, "--dump-raw"),
+    ([], {"out": "{missing}/x.csv"}, "--out"),
+])
+def test_cli_rejects_unwritable_outputs_before_sampling(
+        tmp_path, capsys, monkeypatch, flags, config, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the kernel was entered")
+
+    monkeypatch.setattr(harness, "unserved_counts", no_sampling)
+    paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "dir")}
+    argv = ["sweep-users", "--trials", "2", "--subframes", "50"]
+    argv += [flag.format(**paths) for flag in flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {k: v.format(**paths) for k, v in config.items()}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} ")
+    assert list(tmp_path.iterdir()) in ([], [tmp_path / "cfg.json"])
 
 
 def test_cli_requires_out(capsys):

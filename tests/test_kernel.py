@@ -9,7 +9,9 @@ drawing threads, check that the thread pool survives a fork, that a
 helper's error (also one drawing ahead) reaches the caller and leaves
 the next sweep unharmed, and that fading seeds are built as they are
 drawn, and hold the packed solvers to the boolean-tensor and big-int
-solvers they replaced.
+solvers they replaced, the 1-swap local search to its local optimum,
+and the EXACT column, certified by its bounds or enumerated, to the
+optimum.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ from mcms import (
     ChannelParams,
     CoverageInstance,
     ExperimentConfig,
+    Scenario,
     StreamSpec,
     derive_instance,
     generate_scenario,
@@ -44,7 +47,8 @@ from mcms import (
 from mcms.coverage import pack_users
 from mcms.harness import run_subframe
 from mcms.scenario import mean_snr
-from mcms.solvers import exact_search, greedy_batch, primary_words, sc_batch
+from mcms.solvers import (exact_search, greedy_batch, primary_words,
+                          sc_batch, swap_batch)
 
 # With one cell and one PRB every link decides whether its user is
 # served, so a single misjudged link changes the unserved counts.
@@ -605,6 +609,130 @@ def test_packed_solvers_match_tensor_solvers(batch):
         assert (tuple(sc_chosen[0].tolist()), int(sc_served[0])) == want
         res = solve_sc_baseline(inst)
         assert (res.alloc.chosen, res.objective) == want
+
+
+def union_of(member, chosen):
+    """Users served by allocation ``chosen`` of a boolean [cells, prbs,
+    users] tensor."""
+    return int(np.count_nonzero(
+        member[np.arange(len(chosen)), list(chosen)].any(axis=0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=instance_batches(), seed=st.integers(0, 2**32 - 1))
+def test_swap_batch_is_a_local_optimum_between_start_and_optimum(batch,
+                                                                  seed):
+    members = np.stack([inst.membership_matrix() for inst in batch])
+    cells, prbs = members.shape[1:3]
+    start = np.random.default_rng(seed).integers(0, prbs, (len(batch), cells))
+    words = pack_users(members)
+    chosen, served = swap_batch(words, start)
+    for k, inst in enumerate(batch):
+        member = members[k]
+        assert served[k] == union_of(member, chosen[k])
+        assert union_of(member, start[k]) <= served[k]
+        assert served[k] <= bigint_exact(inst)[1]
+        for c, j in itertools.product(range(cells), range(prbs)):
+            move = chosen[k].copy()
+            move[c] = j
+            assert union_of(member, move) <= served[k], (c, j)
+        # The same row alone, and in reversed order among the others.
+        alone = swap_batch(words[k:k + 1], start[k:k + 1])
+        assert (alone[0][0].tolist(), alone[1][0]) == (chosen[k].tolist(),
+                                                       served[k])
+    flipped = swap_batch(words[::-1], start[::-1])
+    assert flipped[0][::-1].tolist() == chosen.tolist()
+    assert flipped[1][::-1].tolist() == served.tolist()
+
+
+def opt_below_union(cells, prbs, users):
+    """Cell 0 covers user 0 or user 1, every other set is empty: the
+    users some set covers are 2, the optimum serves 1."""
+    member = np.zeros((cells, prbs, users), dtype=bool)
+    member[0, 0, 0] = member[0, 1, 1] = True
+    return CoverageInstance.from_membership(member, np.zeros(users, int))
+
+
+def instance_placement(batch):
+    """A placement whose sub-frame t has the coverage of ``batch[t]``:
+    a scenario of the batch's shape (every cell at the origin, every
+    user a metre away) and the sub-frame indices as fading seeds."""
+    cells, _, users = batch[0].membership_matrix().shape
+    scenario = Scenario(radius=300.0, cell_centers=np.zeros((cells, 2)),
+                        user_positions=np.tile([1.0, 0.0], (users, 1)),
+                        primary_cell=batch[0].primary_cell)
+    return scenario, range(len(batch))
+
+
+@contextlib.contextmanager
+def counted_searches():
+    """Count the kernel's `exact_search` calls: yields the list that
+    gets one entry per call."""
+    calls = []
+    real_search = kernel.exact_search
+
+    def counted(member):
+        calls.append(member.shape)
+        return real_search(member)
+
+    with mock.patch.object(kernel, "exact_search", counted):
+        yield calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=instance_batches())
+def test_kernel_exact_is_the_optimum_certified_or_enumerated(batch):
+    # Every placement mixes a row the bounds certify (no coverage: both
+    # bounds are 0) with, where the shape allows one, a row whose optimum
+    # is below the union bound, which only enumeration can settle.
+    cells, prbs, users = batch[0].membership_matrix().shape
+    batch = batch + [CoverageInstance.from_membership(
+        np.zeros((cells, prbs, users), dtype=bool), np.zeros(users, int))]
+    if prbs > 1 and users > 1:
+        batch.append(opt_below_union(cells, prbs, users))
+    words = pack_users(np.stack([inst.membership_matrix() for inst in batch]))
+    want = [users - bigint_exact(inst)[1] for inst in batch]
+
+    def draw(place, t, out, *args):
+        out[...] = words[place.seeds[t]]
+
+    per_cell = prbs * -(-users // 64) * 8
+    for workers, budget in itertools.product(
+            (1, 2), (per_cell, 3 * per_cell, 1 << 62)):
+        with worker_threads(workers), \
+                mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget), \
+                mock.patch.object(kernel, "_draw", draw), \
+                counted_searches() as calls:
+            _, _, exact = next(kernel.unserved_counts(
+                [instance_placement(batch)], ChannelParams(), StreamSpec(),
+                prbs, with_exact=True))
+        assert exact.tolist() == want
+        assert len(calls) < len(batch)
+        if prbs > 1 and users > 1:
+            assert calls
+
+
+def test_sweep_enumerates_only_what_the_bounds_leave_open():
+    # The exact column of a seeded sweep: the bounds must settle two
+    # thirds of the sub-frames (they settle 46 of 60; the greedy's start
+    # alone settles 30), and enumerating every one gives the same column.
+    config = ExperimentConfig(trials=2, subframes=10, seed=1)
+    with counted_searches() as calls:
+        got = run_sweep(config, "users", values=(100, 175, 250),
+                        with_exact=True, collect_raw=True)
+    assert 0 < len(calls) <= len(got.raw) // 3, len(calls)
+    real_swap = kernel.swap_batch
+
+    def no_lower_bound(words, chosen):
+        found, served = real_swap(words, chosen)
+        return found, np.zeros_like(served)
+
+    with mock.patch.object(kernel, "swap_batch", no_lower_bound), \
+            counted_searches() as calls:
+        enumerated = run_sweep(config, "users", values=(100, 175, 250),
+                               with_exact=True, collect_raw=True)
+    assert len(calls) == len(got.raw)
+    assert enumerated == got
 
 
 def exact_caps(num_cells, num_prbs, num_words):

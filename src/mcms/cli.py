@@ -46,6 +46,7 @@ from .harness import (
 )
 from .scenario import ChannelParams
 from .solvers import (
+    EXACT_BUDGET,
     EnumerationBudgetError,
     greedy_bound,
     solve_exact,
@@ -149,7 +150,8 @@ def _add_sweep_flags(p: argparse.ArgumentParser, axis: str) -> None:
         p.add_argument("--users-per-cell", type=int, dest="users_per_cell",
                        help="fixed users per cell (default 175)")
     p.add_argument("--exact", action="store_true",
-                   help="also run the brute-force optimum (adds EXACT column)")
+                   help="also report the optimum, certified by bounds or "
+                        "enumerated (adds EXACT column)")
     p.add_argument("--deterministic-fading", action="store_true",
                    help="disable fading; use mean SNR only")
     p.add_argument("--dump-raw", metavar="PATH",
@@ -322,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="path to instance JSON")
     p.add_argument("--skip-exact", action="store_true",
                    help="report only greedy and SC results")
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=int, default=EXACT_BUDGET,
                    help="max allocations the exact solver may enumerate")
     p.set_defaults(func=_cmd_solve)
 

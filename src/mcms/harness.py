@@ -17,7 +17,7 @@ depend on execution order.
 Every sample goes through one Monte Carlo kernel,
 `mcms.kernel.unserved_counts`: `run_sweep` hands it all placements of
 all points as one stream and reads back each placement's unserved
-counts, and `run_subframe` is the kernel on one sub-frame.
+counts.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ from .coverage import CoverageInstance, InstanceError, whole_number
 from .scenario import (
     ChannelParams,
     DEFAULT_STREAM_RATE_BPS,
-    Scenario,
     StreamSpec,
     derive_instance,
     generate_scenario,
     sample_rates,
 )
 from .solvers import (
+    EXACT_BUDGET,
     EnumerationBudgetError,
     solve_exact,
     solve_greedy,
@@ -142,28 +142,6 @@ class SweepResult:
     raw: tuple[RawSample, ...] = ()
 
 
-def run_subframe(
-    scenario: Scenario,
-    params: ChannelParams,
-    stream: StreamSpec,
-    subframe: int,
-    rng,
-    num_prbs: int = 4,
-) -> tuple[int, int]:
-    """Sample one sub-frame and count unserved users (MC greedy, SC).
-
-    Draws the fading of one sub-frame from ``rng`` and counts the users
-    the greedy cross-cell solver (MC) and the per-cell baseline (SC)
-    leave unserved: the sweep kernel run on one sub-frame, in the
-    calling thread.  The counts equal those of `sample_rates` with the
-    same ``rng``, then `derive_instance`, `solve_greedy` and
-    `solve_sc_baseline`.  ``subframe`` only labels the draw.
-    """
-    mc, sc, _ = next(unserved_counts([(scenario, [rng])], params, stream,
-                                      num_prbs))
-    return int(mc[0]), int(sc[0])
-
-
 class _FadingSeeds:
     """The fading seeds of the sub-frames of placement (point, trial) of
     a sweep, each built when its sub-frame is drawn."""
@@ -184,7 +162,8 @@ class _FadingSeeds:
 
 def _point_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis == "users":
-        return dataclasses.replace(config, users_per_cell=int(value))
+        return dataclasses.replace(
+            config, users_per_cell=whole_number(value, "users_per_cell"))
     if axis == "radius":
         return dataclasses.replace(config, radius_m=float(value))
     raise ValueError(f"axis must be 'users' or 'radius', got {axis!r}")
@@ -195,7 +174,6 @@ def run_sweep(
     axis: str,
     values: Sequence[float] | None = None,
     with_exact: bool = False,
-    exact_budget: int = 10_000_000,
     collect_raw: bool = False,
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
@@ -207,7 +185,7 @@ def run_sweep(
     the greedy's or the SC allocation serves every user some set covers
     and enumerated by `exact_search` elsewhere (see `unserved_counts`).
     It raises EnumerationBudgetError before the first sample unless
-    num_prbs ** num_cells stays within ``exact_budget``.  With
+    num_prbs ** num_cells stays within EXACT_BUDGET.  With
     ``collect_raw`` the per-sample counts are kept on the result so the
     reported means can be recomputed from them.  Every placement of
     every point goes through one run of the kernel, `unserved_counts`.
@@ -219,9 +197,9 @@ def run_sweep(
         raise ValueError("need at least one sweep value")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"sweep values must be strictly increasing: {values}")
-    if with_exact and config.num_prbs ** config.num_cells > exact_budget:
+    if with_exact and config.num_prbs ** config.num_cells > EXACT_BUDGET:
         raise EnumerationBudgetError(config.num_prbs ** config.num_cells,
-                                     exact_budget)
+                                     EXACT_BUDGET)
     point_configs = [_point_config(config, axis, value) for value in values]
 
     def placements():
@@ -303,23 +281,17 @@ def _fmt_value(x: float) -> str:
     return _fmt_float(x)
 
 
-def write_csv(result: SweepResult, path, axis: str | None = None) -> None:
+def write_csv(result: SweepResult, path) -> None:
     """Write the sweep means as CSV: one row per swept value.
 
     Header is ``users,SC,MC`` or ``radius,SC,MC`` depending on the
-    axis, plus ``,EXACT`` when the sweep ran the brute-force solver.
-    ``axis`` defaults to the axis the sweep ran over.
+    sweep's axis, plus ``,EXACT`` when the sweep also reported the
+    optimum, certified by bounds or enumerated.
     """
     if not result.points:
         raise ValueError("sweep result has no points")
-    if axis is None:
-        axis = result.axis
-    elif axis != result.axis:
-        raise ValueError(
-            f"axis {axis!r} does not match the sweep axis {result.axis!r}"
-        )
     with_exact = result.points[0].unserved_exact is not None
-    header = f"{axis},SC,MC"
+    header = f"{result.axis},SC,MC"
     if with_exact:
         header += ",EXACT"
     lines = [header]

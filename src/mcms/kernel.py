@@ -1,14 +1,13 @@
 """The Monte Carlo kernel: unserved users of a stream of placements.
 
-`unserved_counts` runs every sample of `mcms.harness.run_sweep` and
-`mcms.harness.run_subframe`.  It takes the whole sweep as one stream of
-placements and yields each placement's unserved counts in order.  The
-mean SNR of every link and a per-link fading-gain threshold are
-computed once per placement.  Each sub-frame then draws its gains, a
-slab of whole cells at a time, and compares them with the threshold,
-with no log per link.  Gains within a narrow guard band of the
-threshold get their rate computed, so coverage is exactly that of
-`sample_rates` followed by `derive_instance`.
+`unserved_counts` runs every sample of `mcms.harness.run_sweep`.  It
+takes the whole sweep as one stream of placements and yields each
+placement's unserved counts in order.  The mean SNR of every link and a
+per-link fading-gain threshold are computed once per placement.  Each
+sub-frame then draws its gains, a slab of whole cells at a time, and
+compares them with the threshold, with no log per link.  Gains within a
+narrow guard band of the threshold get their rate computed, so coverage
+is exactly that of `sample_rates` followed by `derive_instance`.
 
 Sub-frames go in batches capped by a fixed byte budget, into a small
 ring of reused word buffers.  One thread per available CPU, the calling
@@ -285,7 +284,7 @@ def unserved_counts(
     A helper's error is raised here.  Each sub-frame's result depends on
     its seed alone, so the counts do not depend on the batch size, the
     number of threads or which thread draws which sub-frame.  A stream
-    of one sub-frame, as in `run_subframe`, never starts the pool.
+    of one sub-frame never starts the pool.
     Helpers stop when the stream ends, on an error, or when the
     generator is closed.
 

@@ -82,10 +82,11 @@ class ChannelParams:
     def __post_init__(self):
         if self.fading not in ("rayleigh", "none"):
             raise ValueError(f"unknown fading mode {self.fading!r}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
-        if self.min_distance_m <= 0:
-            raise ValueError("min_distance_m must be > 0")
+        for name in ("bandwidth_hz", "min_distance_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):  # nan fails both
+                raise ValueError(
+                    f"{name} must be a finite number > 0, got {value!r}")
 
     @property
     def noise_power_dbm(self) -> float:

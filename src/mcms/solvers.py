@@ -1,4 +1,4 @@
-"""Solvers for one-PRB-per-cell coverage and plain maximum coverage.
+"""Solvers for one-PRB-per-cell coverage.
 
 `solve_greedy` is the cross-cell greedy: each step scans every
 (cell, PRB) pair of the cells not yet assigned and commits the pair
@@ -14,20 +14,19 @@ as packed words.  `swap_batch` is a best-improvement 1-swap local
 search over a batch, whose result lies between its start and the
 optimum.  `solve_sc_baseline` models cells that cannot
 cooperate: each cell independently picks the PRB that covers the most
-of its own primary users.  `solve_mcp_greedy` is the classic greedy for
-budgeted maximum coverage over a flat list of sets, where the
-cardinality constraint gives it the (1 - 1/e) guarantee of
-``mcp_greedy_bound``.
+of its own primary users.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coverage import Allocation, CoverageInstance, pack_users
+
+# Most allocations (N^C) an exact search may enumerate unless told more.
+EXACT_BUDGET = 10_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -56,13 +55,6 @@ def greedy_bound(opt: int) -> int:
     the optimum is ``opt``: ceil(opt / 2), the greedy's bound under a
     partition matroid."""
     return -(-opt // 2)
-
-
-def mcp_greedy_bound(opt: int) -> int:
-    """Smallest coverage `solve_mcp_greedy` is guaranteed to reach when
-    the optimum is ``opt``: ceil((1 - 1/e) * opt), with a small slack so
-    the ceiling never rounds up on floating-point dust."""
-    return math.ceil((1.0 - 1.0 / math.e) * opt - 1e-9)
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -272,7 +264,7 @@ def exact_search(member: np.ndarray) -> tuple[tuple[int, ...], int]:
 
 
 def solve_exact(
-    instance: CoverageInstance, budget: int = 10_000_000
+    instance: CoverageInstance, budget: int = EXACT_BUDGET
 ) -> SolveResult:
     """Optimal allocation by exhaustive search over all N^C allocations.
 
@@ -302,56 +294,3 @@ def solve_sc_baseline(instance: CoverageInstance) -> SolveResult:
     )
     return SolveResult(alloc=Allocation(tuple(chosen[0].tolist())),
                        objective=int(served[0]))
-
-
-@dataclass(frozen=True)
-class MCPInstance:
-    """Budgeted maximum coverage: pick at most ``budget`` of the sets."""
-
-    universe: frozenset[int]
-    sets: tuple[frozenset[int], ...]
-    budget: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "universe", frozenset(self.universe))
-        object.__setattr__(
-            self, "sets", tuple(frozenset(s) for s in self.sets)
-        )
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
-        for i, s in enumerate(self.sets):
-            if not s <= self.universe:
-                raise ValueError(f"set {i} is not a subset of the universe")
-
-
-@dataclass(frozen=True)
-class MCPResult:
-    chosen: tuple[int, ...]
-    covered: frozenset[int]
-
-    @property
-    def covered_count(self) -> int:
-        return len(self.covered)
-
-
-def solve_mcp_greedy(instance: MCPInstance) -> MCPResult:
-    """Greedy maximum coverage: repeatedly take the set adding the most
-    uncovered elements, stopping early once no set adds anything.  Ties
-    go to the lowest set index.  Guarantees a (1 - 1/e) fraction of the
-    optimal coverage (`mcp_greedy_bound`)."""
-    covered: set[int] = set()
-    chosen: list[int] = []
-    picks = min(instance.budget, len(instance.sets))
-    for _ in range(picks):
-        best_gain = 0
-        best_idx = -1
-        for i, s in enumerate(instance.sets):
-            gain = len(s - covered)
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = i
-        if best_idx < 0:
-            break
-        chosen.append(best_idx)
-        covered |= instance.sets[best_idx]
-    return MCPResult(chosen=tuple(chosen), covered=frozenset(covered))

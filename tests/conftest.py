@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcms import CoverageInstance
+from mcms.kernel import unserved_counts
 
 
 def make_gap_instance() -> CoverageInstance:
@@ -19,6 +20,14 @@ def make_gap_instance() -> CoverageInstance:
         ],
         primary_cell=[0] * 7,
     )
+
+
+def run_subframe(scenario, params, stream, rng, num_prbs=4):
+    """Unserved (MC, SC) counts of one sub-frame drawn from ``rng``: the
+    sweep kernel on a stream of one placement with one sub-frame."""
+    mc, sc, _ = next(unserved_counts([(scenario, [rng])], params, stream,
+                                     num_prbs))
+    return int(mc[0]), int(sc[0])
 
 
 @pytest.fixture

@@ -25,10 +25,8 @@ from mcms import (
     solve_greedy,
 )
 from mcms.harness import random_instance
-from mcms.solvers import MCPInstance, mcp_greedy_bound, solve_mcp_greedy
 
 from conftest import make_gap_instance
-from test_solvers import reference_mcp_optimum
 
 
 def test_greedy_approximation_bound_holds_everywhere():
@@ -57,30 +55,6 @@ def test_greedy_approximation_bound_holds_everywhere():
     assert elapsed < 10.0
     print(f"\nPASS: greedy within 1/2 of optimum on {n}/{n} "
           f"random instances in {elapsed:.1f}s")
-
-
-def test_mcp_greedy_approximation_bound():
-    rng = np.random.default_rng(77)
-    n = 500
-    violations = 0
-    for _ in range(n):
-        universe = frozenset(range(int(rng.integers(1, 16))))
-        sets = tuple(
-            frozenset(int(e) for e in rng.choice(
-                sorted(universe),
-                size=rng.integers(0, len(universe) + 1),
-                replace=False,
-            ))
-            for _ in range(int(rng.integers(1, 9)))
-        )
-        mcp = MCPInstance(universe, sets, budget=int(rng.integers(1, 4)))
-        got = solve_mcp_greedy(mcp).covered_count
-        opt = reference_mcp_optimum(mcp)
-        if not (opt >= got >= mcp_greedy_bound(opt)):
-            violations += 1
-    assert violations == 0
-    print(f"\nPASS: budgeted-coverage greedy met the (1-1/e) bound on "
-          f"{n}/{n} instances")
 
 
 def test_known_gap_instance_exact_values():

@@ -31,7 +31,9 @@ from mcms import (
     write_raw_csv,
 )
 from mcms.cli import main
-from mcms.harness import SweepPoint, random_instance, run_subframe
+from mcms.harness import SweepPoint, random_instance
+
+from conftest import run_subframe
 
 TINY = ExperimentConfig(trials=2, subframes=4, users_per_cell=20, seed=3)
 
@@ -82,9 +84,9 @@ def test_run_subframe_extremes():
     scenario = generate_scenario(7, 300.0, 10, 5)
     params = ChannelParams()
     m = scenario.num_users
-    mc, sc = run_subframe(scenario, params, StreamSpec(rate_bps=1e15), 0, 5)
+    mc, sc = run_subframe(scenario, params, StreamSpec(rate_bps=1e15), 5)
     assert (mc, sc) == (m, m)
-    mc, sc = run_subframe(scenario, params, StreamSpec(rate_bps=1e-9), 0, 5)
+    mc, sc = run_subframe(scenario, params, StreamSpec(rate_bps=1e-9), 5)
     assert (mc, sc) == (0, 0)
 
 
@@ -97,7 +99,7 @@ def test_run_subframe_matches_solver_objectives():
     rng = np.random.default_rng(9)
     real = sample_rates(scenario, params, 0, rng, num_prbs=4)
     inst = derive_instance(scenario, real, stream)
-    mc, sc = run_subframe(scenario, params, stream, 0,
+    mc, sc = run_subframe(scenario, params, stream,
                           np.random.default_rng(9))
     m = inst.num_users
     g = solve_greedy(inst)
@@ -130,6 +132,16 @@ def test_run_sweep_rejects_bad_values():
         run_sweep(TINY, "radius", values=(200, 200))
     with pytest.raises(ValueError, match="at least one"):
         run_sweep(TINY, "users", values=())
+
+
+def test_run_sweep_rejects_fractional_users_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the values")
+
+    monkeypatch.setattr(harness, "unserved_counts", no_sampling)
+    config = ExperimentConfig(trials=1, subframes=2)
+    with pytest.raises(ValueError, match="users_per_cell.*20.7"):
+        run_sweep(config, "users", values=[20.7, 30])
 
 
 def test_run_sweep_radius_axis():
@@ -175,19 +187,16 @@ def test_write_csv_headers_and_rows(tmp_path):
 
     rres = run_sweep(TINY, "radius", values=(250, 300))
     rout = tmp_path / "radius.csv"
-    write_csv(rres, rout, axis="radius")
+    write_csv(rres, rout)
     assert rout.read_text().splitlines()[0] == "radius,SC,MC"
 
 
-def test_write_csv_rejects_empty_and_axis_mismatch(tmp_path):
-    res = run_sweep(TINY, "users", values=(20,))
+def test_write_csv_rejects_empty_result(tmp_path):
     empty = SweepResult(axis="users", config=TINY, points=())
     target = tmp_path / "nope.csv"
     with pytest.raises(ValueError):
         write_csv(empty, target)
     assert not target.exists()
-    with pytest.raises(ValueError, match="axis"):
-        write_csv(res, target, axis="radius")
 
 
 def test_csv_numbers_stay_plain_decimal(tmp_path):

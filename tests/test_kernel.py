@@ -45,10 +45,11 @@ from mcms import (
     solve_sc_baseline,
 )
 from mcms.coverage import pack_users
-from mcms.harness import run_subframe
 from mcms.scenario import mean_snr
 from mcms.solvers import (exact_search, greedy_batch, primary_words,
                           sc_batch, swap_batch)
+
+from conftest import run_subframe
 
 # With one cell and one PRB every link decides whether its user is
 # served, so a single misjudged link changes the unserved counts.
@@ -148,7 +149,7 @@ def check_sweep_at_realized_rates(boundary, with_subframe=True):
                                    config.num_prbs)
             assert (sample.unserved_mc, sample.unserved_sc) == want, rate
             if with_subframe:
-                got = run_subframe(scenario, params, stream, sample.subframe,
+                got = run_subframe(scenario, params, stream,
                                    np.random.default_rng(fading),
                                    config.num_prbs)
                 assert got == want, rate
@@ -203,7 +204,7 @@ def test_kernel_matches_pipeline_without_fading():
     for snr_value in np.quantile(snr, [0.2, 0.5, 0.8]):
         rate = float(params.bandwidth_hz * np.log2(1.0 + snr_value))
         stream = StreamSpec(rate_bps=rate)
-        assert (run_subframe(scenario, params, stream, 0, 0)
+        assert (run_subframe(scenario, params, stream, 0)
                 == pipeline_counts(scenario, params, stream, 0, 4))
 
 
@@ -442,7 +443,7 @@ def test_one_thread_or_one_subframe_starts_no_pool():
         assert kernel._pool is None
     scenario = generate_scenario(7, 300.0, 20, 5)
     with worker_threads(2):
-        got = run_subframe(scenario, ChannelParams(), StreamSpec(), 0, 3)
+        got = run_subframe(scenario, ChannelParams(), StreamSpec(), 3)
         assert kernel._pool is None
         assert run_sweep(config, "users", values=(20, 30),
                          collect_raw=True) == one_thread

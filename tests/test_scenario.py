@@ -177,6 +177,13 @@ def test_channel_params_validation():
         ChannelParams(min_distance_m=0.0)
 
 
+@pytest.mark.parametrize("field", ["bandwidth_hz", "min_distance_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_channel_params_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        ChannelParams(**{field: value})
+
+
 def test_shannon_rate_zero_snr_is_zero():
     assert shannon_rate_bps(0.0, 180e3) == 0.0
 

@@ -6,6 +6,7 @@ cannot hide in its own oracle.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from mcms import (
     solve_sc_baseline,
 )
 from mcms.harness import random_instance
-from mcms.solvers import MCPInstance, mcp_greedy_bound, solve_mcp_greedy
 
 
 def reference_exact(inst):
@@ -38,18 +38,6 @@ def reference_exact(inst):
             best = len(covered)
             best_alloc = combo
     return best_alloc, best
-
-
-def reference_mcp_optimum(mcp):
-    """Best coverage over all subsets of at most ``budget`` sets."""
-    best = 0
-    for k in range(min(mcp.budget, len(mcp.sets)) + 1):
-        for combo in itertools.combinations(range(len(mcp.sets)), k):
-            covered = set()
-            for i in combo:
-                covered |= mcp.sets[i]
-            best = max(best, len(covered))
-    return best
 
 
 # greedy
@@ -236,13 +224,6 @@ def test_greedy_bound_values():
     assert greedy_bound(100) == 50
 
 
-def test_mcp_greedy_bound_values():
-    assert mcp_greedy_bound(0) == 0
-    assert mcp_greedy_bound(1) == 1
-    assert mcp_greedy_bound(7) == 5
-    assert mcp_greedy_bound(100) == 64
-
-
 def half_gap_instance(block, extra_cells=0):
     """The greedy serves exactly half of the optimum.
 
@@ -269,7 +250,8 @@ def test_greedy_is_only_a_half_approximation(block, extra_cells):
     assert exact.alloc.chosen[:2] == (1, 0)
     assert greedy.objective == greedy_bound(exact.objective)
     # the (1 - 1/e) claim this family refutes
-    assert greedy.objective < mcp_greedy_bound(exact.objective)
+    assert greedy.objective < math.ceil(
+        (1 - 1 / math.e) * exact.objective - 1e-9)
 
 
 def test_greedy_meets_bound_on_random_instances(rng):
@@ -282,60 +264,3 @@ def test_greedy_meets_bound_on_random_instances(rng):
         g = solve_greedy(inst).objective
         opt = solve_exact(inst).objective
         assert opt >= g >= greedy_bound(opt)
-
-
-# MCP greedy
-
-
-def test_mcp_picks_argmax_set():
-    mcp = MCPInstance(frozenset(range(4)),
-                      ({0, 1}, {2}, {3}, {0, 2, 3}), budget=1)
-    res = solve_mcp_greedy(mcp)
-    assert res.chosen == (3,)
-    assert res.covered == {0, 2, 3}
-    assert res.covered_count == 3
-
-
-def test_mcp_budget_slack_covers_union():
-    sets = ({0, 1}, {2}, {5}, {1, 2})
-    mcp = MCPInstance(frozenset(range(6)), sets, budget=10)
-    res = solve_mcp_greedy(mcp)
-    assert res.covered == {0, 1, 2, 5}
-
-
-def test_mcp_stops_early_on_zero_gain():
-    mcp = MCPInstance(frozenset(range(2)),
-                      ({0, 1}, {0}, {1}, frozenset()), budget=4)
-    res = solve_mcp_greedy(mcp)
-    assert res.chosen == (0,)
-
-
-def test_mcp_zero_budget():
-    mcp = MCPInstance(frozenset({0}), ({0},), budget=0)
-    res = solve_mcp_greedy(mcp)
-    assert res.chosen == ()
-    assert res.covered_count == 0
-
-
-def test_mcp_rejects_sets_outside_universe():
-    with pytest.raises(ValueError, match="subset"):
-        MCPInstance(frozenset({0, 1}), ({0, 2},), budget=1)
-    with pytest.raises(ValueError, match="budget"):
-        MCPInstance(frozenset({0}), ({0},), budget=-1)
-
-
-def test_mcp_greedy_meets_bound(rng):
-    for _ in range(100):
-        universe = frozenset(range(int(rng.integers(1, 16))))
-        n_sets = int(rng.integers(1, 9))
-        sets = tuple(
-            frozenset(int(e) for e in rng.choice(sorted(universe),
-                                                 size=rng.integers(0, len(universe) + 1),
-                                                 replace=False))
-            for _ in range(n_sets)
-        )
-        k = int(rng.integers(1, 4))
-        mcp = MCPInstance(universe, sets, budget=k)
-        got = solve_mcp_greedy(mcp).covered_count
-        opt = reference_mcp_optimum(mcp)
-        assert opt >= got >= mcp_greedy_bound(opt)

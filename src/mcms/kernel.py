@@ -9,27 +9,30 @@ compares them with the threshold, with no log per link.  Gains within a
 narrow guard band of the threshold get their rate computed, so coverage
 is exactly that of `sample_rates` followed by `derive_instance`.
 
-Sub-frames go in batches capped by a fixed byte budget, into a small
-ring of reused word buffers.  One thread per available CPU, the calling
-thread and helpers from a pool, draws and thresholds sub-frames, each
-taking the next one left, and packs each one's coverage into uint64
-words (numpy's generator fills and comparisons release the interpreter
-lock).  While the calling thread solves a finished batch with
-`greedy_batch` and `sc_batch`, the helpers go on drawing the next
-batches, of this placement and of the next ones.  With the EXACT
-column, each sub-frame's optimum lies between a lower bound, a 1-swap
-local search (`swap_batch`) from the greedy's or the SC allocation, and
-an upper bound, the users some set covers.  Where the two meet, that is
-the optimum; `exact_search` enumerates only the other sub-frames.
-Either way EXACT is the optimum.  Results depend on neither the batch
-size, the slab size nor the number of threads.
+Sub-frames go in batches capped by a fixed byte budget, each with its
+own packed uint64 words and a queue of its sub-frame indices.  The
+calling thread and helper tasks on a shared pool, one thread per
+available CPU, take indices from the queue and draw, threshold and pack
+those sub-frames (numpy's generator fills and comparisons release the
+interpreter lock); the calling thread draws ahead from the next batch
+while the helpers finish.  It then solves the batch with `greedy_batch`
+and `sc_batch` while the helpers draw the next batches, of this
+placement and of the next ones.  With the EXACT column, each
+sub-frame's optimum lies between a lower bound, a 1-swap local search
+(`swap_batch`) from the greedy's or the SC allocation, and an upper
+bound, the users some set covers.  Where the two meet, that is the
+optimum; `exact_search` enumerates only the other sub-frames.  Either
+way EXACT is the optimum.  Results depend on neither the batch size,
+the slab size nor the number of threads.
 """
 
 from __future__ import annotations
 
 import collections
-import math
+import contextlib
+import itertools
 import os
+import queue
 import threading
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -52,8 +55,8 @@ from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
 # whole batch: one budget for all cells would give 19-cell batches of a
 # few sub-frames, each batch paying for 19 steps.
 _BATCH_CELL_BYTES = 16 << 10
-# Batches whose words the kernel holds at once: the one the calling
-# thread solves and the ones drawn ahead of it.
+# Batches open at once: the one the calling thread solves and the ones
+# drawn ahead of it.
 _RING = 2
 # Byte budget of one thread's fading gains: a sub-frame is drawn a slab
 # of whole cells at a time, at least one cell.
@@ -152,62 +155,19 @@ class _Placement:
         self.word_shape = (num_cells, num_prbs, -(-self.num_users // 64))
         self.slab = max(1, min(num_cells, _SLAB_BYTES
                                // max(num_prbs * self.num_users * 8, 1)))
-        self.opened = 0  # sub-frames already put in a batch
         self.mc = np.empty(self.subframes, dtype=np.int64)
         self.sc = np.empty_like(self.mc)
         self.exact = np.empty_like(self.mc) if with_exact else None
 
 
-class _DrawBuffers:
-    """One drawing thread's buffers for a slab of cells: fading gains,
-    the band mask, and coverage bits padded to whole words with zeros.
-    The calling thread allocates them once per kernel call, for
-    _SLAB_BYTES of gains; a placement whose slab needs more (one cell
-    above the budget) grows them."""
-
-    def __init__(self, fading: str):
-        self.fading = fading
-        self.place = None
-        self.flat = [np.empty(0), np.empty(0, dtype=bool),
-                     np.empty(0, dtype=bool)]
-        links = _SLAB_BYTES // 8
-        self._reserve(links, links, 2 * links)  # padding adds < 64 per row
-
-    def _reserve(self, *sizes: int) -> None:
-        for i, size in enumerate(sizes):
-            if self.flat[i].size < size:
-                self.flat[i] = np.empty(size, dtype=self.flat[i].dtype)
-
-    def views(self, place: _Placement):
-        """The buffers shaped for one slab of ``place``."""
-        if place is not self.place:
-            shape = (place.slab, place.word_shape[1], place.num_users)
-            padded = shape[:2] + (place.word_shape[2] * 64,)
-            sizes = (math.prod(shape), math.prod(shape), math.prod(padded))
-            self._reserve(*sizes)
-            gains, band, bits = (
-                flat[:size].reshape(s)
-                for flat, size, s in zip(self.flat, sizes,
-                                         (shape, shape, padded)))
-            bits[:, :, place.num_users:] = False
-            if self.fading != "rayleigh":
-                gains.fill(1.0)
-            self.place, self.shaped = place, (gains, band, bits)
-        return self.shaped
-
-
-class _Batch:
-    """Sub-frames [start, stop) of a placement and their packed words
-    [stop - start, cells, prbs, words], a slice of ring slot ``slot``."""
-
-    __slots__ = ("place", "start", "stop", "words", "slot", "next", "undrawn")
-
-    def __init__(self, place: _Placement, start: int, stop: int,
-                 words: np.ndarray, slot: int):
-        self.place, self.start, self.stop = place, start, stop
-        self.words, self.slot = words, slot
-        self.next = start  # the next sub-frame to hand out
-        self.undrawn = stop - start  # sub-frames not yet drawn
+def _buffers(place: _Placement, fading: str):
+    """One drawing thread's buffers for a slab of ``place``: fading gains
+    (all 1 without fading), the band mask, and coverage bits padded to
+    whole words with zeros."""
+    shape = (place.slab, place.word_shape[1], place.num_users)
+    gains = np.empty(shape) if fading == "rayleigh" else np.ones(shape)
+    padded = shape[:2] + (place.word_shape[2] * 64,)
+    return gains, np.empty(shape, dtype=bool), np.zeros(padded, dtype=bool)
 
 
 def _gain_slabs(rng, gains: np.ndarray, num_cells: int):
@@ -265,28 +225,29 @@ def unserved_counts(
     covers its user when the gain clears the threshold of `_gain_bounds`
     (the same rule as `derive_instance`, with no log per link).
 
-    Sub-frames go in batches of `_batch_subframes`, each in a slot of a
-    ring of _RING word buffers reused for the whole call.  The calling
-    thread and up to _WORKERS - 1 helper threads of a shared pool draw
-    the sub-frames of every open batch in order, each taking the next
-    one not yet taken, and pack each one's coverage straight into its
-    batch's uint64 words.  The calling thread draws while the batch it
-    waits for is not complete, then solves it alone with `greedy_batch`
-    (MC) and `sc_batch` (SC).  With ``with_exact`` it also bounds each
-    sub-frame's optimum: ``upper``, the popcount of the OR of all its
-    words, and ``lower``, `swap_batch` from the greedy's allocation and,
-    where that is below ``upper``, from the SC allocation.  Since
-    ``lower <= optimum <= upper``, a sub-frame with ``lower == upper``
-    has the optimum ``upper``; every other one is unpacked and solved by
+    Sub-frames go in batches of `_batch_subframes`, _RING of them open
+    at once, each with its own uint64 words and a queue of its sub-frame
+    indices.  A batch of n sub-frames gets min(_WORKERS - 1, n - 1)
+    helper tasks on a shared thread pool, so a stream of one sub-frame
+    never starts the pool.  Helpers and the calling thread take indices
+    until the queue is empty and pack each sub-frame's coverage into the
+    batch's words.  The calling thread drains the oldest batch's queue,
+    draws from the later batches until that batch's helpers are done,
+    raises a helper's error, and solves the batch alone with
+    `greedy_batch` (MC) and `sc_batch` (SC) while the helpers draw the
+    later batches.  With ``with_exact`` it also bounds each sub-frame's
+    optimum: ``upper``, the popcount of the OR of all its words, and
+    ``lower``, `swap_batch` from the greedy's allocation and, where that
+    is below ``upper``, from the SC allocation.  Since ``lower <=
+    optimum <= upper``, a sub-frame with ``lower == upper`` has the
+    optimum ``upper``; every other one is unpacked and solved by
     `exact_search` (the caller checks that ``num_prbs ** cells`` is
-    within its enumeration budget).  Meanwhile the helpers draw the next
-    batches, of this placement and the next.
-    A helper's error is raised here.  Each sub-frame's result depends on
+    within its enumeration budget).  Each sub-frame's result depends on
     its seed alone, so the counts do not depend on the batch size, the
-    number of threads or which thread draws which sub-frame.  A stream
-    of one sub-frame never starts the pool.
-    Helpers stop when the stream ends, on an error, or when the
-    generator is closed.
+    number of threads or which thread draws which sub-frame.  When the
+    stream ends, fails or the generator is closed, helper tasks not yet
+    started are cancelled and the open queues emptied: a running helper
+    stops after its current sub-frame.
 
     Yields, per placement, the unserved counts ``(mc, sc, exact)``:
     arrays of one entry per sub-frame; ``exact`` is None without
@@ -294,115 +255,60 @@ def unserved_counts(
     """
     if num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
-    placements = iter(placements)
-    ring = [np.empty(0, dtype=np.uint64) for _ in range(_RING)]
-    free = list(range(_RING))
-    batches: collections.deque[_Batch] = collections.deque()  # not solved
-    pending: collections.deque[_Batch] = collections.deque()  # not handed out
-    place = None  # the placement batches are opened from
-    exhausted = False
-    cond = threading.Condition(threading.Lock())
-    errors: list[BaseException] = []
-    stopping = False
-    helpers = []
+    # Unsolved batches: (placement, start, words, index queue, futures).
+    opened: collections.deque[tuple] = collections.deque()
+    # Thread id -> its _buffers, kept while placements of one shape
+    # follow: fresh ones for each placement page-fault more.
+    buffers = {}
 
-    def open_batches() -> None:
-        # Opens batches, and placements, while a ring slot is free.
-        nonlocal place, exhausted
-        while free and not exhausted:
-            if place is None or place.opened == place.subframes:
-                nxt = next(placements, None)
-                if nxt is None:
-                    exhausted = True
-                    return
-                place = _Placement(*nxt, params, stream, num_prbs,
-                                   with_exact)
-            start = place.opened
-            place.opened = stop = min(start + place.batch, place.subframes)
-            slot = free.pop()
-            per_subframe = math.prod(place.word_shape)
-            size = (stop - start) * per_subframe
-            if ring[slot].size < size:  # a full batch of this placement
-                ring[slot] = np.empty(place.batch * per_subframe,
-                                      dtype=np.uint64)
-            words = ring[slot][:size].reshape(stop - start, *place.word_shape)
-            batch = _Batch(place, start, stop, words, slot)
-            batches.append(batch)
-            with cond:
-                pending.append(batch)
-                cond.notify_all()
+    def draw(place, start, words, todo, until=lambda: False) -> None:
+        # Draws sub-frames of one batch until its queue is empty or until().
+        key = threading.get_ident()
+        while not until():
+            try:
+                t = todo.get_nowait()
+            except queue.Empty:
+                return
+            mine = buffers.get(key)
+            if mine is None or mine[0].shape != (place.slab, num_prbs,
+                                                 place.num_users):
+                mine = buffers[key] = _buffers(place, params.fading)
+            _draw(place, t, words[t - start], mine, params, stream)
 
-    def take(waiting: _Batch | None, drawn: _Batch | None):
-        # Counts the sub-frame just drawn of ``drawn``, then hands out the
-        # next (batch, sub-frame) to draw.  The calling thread, which
-        # waits for ``waiting``, gets None once that batch is drawn and
-        # raises a helper's error; a helper gets None when told to stop.
-        with cond:
-            if drawn is not None:
-                drawn.undrawn -= 1
-                if not drawn.undrawn:
-                    cond.notify_all()
-            while True:
-                if waiting is None:
-                    if stopping or errors:
-                        return None
-                elif errors:
-                    raise errors[0]
-                elif not waiting.undrawn:
-                    return None
-                if pending:
-                    batch = pending[0]
-                    t = batch.next
-                    batch.next += 1
-                    if batch.next == batch.stop:
-                        pending.popleft()
-                    return batch, t
-                cond.wait()
+    def open_batches():
+        for pair in placements:
+            place = _Placement(*pair, params, stream, num_prbs, with_exact)
+            for start in range(0, place.subframes, place.batch):
+                stop = min(start + place.batch, place.subframes)
+                todo = queue.SimpleQueue()
+                for t in range(start, stop):
+                    todo.put(t)
+                batch = (place, start, np.empty(
+                    (stop - start, *place.word_shape), dtype=np.uint64), todo)
+                helpers = range(min(_WORKERS - 1, stop - start - 1))
+                yield *batch, [_thread_pool().submit(draw, *batch)
+                               for _ in helpers]
 
-    def work(waiting: _Batch | None, buffers: _DrawBuffers) -> None:
-        # Draws sub-frames until take() says stop.
-        batch = None
-        while (task := take(waiting, batch)) is not None:
-            batch, t = task
-            _draw(batch.place, t, batch.words[t - batch.start],
-                  buffers.views(batch.place), params, stream)
-
-    def helper(buffers: _DrawBuffers) -> None:
-        try:
-            work(None, buffers)
-        except BaseException as exc:
-            with cond:
-                errors.append(exc)
-                cond.notify_all()
-
-    def stop_helpers() -> None:
-        nonlocal stopping
-        with cond:
-            stopping = True
-            cond.notify_all()
-        for future in helpers:
-            # A helper still queued behind another kernel's never starts.
-            if not future.cancel():
-                future.result()
-        helpers.clear()
-
+    upcoming = open_batches()
     try:
-        open_batches()
-        mine = _DrawBuffers(params.fading)
-        if _WORKERS > 1 and sum(b.stop - b.start for b in batches) > 1:
-            pool = _thread_pool()
-            helpers.extend(pool.submit(helper, _DrawBuffers(params.fading))
-                           for _ in range(_WORKERS - 1))
-        while batches:
-            batch = batches.popleft()
-            work(batch, mine)
-            done = batch.place
-            if batch.stop == done.subframes:
+        opened.extend(itertools.islice(upcoming, _RING))
+        while opened:
+            done, start, words, todo, futures = opened[0]
+            draw(done, start, words, todo)
+            # A helper task still queued would find the queue empty.
+            busy = [f for f in futures if not f.cancel()]
+            for later in itertools.islice(opened, 1, None):
+                draw(*later[:4], until=lambda: all(f.done() for f in busy))
+            for future in busy:
+                future.result()
+            opened.popleft()
+            stop = start + len(words)
+            if stop == done.subframes:
                 # Every sub-frame of the placement is drawn: drop the
                 # thresholds while the next placement's are alive.
                 done.snr = done.lo = done.hi = None
-            words, num_users = batch.words, done.num_users
-            counts = slice(batch.start, batch.stop)
+            num_users = done.num_users
+            counts = slice(start, stop)
             mc_chosen, served, _ = greedy_batch(words)
             done.mc[counts] = num_users - served
             sc_chosen, served = sc_batch(words, done.owners)
@@ -422,13 +328,15 @@ def unserved_counts(
                     member = np.unpackbits(
                         words[t].view(np.uint8), axis=-1, count=num_users,
                         bitorder="little").view(bool)
-                    done.exact[batch.start + t] = (
+                    done.exact[start + t] = (
                         num_users - exact_search(member)[1])
-            free.append(batch.slot)
-            open_batches()
-            if batch.stop == done.subframes:
-                if not batches:
-                    stop_helpers()
+            opened.extend(itertools.islice(upcoming, 1))
+            if stop == done.subframes:
                 yield done.mc, done.sc, done.exact
     finally:
-        stop_helpers()
+        for _, _, _, todo, futures in opened:
+            for future in futures:
+                future.cancel()
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    todo.get_nowait()

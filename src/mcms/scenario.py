@@ -47,6 +47,11 @@ _HEX_AXES = np.array([
 ])
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):  # nan fails both
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Link-budget parameters; defaults describe an urban macro downlink.
@@ -82,11 +87,12 @@ class ChannelParams:
     def __post_init__(self):
         if self.fading not in ("rayleigh", "none"):
             raise ValueError(f"unknown fading mode {self.fading!r}")
+        for name in ("tx_power_dbm", "noise_figure_db", "noise_psd_dbm_hz",
+                     "pathloss_const_db", "pathloss_slope_db"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("bandwidth_hz", "min_distance_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):  # nan fails both
-                raise ValueError(
-                    f"{name} must be a finite number > 0, got {value!r}")
+            _require_positive(name, getattr(self, name))
 
     @property
     def noise_power_dbm(self) -> float:
@@ -104,8 +110,7 @@ def hex_centers(num_cells: int, radius: float) -> np.ndarray:
     """
     if num_cells not in (1, 7, 19):
         raise ValueError(f"num_cells must be 1, 7 or 19, got {num_cells}")
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    _require_positive("radius", radius)
     spacing = _SQRT3 * radius
     centers = [(0.0, 0.0)]
     if num_cells >= 7:
@@ -148,8 +153,7 @@ class Scenario:
         centers = np.asarray(self.cell_centers, dtype=float)
         users = np.asarray(self.user_positions, dtype=float)
         primary = np.asarray(self.primary_cell, dtype=np.intp)
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        _require_positive("radius", self.radius)
         if centers.ndim != 2 or centers.shape[1] != 2:
             raise ValueError("cell_centers must be [num_cells, 2]")
         if users.ndim != 2 or users.shape[1] != 2:
@@ -334,8 +338,7 @@ class StreamSpec:
     rate_bps: float = DEFAULT_STREAM_RATE_BPS
 
     def __post_init__(self):
-        if not self.rate_bps > 0:
-            raise ValueError("rate_bps must be > 0")
+        _require_positive("rate_bps", self.rate_bps)
 
 
 def derive_instance(

@@ -7,8 +7,9 @@ where the two rules are hardest to keep apart (stream rates equal to
 realized link rates), for every batch size, slab size and number of
 drawing threads, check that the thread pool survives a fork, that a
 helper's error (also one drawing ahead) reaches the caller and leaves
-the next sweep unharmed, and that fading seeds are built as they are
-drawn, and hold the packed solvers to the boolean-tensor and big-int
+the next sweep unharmed, that closing the kernel stops its helpers
+after their current sub-frame, and that fading seeds are built as they
+are drawn, and hold the packed solvers to the boolean-tensor and big-int
 solvers they replaced, the 1-swap local search to its local optimum,
 and the EXACT column, certified by its bounds or enumerated, to the
 optimum.
@@ -408,6 +409,53 @@ def test_sweep_after_an_error_or_an_early_stop_gives_the_same_result():
     assert got == [want]
 
 
+class BlocksFirstHelperRead(list):
+    """Fading seeds that record every read by a helper thread in
+    ``reads``.  The first such read sets ``blocked`` and waits until
+    ``release`` is set; reads on the calling thread wait for ``blocked``."""
+
+    def __init__(self, length, reads, blocked, release):
+        super().__init__(range(length))
+        self.reads, self.blocked, self.release = reads, blocked, release
+
+    def __getitem__(self, t):
+        if not in_helper():
+            self.blocked.wait(timeout=10)
+            return t
+        self.reads.append(t)
+        if len(self.reads) == 1:
+            self.blocked.set()
+            self.release.wait(timeout=10)
+        return t
+
+
+def test_closing_the_kernel_stops_helpers_after_their_current_subframe():
+    # The first placement has one sub-frame; the helper blocks in its
+    # first seed read of a later placement while more batches are queued.
+    # Once the kernel is closed, the helper finishes that sub-frame and
+    # reads no other seed.
+    scenario = generate_scenario(7, 300.0, 20, 5)
+    reads, blocked, release = [], threading.Event(), threading.Event()
+    placements = [(scenario, [0])] + [
+        (scenario, BlocksFirstHelperRead(8, reads, blocked, release))
+        for _ in range(2)]
+    with worker_threads(2):
+        counts = kernel.unserved_counts(placements, ChannelParams(),
+                                        StreamSpec(), 4)
+        next(counts)
+        assert blocked.wait(timeout=10)
+        closer = threading.Thread(target=counts.close, daemon=True)
+        closer.start()
+        # Closing may wait for the running helper; release it only once
+        # the close has had time to take the queued sub-frames away.
+        closer.join(timeout=0.5)
+        release.set()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        kernel._pool.submit(int).result(timeout=10)
+    assert len(reads) == 1
+
+
 def test_pipeline_under_thread_stress():
     # More drawing threads than cores, batches of one to four sub-frames
     # and a very short switch interval: a lost update of the shared
@@ -484,7 +532,7 @@ def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
     with mock.patch.object(kernel, "_SLAB_BYTES", budget):
         place = kernel._Placement(scenario, [seed], ChannelParams(),
                                   StreamSpec(), prbs, False)
-        gains = kernel._DrawBuffers("rayleigh").views(place)[0]
+        gains = kernel._buffers(place, "rayleigh")[0]
     if one_cell:
         assert place.slab == 1
     drawn = np.full((cells, prbs, scenario.num_users), np.nan)

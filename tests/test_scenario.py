@@ -177,9 +177,12 @@ def test_channel_params_validation():
         ChannelParams(min_distance_m=0.0)
 
 
-@pytest.mark.parametrize("field", ["bandwidth_hz", "min_distance_m"])
+@pytest.mark.parametrize("field", [
+    "bandwidth_hz", "min_distance_m", "tx_power_dbm", "noise_figure_db",
+    "noise_psd_dbm_hz", "pathloss_const_db", "pathloss_slope_db"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_channel_params_rejects_non_finite(field, value):
+    # Raised at construction, not by the first mean SNR of a sweep.
     with pytest.raises(ValueError, match=field):
         ChannelParams(**{field: value})
 
@@ -244,6 +247,21 @@ def test_stream_spec_validation():
         StreamSpec(rate_bps=0.0)
     with pytest.raises(ValueError):
         StreamSpec(rate_bps=-5.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_stream_rate_and_radius_must_be_finite(value):
+    # An infinite rate would leave every user unserved without an error;
+    # a NaN radius gave NaN cell centres or a misleading hexagon error.
+    with pytest.raises(ValueError, match="rate_bps"):
+        StreamSpec(rate_bps=value)
+    with pytest.raises(ValueError, match="radius"):
+        hex_centers(7, value)
+    with pytest.raises(ValueError, match="radius"):
+        generate_scenario(7, value, 5, 0)
+    with pytest.raises(ValueError, match="radius"):
+        Scenario(radius=value, cell_centers=np.zeros((1, 2)),
+                 user_positions=np.zeros((1, 2)), primary_cell=[0])
 
 
 def test_derive_instance_threshold_extremes():

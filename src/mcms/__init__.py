@@ -9,7 +9,6 @@ everything else is reached through its submodule.
 """
 
 from .coverage import (
-    Allocation,
     AllocationError,
     CoverageInstance,
     InstanceError,
@@ -45,7 +44,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation",
     "AllocationError",
     "ChannelParams",
     "CoverageInstance",

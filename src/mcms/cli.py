@@ -17,7 +17,8 @@ rate that is not a finite positive number, a non-boolean
 ``deterministic_fading``, a negative ``solve --budget`` or an
 out-of-range ``oracle-check`` argument is an error with exit code 2,
 never coerced; so is an ``--out`` or ``--dump-raw`` path that is a
-directory or whose directory does not exist, before any sampling.
+directory or whose directory does not exist, and a ``--dump-raw`` path
+that names the CSV or its ``.meta.json`` sidecar, before any sampling.
 Sweep values come from ``--values`` as comma-separated numbers, or from
 the config file's ``values`` as such a string or a JSON list of
 numbers.
@@ -207,6 +208,10 @@ def _cmd_sweep(args, axis: str) -> int:
                              f"{os.path.dirname(path)!r}")
         if os.path.isdir(path):
             raise ValueError(f"{flag} {path!r} is a directory")
+    if args.dump_raw and os.path.realpath(args.dump_raw) in (
+            os.path.realpath(out), os.path.realpath(out + ".meta.json")):
+        raise ValueError(f"--dump-raw {args.dump_raw!r} would overwrite the "
+                         f"sweep's CSV {out!r} or its .meta.json")
     try:
         result = run_sweep(
             config,

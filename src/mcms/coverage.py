@@ -5,17 +5,16 @@ that could decode the multicast stream if that PRB carried it.  An
 allocation picks exactly one PRB per cell.  Under multi-connectivity (MC)
 a user is served when any chosen pair covers it; under single
 connectivity (SC) only when its own primary cell's chosen PRB does.
-`served` evaluates both rules.
+`served` evaluates both rules for an allocation given as a tuple of ints.
 
-Instances and allocations are immutable after construction, so every
-operation here is a pure function that is safe to call concurrently.
+Instances are immutable after construction, so every operation here is
+a pure function that is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -28,35 +27,16 @@ class AllocationError(ValueError):
     """An allocation does not fit the instance it is evaluated against."""
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """One chosen PRB index per cell; entry c is the PRB used by cell c."""
-
-    chosen: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "chosen", tuple(int(j) for j in self.chosen))
-
-    def __len__(self) -> int:
-        return len(self.chosen)
-
-    def __iter__(self):
-        return iter(self.chosen)
-
-    def __getitem__(self, cell: int) -> int:
-        return self.chosen[cell]
-
-
 class CoverageInstance:
     """Universe of ``num_users`` users plus N candidate coverage sets per cell.
 
-    The canonical store is a boolean membership tensor of shape
-    ``[num_cells, prbs_per_cell, num_users]``; the set-of-user-ids view in
-    :attr:`collections` is materialized lazily.  User, cell and PRB indices
+    The only store is a boolean membership tensor of shape
+    ``[num_cells, prbs_per_cell, num_users]`` (`membership_matrix`); the
+    constructor takes the sets as user ids.  User, cell and PRB indices
     are all 0-based and dense.
     """
 
-    __slots__ = ("_membership", "_primary", "_collections")
+    __slots__ = ("_membership", "_primary")
 
     def __init__(
         self,
@@ -103,7 +83,6 @@ class CoverageInstance:
         primary.setflags(write=False)
         self._membership = membership
         self._primary = primary
-        self._collections: tuple[tuple[frozenset[int], ...], ...] | None = None
 
     @classmethod
     def from_membership(
@@ -111,22 +90,28 @@ class CoverageInstance:
     ) -> "CoverageInstance":
         """Build an instance directly from a boolean [C, N, M] tensor.
 
-        The tensor is copied.  Primary cells must be whole numbers, as
-        for the constructor; an integer array is taken as it is.
+        The tensor is copied; a numeric one is taken only if every entry
+        is 0 or 1, else InstanceError.  Primary cells must be whole
+        numbers, as for the constructor; an integer array is taken as is.
         """
-        membership = np.asarray(membership, dtype=bool)
+        membership = np.asarray(membership)
         if membership.ndim != 3:
             raise InstanceError(
                 f"membership tensor must be [cells, prbs, users], "
                 f"got shape {membership.shape}"
             )
+        if membership.dtype != bool:
+            binary = (membership == 0) | (membership == 1)
+            if not binary.all():
+                raise InstanceError(f"membership entries must be 0 or 1, "
+                                    f"got {membership[~binary][0]}")
         num_cells, num_prbs, num_users = membership.shape
         if num_cells < 1 or num_prbs < 1:
             raise InstanceError("need at least one cell and one PRB per cell")
         primary = _primary_array(primary_cell)
         _check_primary(primary, num_users, num_cells)
         obj = cls.__new__(cls)
-        obj._store(membership.copy(), primary)
+        obj._store(membership.astype(bool), primary)
         return obj
 
     @property
@@ -140,17 +125,6 @@ class CoverageInstance:
     @property
     def prbs_per_cell(self) -> int:
         return self._membership.shape[1]
-
-    @property
-    def collections(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        """Per cell, the ordered user-id sets covered by each PRB."""
-        if self._collections is None:
-            self._collections = tuple(
-                tuple(frozenset(np.flatnonzero(self._membership[c, j]).tolist())
-                      for j in range(self.prbs_per_cell))
-                for c in range(self.num_cells)
-            )
-        return self._collections
 
     @property
     def primary_cell(self) -> np.ndarray:
@@ -220,13 +194,15 @@ def _check_primary(primary: np.ndarray, num_users: int, num_cells: int) -> None:
 
 
 def served(instance: CoverageInstance,
-           alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
+           alloc: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks ``(mc, sc)`` over the users that ``alloc`` serves.
 
-    ``mc[k]`` holds when some cell's chosen PRB covers user k, ``sc[k]``
-    only when its primary cell's chosen PRB does, so ``sc`` implies
-    ``mc``.  Served counts are ``mask.sum()``.  Raises AllocationError
-    unless ``alloc`` picks one in-range PRB per cell.  This is plain
+    ``alloc[c]`` is the PRB that cell c chooses.  ``mc[k]`` holds when
+    some cell's chosen PRB covers user k, ``sc[k]`` only when its
+    primary cell's chosen PRB does, so ``sc`` implies ``mc``.  Served
+    counts are ``mask.sum()``.  Raises AllocationError unless ``alloc``
+    has one entry per cell and each is an integer (numpy's included,
+    bools not) in ``[0, N)``; no entry is truncated.  This is plain
     boolean-tensor code, apart from the packed solvers, so tests can
     hold every solver's objective to it.
     """
@@ -235,12 +211,13 @@ def served(instance: CoverageInstance,
             f"allocation length {len(alloc)} != {instance.num_cells} cells"
         )
     for c, j in enumerate(alloc):
-        if not 0 <= j < instance.prbs_per_cell:
+        if (not isinstance(j, numbers.Integral) or isinstance(j, bool)
+                or not 0 <= j < instance.prbs_per_cell):
             raise AllocationError(
-                f"PRB index {j} for cell {c} out of range "
+                f"PRB index {j!r} for cell {c} is not an integer in "
                 f"[0, {instance.prbs_per_cell})"
             )
     covered = instance.membership_matrix()[np.arange(instance.num_cells),
-                                           list(alloc.chosen)]
+                                           list(alloc)]
     return (covered.any(axis=0),
             covered[instance.primary_cell, np.arange(instance.num_users)])

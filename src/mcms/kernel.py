@@ -32,7 +32,6 @@ import collections
 import contextlib
 import itertools
 import os
-import queue
 import threading
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -253,6 +252,8 @@ def unserved_counts(
     arrays of one entry per sub-frame; ``exact`` is None without
     ``with_exact``.
     """
+    import queue  # not at module import: a run that never sweeps skips it
+
     if num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
     # Unsolved batches: (placement, start, words, index queue, futures).

@@ -1,4 +1,4 @@
-"""Cellular scenario generation and per-PRB rate realizations.
+"""Cellular scenario generation and per-PRB link rates.
 
 Geometry: ``num_cells`` pointy-top hexagonal cells of circumradius
 ``radius`` meters tiling the plane around the origin, one base station
@@ -12,9 +12,10 @@ plus receiver noise figure, Shannon spectral efficiency over one PRB of
 bandwidth.  Interference is not modeled; each PRB carries a single
 multicast stream and the limit is the link budget.
 
-A user can decode the stream on (cell, PRB) when the realized rate
-reaches the stream rate; `derive_instance` turns one rate realization
-plus a stream rate into a coverage problem.
+A user can decode the stream on (cell, PRB) when the link's rate
+reaches the stream rate; `sample_rates` draws one sub-frame's rates as
+a [cells, prbs, users] array, and `derive_instance` turns it plus a
+stream rate into a coverage problem.
 
 `mean_snr` is the one place the link budget lives.  `sample_rates` uses
 it per call; the Monte Carlo kernel in `mcms.kernel` uses it once per
@@ -271,45 +272,14 @@ def mean_snr(scenario: Scenario, params: ChannelParams) -> np.ndarray:
     return snr
 
 
-@dataclass(frozen=True)
-class RateRealization:
-    """Achievable rates in one sub-frame: rates[c, j, k] is the bps user
-    k would get from cell c on PRB j."""
-
-    subframe: int
-    rates: np.ndarray
-
-    def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
-        if rates.ndim != 3:
-            raise ValueError("rates must be [cells, prbs, users]")
-        if not np.all(np.isfinite(rates)) or (rates < 0).any():
-            raise ValueError("rates must be finite and non-negative")
-        rates.setflags(write=False)
-        object.__setattr__(self, "subframe", int(self.subframe))
-        object.__setattr__(self, "rates", rates)
-
-    @property
-    def num_cells(self) -> int:
-        return self.rates.shape[0]
-
-    @property
-    def num_prbs(self) -> int:
-        return self.rates.shape[1]
-
-    @property
-    def num_users(self) -> int:
-        return self.rates.shape[2]
-
-
 def sample_rates(
     scenario: Scenario,
     params: ChannelParams,
-    subframe: int,
     rng,
     num_prbs: int = 4,
-) -> RateRealization:
-    """Draw the per-link rates of one sub-frame.
+) -> np.ndarray:
+    """Draw the per-link rates of one sub-frame: ``rates[c, j, k]`` is
+    the bps user k would get from cell c on PRB j.
 
     Mean SNR comes from the path loss to every station; with
     ``params.fading == "rayleigh"`` each (cell, PRB, user) link gets an
@@ -327,8 +297,7 @@ def sample_rates(
         gain = rng.exponential(1.0, size=shape)
     else:
         gain = np.ones(shape)
-    rates = shannon_rate_bps(snr[:, None, :] * gain, params.bandwidth_hz)
-    return RateRealization(subframe=subframe, rates=rates)
+    return shannon_rate_bps(snr[:, None, :] * gain, params.bandwidth_hz)
 
 
 @dataclass(frozen=True)
@@ -343,21 +312,23 @@ class StreamSpec:
 
 def derive_instance(
     scenario: Scenario,
-    realization: RateRealization,
+    rates: np.ndarray,
     stream: StreamSpec,
 ) -> CoverageInstance:
     """Coverage problem for one sub-frame: user k is in the coverage set
     of (cell c, PRB j) exactly when rates[c, j, k] >= stream.rate_bps.
-    The decode-at-rate boundary is inclusive."""
-    if realization.num_users != scenario.num_users:
+    The decode-at-rate boundary is inclusive.  Raises ValueError unless
+    ``rates`` is a finite, non-negative [cells, prbs, users] array whose
+    cell and user counts are the scenario's."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 3:
+        raise ValueError(f"rates must be [cells, prbs, users], "
+                         f"got shape {rates.shape}")
+    if not np.all(np.isfinite(rates)) or (rates < 0).any():
+        raise ValueError("rates must be finite and non-negative")
+    if rates.shape[::2] != (scenario.num_cells, scenario.num_users):
         raise ValueError(
-            f"realization has {realization.num_users} users, "
-            f"scenario has {scenario.num_users}"
-        )
-    if realization.num_cells != scenario.num_cells:
-        raise ValueError(
-            f"realization has {realization.num_cells} cells, "
-            f"scenario has {scenario.num_cells}"
-        )
-    membership = realization.rates >= stream.rate_bps
+            f"rates have {rates.shape[0]} cells and {rates.shape[2]} users, "
+            f"scenario has {scenario.num_cells} and {scenario.num_users}")
+    membership = rates >= stream.rate_bps
     return CoverageInstance.from_membership(membership, scenario.primary_cell)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import Allocation, CoverageInstance, pack_users
+from .coverage import CoverageInstance, pack_users
 
 # Most allocations (N^C) an exact search may enumerate unless told more.
 EXACT_BUDGET = 10_000_000
@@ -43,9 +43,10 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """An allocation plus the served-user count the solver optimized."""
+    """An allocation, one PRB index per cell, plus the served-user count
+    the solver optimized."""
 
-    alloc: Allocation
+    alloc: tuple[int, ...]
     objective: int
     per_step_marginals: tuple[int, ...] | None = None
 
@@ -166,7 +167,7 @@ def solve_greedy(instance: CoverageInstance) -> SolveResult:
     chosen, served, marginals = greedy_batch(
         pack_users(instance.membership_matrix())[None])
     return SolveResult(
-        alloc=Allocation(tuple(chosen[0].tolist())),
+        alloc=tuple(chosen[0].tolist()),
         objective=int(served[0]),
         per_step_marginals=tuple(marginals[0].tolist()),
     )
@@ -277,7 +278,7 @@ def solve_exact(
     if total > budget:
         raise EnumerationBudgetError(total, budget)
     chosen, served = exact_search(instance.membership_matrix())
-    return SolveResult(alloc=Allocation(chosen), objective=served)
+    return SolveResult(alloc=chosen, objective=served)
 
 
 def solve_sc_baseline(instance: CoverageInstance) -> SolveResult:
@@ -292,5 +293,5 @@ def solve_sc_baseline(instance: CoverageInstance) -> SolveResult:
         pack_users(instance.membership_matrix())[None],
         primary_words(instance.primary_cell, instance.num_cells),
     )
-    return SolveResult(alloc=Allocation(tuple(chosen[0].tolist())),
+    return SolveResult(alloc=tuple(chosen[0].tolist()),
                        objective=int(served[0]))

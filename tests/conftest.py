@@ -22,6 +22,14 @@ def make_gap_instance() -> CoverageInstance:
     )
 
 
+def coverage_sets(instance: CoverageInstance):
+    """Per cell, per PRB, the frozenset of user ids the PRB covers, read
+    from the membership tensor."""
+    return tuple(tuple(frozenset(np.flatnonzero(users).tolist())
+                       for users in cell)
+                 for cell in instance.membership_matrix())
+
+
 def run_subframe(scenario, params, stream, rng, num_prbs=4):
     """Unserved (MC, SC) counts of one sub-frame drawn from ``rng``: the
     sweep kernel on a stream of one placement with one sub-frame."""

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from mcms import (
-    Allocation,
     ChannelParams,
     ExperimentConfig,
     StreamSpec,
@@ -78,9 +77,7 @@ def test_single_connectivity_serves_subset_of_multi():
             num_prbs=int(rng.integers(1, 5)),
             density=float(rng.uniform(0.05, 0.95)),
         )
-        alloc = Allocation(tuple(
-            rng.integers(0, inst.prbs_per_cell, inst.num_cells)
-        ))
+        alloc = rng.integers(0, inst.prbs_per_cell, inst.num_cells)
         mc, sc = served(inst, alloc)
         assert not (sc & ~mc).any()
     print(f"\nPASS: the SC served users were a subset of the MC ones on "
@@ -139,12 +136,12 @@ def test_exact_objective_never_grows_with_stream_rate():
         scenario = generate_scenario(
             7, 300.0, 10, np.random.default_rng((500, i, 0))
         )
-        real = sample_rates(scenario, params, 0,
-                            np.random.default_rng((500, i, 1)), num_prbs=2)
+        rates = sample_rates(scenario, params,
+                             np.random.default_rng((500, i, 1)), num_prbs=2)
         rate = float(np.random.default_rng((500, i, 2)).uniform(4e5, 2e6))
-        at_rate = solve_exact(derive_instance(scenario, real,
+        at_rate = solve_exact(derive_instance(scenario, rates,
                                               StreamSpec(rate_bps=rate)))
-        doubled = solve_exact(derive_instance(scenario, real,
+        doubled = solve_exact(derive_instance(scenario, rates,
                                               StreamSpec(rate_bps=2 * rate)))
         assert doubled.objective <= at_rate.objective
     print(f"\nPASS: doubling the stream rate never increased the exact "

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcms import (
-    Allocation,
     AllocationError,
     CoverageInstance,
     InstanceError,
     served,
+    solve_exact,
+    solve_greedy,
+    solve_sc_baseline,
 )
 from mcms.coverage import pack_users
+
+from conftest import coverage_sets
 
 
 def served_ids(inst, alloc):
@@ -54,7 +58,7 @@ def test_at_least_one_cell_and_prb():
 
 def test_collections_view_round_trips():
     inst = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0, 0, 1, 1])
-    assert inst.collections == (
+    assert coverage_sets(inst) == (
         (frozenset({0, 1}), frozenset({1, 2})),
         (frozenset({2, 3}), frozenset({0, 3})),
     )
@@ -68,8 +72,24 @@ def test_from_membership_matches_set_constructor():
     member[1, 1, [0, 3]] = True
     a = CoverageInstance.from_membership(member, [0, 0, 1, 1])
     b = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0, 0, 1, 1])
-    assert a.collections == b.collections
+    assert coverage_sets(a) == coverage_sets(b)
     assert np.array_equal(a.membership_matrix(), b.membership_matrix())
+
+
+@pytest.mark.parametrize("entry", [0.5, np.nan, 2, -1])
+def test_from_membership_rejects_non_binary_entries(entry):
+    # np.asarray(..., dtype=bool) would store each of these as True.
+    member = np.array([[[1.0, entry, 0.0]]])
+    with pytest.raises(InstanceError, match="0 or 1"):
+        CoverageInstance.from_membership(member, [0, 0, 0])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+def test_from_membership_takes_binary_numbers(dtype):
+    member = np.array([[[1, 0, 1], [0, 1, 0]]], dtype=dtype)
+    inst = CoverageInstance.from_membership(member, [0, 0, 0])
+    assert inst.membership_matrix().dtype == bool
+    assert coverage_sets(inst) == ((frozenset({0, 2}), frozenset({1})),)
 
 
 def test_from_membership_rejects_bad_shapes():
@@ -106,62 +126,74 @@ def test_membership_is_immutable():
         inst.primary_cell[0] = 1
 
 
-def test_allocation_coerces_to_plain_ints():
-    alloc = Allocation(np.array([1, 0], dtype=np.int64))
-    assert alloc.chosen == (1, 0)
-    assert all(type(j) is int for j in alloc)
-    assert len(alloc) == 2
-    assert alloc[0] == 1
+def test_served_accepts_numpy_integers():
+    inst = CoverageInstance(3, [[{0}, {1}], [{2}, set()]], [0, 0, 1])
+    expected = served_ids(inst, (1, 0))
+    assert expected == ({1, 2}, {1, 2})
+    for alloc in (np.array([1, 0], dtype=np.int64), [np.uint8(1), 0],
+                  (np.int64(1), np.int32(0))):
+        assert served_ids(inst, alloc) == expected
+    # Every solver hands back a tuple of plain ints.
+    for solve in (solve_greedy, solve_sc_baseline, solve_exact):
+        alloc = solve(inst).alloc
+        assert type(alloc) is tuple and all(type(j) is int for j in alloc)
 
 
 def test_validate_allocation_length_and_range():
     inst = CoverageInstance(2, [[{0}, {1}]], [0, 0])
-    served(inst, Allocation((1,)))
+    served(inst, (1,))
     with pytest.raises(AllocationError, match="length"):
-        served(inst, Allocation((0, 0)))
-    with pytest.raises(AllocationError, match="out of range"):
-        served(inst, Allocation((2,)))
-    with pytest.raises(AllocationError, match="out of range"):
-        served(inst, Allocation((-1,)))
+        served(inst, (0, 0))
+    with pytest.raises(AllocationError, match="length"):
+        served(inst, ())
+
+
+@pytest.mark.parametrize("entry", [2, -1, 1.7, 1.0, np.float64(0.9), "1",
+                                   True, np.bool_(True), None])
+def test_served_rejects_entries_that_are_not_prb_indices(entry):
+    # Nothing is truncated or coerced: 1.7 is not PRB 1, "1" is not 1.
+    inst = CoverageInstance(2, [[{0}, {1}]], [0, 0])
+    with pytest.raises(AllocationError, match=r"not an integer in \[0, 2\)"):
+        served(inst, (entry,))
 
 
 def test_served_mc_single_set():
     inst = CoverageInstance(3, [[{0, 1, 2}]], [0, 0, 0])
-    assert served_ids(inst, Allocation((0,)))[0] == {0, 1, 2}
+    assert served_ids(inst, (0,))[0] == {0, 1, 2}
 
 
 def test_served_mc_empty_coverage():
     inst = CoverageInstance(2, [[set()], [set()]], [0, 1])
-    mc, sc = served(inst, Allocation((0, 0)))
+    mc, sc = served(inst, (0, 0))
     assert mc.tolist() == sc.tolist() == [False, False]
 
 
 def test_served_mc_is_the_union():
     inst = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0, 0, 1, 1])
-    assert served_ids(inst, Allocation((0, 0)))[0] == {0, 1, 2, 3}
+    assert served_ids(inst, (0, 0))[0] == {0, 1, 2, 3}
     # {1,2} | {0,3} also covers everyone
-    assert served(inst, Allocation((1, 1)))[0].sum() == 4
+    assert served(inst, (1, 1))[0].sum() == 4
 
 
 def test_served_sc_uses_only_the_primary_cell():
     # user 1 appears in cell 0's set, but its primary is cell 1 whose
     # chosen set excludes it
     inst = CoverageInstance(2, [[{0, 1}], [{0}]], [0, 1])
-    assert served_ids(inst, Allocation((0, 0)))[1] == {0}
+    assert served_ids(inst, (0, 0))[1] == {0}
 
 
 def test_served_sc_single_primary_collapse():
     inst = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0] * 4)
     for j in range(2):
         for j2 in range(2):
-            assert (served_ids(inst, Allocation((j, j2)))[1]
-                    == inst.collections[0][j])
+            assert (served_ids(inst, (j, j2))[1]
+                    == coverage_sets(inst)[0][j])
 
 
 def test_served_under_both_rules():
     inst = CoverageInstance(4, [[{0, 1}, {1, 2}], [{2, 3}, {0, 3}]], [0, 0, 1, 1])
     # user 0 not in {1,2}; user 2 not in {0,3}
-    assert served_ids(inst, Allocation((1, 1))) == ({0, 1, 2, 3}, {1, 3})
+    assert served_ids(inst, (1, 1)) == ({0, 1, 2, 3}, {1, 3})
 
 
 def _random_case(rng):
@@ -171,7 +203,7 @@ def _random_case(rng):
     member = rng.random((num_cells, num_prbs, num_users)) < rng.uniform(0.1, 0.9)
     primary = rng.integers(0, num_cells, num_users)
     inst = CoverageInstance.from_membership(member, primary)
-    alloc = Allocation(tuple(rng.integers(0, num_prbs, num_cells)))
+    alloc = tuple(rng.integers(0, num_prbs, num_cells).tolist())
     return inst, alloc
 
 
@@ -188,7 +220,8 @@ def test_objective_bounds(rng):
         inst, alloc = _random_case(rng)
         mc, sc = (int(mask.sum()) for mask in served(inst, alloc))
         assert 0 <= mc <= inst.num_users
-        assert mc >= max(len(inst.collections[c][j]) for c, j in enumerate(alloc))
+        sets = coverage_sets(inst)
+        assert mc >= max(len(sets[c][j]) for c, j in enumerate(alloc))
         assert sc <= mc
 
 
@@ -216,7 +249,7 @@ def instance_and_alloc(draw):
     member = np.array(bits, dtype=bool).reshape(c, n, m)
     primary = draw(st.lists(st.integers(0, c - 1), min_size=m, max_size=m))
     alloc = draw(st.lists(st.integers(0, n - 1), min_size=c, max_size=c))
-    return CoverageInstance.from_membership(member, primary), Allocation(tuple(alloc))
+    return CoverageInstance.from_membership(member, primary), tuple(alloc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,7 +268,7 @@ def test_served_sets_are_consistent(case):
     mc, sc = served(inst, alloc)
     assert mc.dtype == sc.dtype == bool
     assert mc.shape == sc.shape == (inst.num_users,)
-    sets = [inst.collections[c][j] for c, j in enumerate(alloc)]
+    sets = [coverage_sets(inst)[c][j] for c, j in enumerate(alloc)]
     for k in range(inst.num_users):
         assert mc[k] == any(k in s for s in sets)
         assert sc[k] == (k in sets[inst.primary_cell[k]])

@@ -33,7 +33,7 @@ from mcms import (
 from mcms.cli import main
 from mcms.harness import SweepPoint, random_instance
 
-from conftest import run_subframe
+from conftest import coverage_sets, run_subframe
 
 TINY = ExperimentConfig(trials=2, subframes=4, users_per_cell=20, seed=3)
 
@@ -97,8 +97,8 @@ def test_run_subframe_matches_solver_objectives():
     params = ChannelParams()
     stream = StreamSpec()
     rng = np.random.default_rng(9)
-    real = sample_rates(scenario, params, 0, rng, num_prbs=4)
-    inst = derive_instance(scenario, real, stream)
+    rates = sample_rates(scenario, params, rng, num_prbs=4)
+    inst = derive_instance(scenario, rates, stream)
     mc, sc = run_subframe(scenario, params, stream,
                           np.random.default_rng(9))
     m = inst.num_users
@@ -240,7 +240,7 @@ def test_instance_json_round_trip(tmp_path):
     loaded = load_instance(path)
     assert (loaded.num_users, loaded.num_cells, loaded.prbs_per_cell) == (
         7, 2, 2)
-    assert [[sorted(s) for s in cell] for cell in loaded.collections] == (
+    assert [[sorted(s) for s in cell] for cell in coverage_sets(loaded)] == (
         GAP_DOC["collections"])
     assert loaded.primary_cell.tolist() == GAP_DOC["primary"]
 
@@ -264,7 +264,7 @@ def test_random_instance_shape(rng):
     assert inst.num_cells == 3
     assert inst.prbs_per_cell == 2
     assert all(s == frozenset(range(10))
-               for cell in inst.collections for s in cell)
+               for cell in coverage_sets(inst) for s in cell)
 
 
 # CLI
@@ -593,6 +593,12 @@ def test_fading_seeds_are_bounded_to_the_placement():
      "--dump-raw"),
     (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}"], None, "--dump-raw"),
     ([], {"out": "{missing}/x.csv"}, "--out"),
+    # --dump-raw must not overwrite the CSV or its sidecar.
+    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}/./x.csv"], None,
+     "--dump-raw"),
+    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}/x.csv.meta.json"], None,
+     "--dump-raw"),
+    (["--dump-raw", "{tmp}/x.csv"], {"out": "{tmp}/x.csv"}, "--dump-raw"),
 ])
 def test_cli_rejects_unwritable_outputs_before_sampling(
         tmp_path, capsys, monkeypatch, flags, config, message):

@@ -70,8 +70,8 @@ BOUNDARY_CONFIGS = (
 
 def pipeline_counts(scenario, params, stream, rng, num_prbs):
     """Unserved (MC, SC) of one sub-frame through the public pipeline."""
-    realization = sample_rates(scenario, params, 0, rng, num_prbs)
-    instance = derive_instance(scenario, realization, stream)
+    rates = sample_rates(scenario, params, rng, num_prbs)
+    instance = derive_instance(scenario, rates, stream)
     m = instance.num_users
     return (m - solve_greedy(instance).objective,
             m - solve_sc_baseline(instance).objective)
@@ -92,9 +92,9 @@ def boundary_rates(config):
     """Stream rates equal to realized link rates of the sweep's first
     sample: each puts one link exactly on the decode threshold."""
     scenario, fading = sweep_sample(config, 0, 0)
-    rates = sample_rates(scenario, config.channel, 0,
+    rates = sample_rates(scenario, config.channel,
                          np.random.default_rng(fading),
-                         config.num_prbs).rates.ravel()
+                         config.num_prbs).ravel()
     rates = np.sort(rates[rates > 0])
     return [float(r) for r in rates[:: max(1, len(rates) // 60)]]
 
@@ -108,8 +108,8 @@ def test_boundary_family_defeats_a_plain_gain_threshold():
     snr = mean_snr(scenario, params)[:, None, :]
     gains = np.random.default_rng(fading).exponential(
         1.0, size=(scenario.num_cells, config.num_prbs, scenario.num_users))
-    rates = sample_rates(scenario, params, 0, np.random.default_rng(fading),
-                         config.num_prbs).rates
+    rates = sample_rates(scenario, params, np.random.default_rng(fading),
+                         config.num_prbs)
     flips = 0
     for rate in boundary_rates(config):
         naive = gains >= np.expm1(rate / params.bandwidth_hz * math.log(2)) / snr
@@ -650,14 +650,14 @@ def test_packed_solvers_match_tensor_solvers(batch):
         assert (tuple(chosen[k].tolist()), int(served[k]),
                 tuple(marginals[k].tolist())) == want
         res = solve_greedy(inst)
-        assert (res.alloc.chosen, res.objective,
+        assert (res.alloc, res.objective,
                 res.per_step_marginals) == want
         sc_chosen, sc_served = sc_batch(
             words[k:k + 1], primary_words(inst.primary_cell, inst.num_cells))
         want = tensor_sc(inst)
         assert (tuple(sc_chosen[0].tolist()), int(sc_served[0])) == want
         res = solve_sc_baseline(inst)
-        assert (res.alloc.chosen, res.objective) == want
+        assert (res.alloc, res.objective) == want
 
 
 def union_of(member, chosen):
@@ -817,7 +817,7 @@ def test_exact_search_splits_as_its_byte_budget_says(regime):
             assert not member.all(axis=1).any()
             inst = CoverageInstance.from_membership(member, np.zeros(70, int))
             res = solve_exact(inst)
-            assert (res.alloc.chosen, res.objective) == bigint_exact(inst)
+            assert (res.alloc, res.objective) == bigint_exact(inst)
 
 
 @settings(max_examples=150, deadline=None)
@@ -830,7 +830,7 @@ def test_exact_search_matches_bigint_oracle(batch, cap):
             want = bigint_exact(inst)
             assert exact_search(inst.membership_matrix()) == want
             res = solve_exact(inst)
-            assert (res.alloc.chosen, res.objective) == want
+            assert (res.alloc, res.objective) == want
 
 
 def test_exact_search_builds_head_unions_a_block_at_a_time():

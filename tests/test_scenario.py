@@ -16,12 +16,13 @@ from mcms import (
     solve_exact,
 )
 from mcms.scenario import (
-    RateRealization,
     hex_centers,
     in_hexagon,
     pathloss_db,
     shannon_rate_bps,
 )
+
+from conftest import coverage_sets
 
 SQRT3 = math.sqrt(3.0)
 
@@ -204,42 +205,40 @@ def _line_scenario(xs, radius=300.0):
 def test_sample_rates_deterministic_fading_monotone_in_distance():
     s = _line_scenario([20.0, 50.0, 100.0, 200.0])
     params = ChannelParams(fading="none")
-    real = sample_rates(s, params, 0, 1, num_prbs=3)
-    rates = real.rates[0, 0]
-    assert (np.diff(rates) < 0).all()
+    rates = sample_rates(s, params, 1, num_prbs=3)
+    assert rates.shape == (1, 3, 4)
+    assert (np.diff(rates[0, 0]) < 0).all()
     # no fading: all PRBs carry identical rates
-    assert np.array_equal(real.rates[0, 0], real.rates[0, 1])
-    assert np.array_equal(real.rates[0, 0], real.rates[0, 2])
+    assert np.array_equal(rates[0, 0], rates[0, 1])
+    assert np.array_equal(rates[0, 0], rates[0, 2])
 
 
 def test_sample_rates_clamped_distances_tie():
     s = _line_scenario([3.0, 8.0])
-    real = sample_rates(s, ChannelParams(fading="none"), 0, 1, num_prbs=1)
-    assert real.rates[0, 0, 0] == real.rates[0, 0, 1]
+    rates = sample_rates(s, ChannelParams(fading="none"), 1, num_prbs=1)
+    assert rates[0, 0, 0] == rates[0, 0, 1]
 
 
 def test_sample_rates_deterministic_per_seed():
     s = generate_scenario(7, 300.0, 12, 4)
     params = ChannelParams()
-    a = sample_rates(s, params, 5, np.random.default_rng(77), num_prbs=4)
-    b = sample_rates(s, params, 5, np.random.default_rng(77), num_prbs=4)
-    assert np.array_equal(a.rates, b.rates)
-    assert a.subframe == 5
+    a = sample_rates(s, params, np.random.default_rng(77), num_prbs=4)
+    b = sample_rates(s, params, np.random.default_rng(77), num_prbs=4)
+    assert np.array_equal(a, b)
 
 
 def test_sample_rates_forced_deep_fade_gives_zero_rate():
     s = generate_scenario(7, 300.0, 8, 4)
-    real = sample_rates(s, ChannelParams(), 0, ZeroFadeRng(), num_prbs=2)
-    assert (real.rates == 0.0).all()
+    rates = sample_rates(s, ChannelParams(), ZeroFadeRng(), num_prbs=2)
+    assert (rates == 0.0).all()
 
 
-def test_rate_realization_validation():
-    with pytest.raises(ValueError):
-        RateRealization(0, np.full((1, 1, 2), -1.0))
-    with pytest.raises(ValueError):
-        RateRealization(0, np.full((1, 1, 2), np.nan))
-    with pytest.raises(ValueError):
-        RateRealization(0, np.zeros((2, 3)))
+def test_derive_instance_validates_rates():
+    s = _line_scenario([20.0, 50.0])
+    for rates in (np.full((1, 1, 2), -1.0), np.full((1, 1, 2), np.nan),
+                  np.full((1, 1, 2), np.inf), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="rates"):
+            derive_instance(s, rates, StreamSpec())
 
 
 def test_stream_spec_validation():
@@ -266,43 +265,41 @@ def test_stream_rate_and_radius_must_be_finite(value):
 
 def test_derive_instance_threshold_extremes():
     s = generate_scenario(1, 300.0, 10, 8)
-    real = sample_rates(s, ChannelParams(), 0, 8, num_prbs=2)
-    everything = derive_instance(s, real, StreamSpec(rate_bps=1e-12))
+    rates = sample_rates(s, ChannelParams(), 8, num_prbs=2)
+    everything = derive_instance(s, rates, StreamSpec(rate_bps=1e-12))
     assert all(st == frozenset(range(10))
-               for cell in everything.collections for st in cell)
+               for cell in coverage_sets(everything) for st in cell)
     nothing = derive_instance(
-        s, real, StreamSpec(rate_bps=float(real.rates.max()) * 2)
+        s, rates, StreamSpec(rate_bps=float(rates.max()) * 2)
     )
     assert all(st == frozenset()
-               for cell in nothing.collections for st in cell)
+               for cell in coverage_sets(nothing) for st in cell)
 
 
 def test_derive_instance_boundary_is_inclusive():
     r = 1.4e6
     s = _line_scenario([20.0, 50.0, 100.0])
-    real = RateRealization(0, np.array([[[2 * r, r, r / 2]]]))
-    inst = derive_instance(s, real, StreamSpec(rate_bps=r))
-    assert inst.collections[0][0] == {0, 1}
+    inst = derive_instance(s, np.array([[[2 * r, r, r / 2]]]),
+                           StreamSpec(rate_bps=r))
+    assert coverage_sets(inst)[0][0] == {0, 1}
 
 
 def test_derive_instance_dimension_mismatch():
     s = _line_scenario([20.0, 50.0])
     with pytest.raises(ValueError, match="users"):
-        derive_instance(s, RateRealization(0, np.zeros((1, 1, 3))),
-                        StreamSpec())
+        derive_instance(s, np.zeros((1, 1, 3)), StreamSpec())
     with pytest.raises(ValueError, match="cells"):
-        derive_instance(s, RateRealization(0, np.zeros((2, 1, 2))),
-                        StreamSpec())
+        derive_instance(s, np.zeros((2, 1, 2)), StreamSpec())
 
 
 def test_threshold_monotonicity_of_membership_and_objective(rng):
     s = generate_scenario(7, 300.0, 10, 21)
     for _ in range(10):
-        real = sample_rates(s, ChannelParams(), 0, rng, num_prbs=2)
+        rates = sample_rates(s, ChannelParams(), rng, num_prbs=2)
         r1 = float(rng.uniform(0.5e6, 1.5e6))
-        lo = derive_instance(s, real, StreamSpec(rate_bps=r1))
-        hi = derive_instance(s, real, StreamSpec(rate_bps=2 * r1))
-        for cell_lo, cell_hi in zip(lo.collections, hi.collections):
+        lo = derive_instance(s, rates, StreamSpec(rate_bps=r1))
+        hi = derive_instance(s, rates, StreamSpec(rate_bps=2 * r1))
+        for cell_lo, cell_hi in zip(coverage_sets(lo), coverage_sets(hi)):
             for set_lo, set_hi in zip(cell_lo, cell_hi):
                 assert set_hi <= set_lo
         exact_lo, exact_hi = solve_exact(lo), solve_exact(hi)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcms import (
-    Allocation,
     CoverageInstance,
     EnumerationBudgetError,
     greedy_bound,
@@ -24,16 +23,19 @@ from mcms import (
 )
 from mcms.harness import random_instance
 
+from conftest import coverage_sets
+
 
 def reference_exact(inst):
     """Set-based enumeration of every allocation; first maximizer wins."""
     best_alloc = None
     best = -1
+    sets = coverage_sets(inst)
     for combo in itertools.product(range(inst.prbs_per_cell),
                                    repeat=inst.num_cells):
         covered = set()
         for c, j in enumerate(combo):
-            covered |= inst.collections[c][j]
+            covered |= sets[c][j]
         if len(covered) > best:
             best = len(covered)
             best_alloc = combo
@@ -46,7 +48,7 @@ def reference_exact(inst):
 def test_greedy_single_cell_takes_largest_set():
     inst = CoverageInstance(3, [[{0}, {0, 1}, {2}]], [0, 0, 0])
     res = solve_greedy(inst)
-    assert res.alloc.chosen == (1,)
+    assert res.alloc == (1,)
     assert res.objective == 2
     assert res.per_step_marginals == (2,)
 
@@ -54,7 +56,7 @@ def test_greedy_single_cell_takes_largest_set():
 def test_greedy_on_gap_instance(gap_instance):
     res = solve_greedy(gap_instance)
     assert res.objective == 6
-    assert res.alloc.chosen == (1, 0)
+    assert res.alloc == (1, 0)
     assert res.per_step_marginals == (5, 1)
 
 
@@ -96,15 +98,15 @@ def test_greedy_tie_break_lowest_cell_then_lowest_prb():
     # every set has gain 1: cell 0 PRB 0 must win the first step
     inst = CoverageInstance(3, [[{0}, {1}], [{0}, {1}]], [0, 0, 0])
     res = solve_greedy(inst)
-    assert res.alloc.chosen == (0, 1)  # step 2: cell 1 PRB 0 has gain 0, PRB 1 gains 1
+    assert res.alloc == (0, 1)  # step 2: cell 1 PRB 0 has gain 0, PRB 1 gains 1
     inst2 = CoverageInstance(2, [[{0}, {0}], [{0}, {0}]], [0, 0])
-    assert solve_greedy(inst2).alloc.chosen == (0, 0)
+    assert solve_greedy(inst2).alloc == (0, 0)
 
 
 def test_greedy_zero_gain_cells_still_allocate():
     inst = CoverageInstance(1, [[{0}, set()], [set(), set()]], [0])
     res = solve_greedy(inst)
-    assert res.alloc.chosen == (0, 0)
+    assert res.alloc == (0, 0)
     assert res.per_step_marginals == (1, 0)
 
 
@@ -119,7 +121,7 @@ def test_greedy_is_deterministic(rng):
 def test_exact_on_gap_instance(gap_instance):
     res = solve_exact(gap_instance)
     assert res.objective == 7
-    assert res.alloc.chosen == (0, 1)
+    assert res.alloc == (0, 1)
 
 
 def test_exact_single_cell_equals_greedy(rng):
@@ -131,15 +133,15 @@ def test_exact_single_cell_equals_greedy(rng):
 def test_exact_single_prb_forced_allocation(rng):
     inst = random_instance(rng, num_users=20, num_cells=3, num_prbs=1)
     res = solve_exact(inst)
-    assert res.alloc.chosen == (0, 0, 0)
-    union = frozenset().union(*(cell[0] for cell in inst.collections))
+    assert res.alloc == (0, 0, 0)
+    union = frozenset().union(*(cell[0] for cell in coverage_sets(inst)))
     assert res.objective == len(union)
 
 
 def test_exact_tie_break_lexicographic():
     # both PRBs of both cells cover the same single user
     inst = CoverageInstance(1, [[{0}, {0}], [{0}, {0}]], [0])
-    assert solve_exact(inst).alloc.chosen == (0, 0)
+    assert solve_exact(inst).alloc == (0, 0)
 
 
 def test_exact_matches_reference_enumeration(rng):
@@ -152,7 +154,7 @@ def test_exact_matches_reference_enumeration(rng):
         ref_alloc, ref_best = reference_exact(inst)
         res = solve_exact(inst)
         assert res.objective == ref_best == served(inst, res.alloc)[0].sum()
-        assert res.alloc.chosen == ref_alloc
+        assert res.alloc == ref_alloc
 
 
 def test_exact_budget_error_reports_size():
@@ -169,13 +171,13 @@ def test_exact_budget_error_reports_size():
 def test_sc_baseline_single_cell():
     inst = CoverageInstance(2, [[{0}, {0, 1}]], [0, 0])
     res = solve_sc_baseline(inst)
-    assert res.alloc.chosen == (1,)
+    assert res.alloc == (1,)
     assert res.objective == 2
 
 
 def test_sc_baseline_objective_is_sc_objective(gap_instance):
     res = solve_sc_baseline(gap_instance)
-    assert res.alloc.chosen == (0, 0)
+    assert res.alloc == (0, 0)
     assert res.objective == 4
     assert res.objective == served(gap_instance, res.alloc)[1].sum()
 
@@ -184,12 +186,13 @@ def test_sc_baseline_cannot_serve_user_covered_only_elsewhere():
     # user 1's primary is cell 1, but only cell 0's sets contain it
     inst = CoverageInstance(2, [[{0, 1}], [{0}]], [0, 1])
     res = solve_sc_baseline(inst)
+    sets = coverage_sets(inst)
     assert 1 not in set(np.flatnonzero(
-        [k in inst.collections[inst.primary_cell[k]][res.alloc[inst.primary_cell[k]]]
+        [k in sets[inst.primary_cell[k]][res.alloc[inst.primary_cell[k]]]
          for k in range(2)]
     ))
     for alloc in itertools.product(range(1), repeat=2):
-        assert served(inst, Allocation(alloc))[1].sum() <= 1
+        assert served(inst, alloc)[1].sum() <= 1
 
 
 def test_sc_baseline_never_beats_exact_mc(rng):
@@ -206,7 +209,7 @@ def test_sc_baseline_is_optimal_for_sc(rng):
     for _ in range(25):
         inst = random_instance(rng, num_users=12, num_cells=3, num_prbs=3)
         best = max(
-            served(inst, Allocation(a))[1].sum()
+            served(inst, a)[1].sum()
             for a in itertools.product(range(3), repeat=3)
         )
         assert solve_sc_baseline(inst).objective == best
@@ -247,7 +250,7 @@ def test_greedy_is_only_a_half_approximation(block, extra_cells):
     exact = solve_exact(inst)
     assert greedy.objective == block
     assert exact.objective == 2 * block
-    assert exact.alloc.chosen[:2] == (1, 0)
+    assert exact.alloc[:2] == (1, 0)
     assert greedy.objective == greedy_bound(exact.objective)
     # the (1 - 1/e) claim this family refutes
     assert greedy.objective < math.ceil(

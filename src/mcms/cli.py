@@ -16,9 +16,11 @@ built-in defaults.  A count that is not a whole number, a radius or
 rate that is not a finite positive number, a non-boolean
 ``deterministic_fading``, a negative ``solve --budget`` or an
 out-of-range ``oracle-check`` argument is an error with exit code 2,
-never coerced; so is an ``--out`` or ``--dump-raw`` path that is a
-directory or whose directory does not exist, and a ``--dump-raw`` path
-that names the CSV or its ``.meta.json`` sidecar, before any sampling.
+never coerced; so is an ``--out``, ``<out>.meta.json`` or
+``--dump-raw`` path that is a directory or whose directory does not
+exist, and a ``--dump-raw`` path that names the CSV or its
+``.meta.json`` sidecar, before any sampling.  A sweep or instance too
+large to allocate is an error with exit code 2 too.
 Sweep values come from ``--values`` as comma-separated numbers, or from
 the config file's ``values`` as such a string or a JSON list of
 numbers.
@@ -199,7 +201,8 @@ def _cmd_sweep(args, axis: str) -> int:
     if out is None:
         raise ValueError("--out is required (flag or config file)")
     # Fail before sampling, not after a sweep that cannot be written.
-    for flag, path in (("--out", out), ("--dump-raw", args.dump_raw)):
+    for flag, path in (("--out", out), ("--out", out + ".meta.json"),
+                       ("--dump-raw", args.dump_raw)):
         if path is None:
             continue
         path = os.path.abspath(path)
@@ -218,7 +221,6 @@ def _cmd_sweep(args, axis: str) -> int:
             axis,
             values=values,
             with_exact=args.exact,
-            collect_raw=bool(args.dump_raw),
             progress=lambda line: print(line, file=sys.stderr),
         )
     except EnumerationBudgetError as exc:
@@ -231,7 +233,7 @@ def _cmd_sweep(args, axis: str) -> int:
     write_meta(result, out)
     if args.dump_raw:
         write_raw_csv(result, args.dump_raw)
-    print(f"wrote {out} ({len(result.points)} points)")
+    print(f"wrote {out} ({len(result.values)} points)")
     return 0
 
 
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InstanceError, AllocationError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

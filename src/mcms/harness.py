@@ -106,40 +106,25 @@ class ExperimentConfig:
                 f"finite SNR reaches it, got {self.stream_rate_bps!r}")
 
 
-@dataclass(frozen=True)
-class RawSample:
-    """Unserved counts of one (placement, fading draw) sample."""
-
-    value: float
-    trial: int
-    subframe: int
-    unserved_sc: int
-    unserved_mc: int
-    unserved_exact: int | None = None
+# The columns of a sweep, in the order of SweepResult.counts and of every
+# file the writers produce; EXACT only with the optimum.
+_COLUMNS = ("SC", "MC", "EXACT")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Mean and population std-dev of unserved users at one swept value,
-    over ``samples`` = trials x subframes draws."""
-
-    value: float
-    unserved_sc: float
-    unserved_mc: float
-    std_sc: float
-    std_mc: float
-    samples: int
-    trials: int
-    unserved_exact: float | None = None
-    std_exact: float | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """Unserved users of every sample of a sweep.
+
+    ``counts`` is a read-only int64 array [points, columns, trials,
+    sub-frames]: its columns are SC and MC, plus EXACT when the sweep
+    reported the optimum.  Every mean and standard deviation the writers
+    report is taken over one point's column, flat in trial-major order.
+    """
+
     axis: str
     config: ExperimentConfig
-    points: tuple[SweepPoint, ...]
-    raw: tuple[RawSample, ...] = ()
+    values: tuple[float, ...]
+    counts: np.ndarray
 
 
 class _FadingSeeds:
@@ -174,7 +159,6 @@ def run_sweep(
     axis: str,
     values: Sequence[float] | None = None,
     with_exact: bool = False,
-    collect_raw: bool = False,
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
     """Run the Monte Carlo sweep along ``axis``.
@@ -185,10 +169,9 @@ def run_sweep(
     the greedy's or the SC allocation serves every user some set covers
     and enumerated by `exact_search` elsewhere (see `unserved_counts`).
     It raises EnumerationBudgetError before the first sample unless
-    num_prbs ** num_cells stays within EXACT_BUDGET.  With
-    ``collect_raw`` the per-sample counts are kept on the result so the
-    reported means can be recomputed from them.  Every placement of
-    every point goes through one run of the kernel, `unserved_counts`.
+    num_prbs ** num_cells stays within EXACT_BUDGET.  Every placement
+    of every point goes through one run of the kernel, `unserved_counts`,
+    and its counts are copied into the result's `counts`.
     """
     if values is None:
         values = DEFAULT_USER_SWEEP if axis == "users" else DEFAULT_RADIUS_SWEEP
@@ -214,54 +197,35 @@ def run_sweep(
                 )
                 yield scenario, _FadingSeeds(pc.seed, pi, trial, pc.subframes)
 
-    points = []
-    raw: list[RawSample] = []
-    counts = unserved_counts(placements(), config.channel,
+    counts = np.empty((len(values), 3 if with_exact else 2, config.trials,
+                       config.subframes), dtype=np.int64)
+    kernel = unserved_counts(placements(), config.channel,
                              StreamSpec(rate_bps=config.stream_rate_bps),
                              config.num_prbs, with_exact)
-    with contextlib.closing(counts):
+    with contextlib.closing(kernel):
         started = time.perf_counter()
-        for value, pc in zip(values, point_configs):
-            unserved = np.empty(
-                (3 if with_exact else 2, pc.trials, pc.subframes),
-                dtype=np.int64)
-            for trial in range(pc.trials):
-                mc, sc, exact = next(counts)
-                unserved[:2, trial] = mc, sc
-                if with_exact:
-                    unserved[2, trial] = exact
-            if collect_raw:
-                mc, sc, *exact = unserved.tolist()
-                raw.extend(
-                    RawSample(value=value, trial=trial, subframe=t,
-                              unserved_sc=sc[trial][t],
-                              unserved_mc=mc[trial][t],
-                              unserved_exact=(exact[0][trial][t] if exact
-                                              else None))
-                    for trial in range(pc.trials)
-                    for t in range(pc.subframes)
-                )
-            mc, sc, *exact = unserved.reshape(len(unserved), -1)
-            points.append(SweepPoint(
-                value=value,
-                unserved_sc=float(sc.mean()),
-                unserved_mc=float(mc.mean()),
-                std_sc=float(sc.std()),
-                std_mc=float(mc.std()),
-                samples=mc.size,
-                trials=pc.trials,
-                unserved_exact=float(exact[0].mean()) if exact else None,
-                std_exact=float(exact[0].std()) if exact else None,
-            ))
+        for pi, value in enumerate(values):
+            for trial in range(config.trials):
+                counts[pi, :, trial] = next(kernel)
             if progress is not None:
                 now = time.perf_counter()
-                rate = mc.size / (now - started)
+                rate = counts[pi, 0].size / (now - started)
                 started = now
-                progress(f"{axis}={value:g}: SC={points[-1].unserved_sc:.3f} "
-                         f"MC={points[-1].unserved_mc:.3f} "
-                         f"({rate:.0f} samples/s)")
-    return SweepResult(axis=axis, config=config, points=tuple(points),
-                       raw=tuple(raw))
+                sc, mc = _samples(counts[pi])[:2]
+                progress(f"{axis}={value:g}: SC={sc.mean():.3f} "
+                         f"MC={mc.mean():.3f} ({rate:.0f} samples/s)")
+    counts.flags.writeable = False
+    return SweepResult(axis=axis, config=config, values=values, counts=counts)
+
+
+def _samples(point: np.ndarray) -> np.ndarray:
+    """A point's counts [columns, trials, sub-frames] as one row of
+    samples per column, in trial-major order."""
+    return point.reshape(len(point), -1)
+
+
+def _header(result: SweepResult, *fields: str) -> str:
+    return ",".join((*fields, *_COLUMNS[:result.counts.shape[1]]))
 
 
 def _fmt_float(x: float) -> str:
@@ -288,57 +252,39 @@ def write_csv(result: SweepResult, path) -> None:
     sweep's axis, plus ``,EXACT`` when the sweep also reported the
     optimum, certified by bounds or enumerated.
     """
-    if not result.points:
+    if not result.values:
         raise ValueError("sweep result has no points")
-    with_exact = result.points[0].unserved_exact is not None
-    header = f"{result.axis},SC,MC"
-    if with_exact:
-        header += ",EXACT"
-    lines = [header]
-    for p in result.points:
-        row = (f"{_fmt_value(p.value)},{_fmt_float(p.unserved_sc)},"
-               f"{_fmt_float(p.unserved_mc)}")
-        if with_exact:
-            row += f",{_fmt_float(p.unserved_exact)}"
-        lines.append(row)
+    lines = [_header(result, result.axis)]
+    for value, point in zip(result.values, result.counts):
+        lines.append(",".join([_fmt_value(value)] + [
+            _fmt_float(column.mean()) for column in _samples(point)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_raw_csv(result: SweepResult, path) -> None:
     """Per-sample dump from which the means in the main CSV can be
-    recomputed."""
-    if not result.raw:
-        raise ValueError("sweep was run without collect_raw")
-    with_exact = result.raw[0].unserved_exact is not None
-    header = f"{result.axis},trial,subframe,SC,MC"
-    if with_exact:
-        header += ",EXACT"
-    lines = [header]
-    for s in result.raw:
-        row = (f"{_fmt_value(s.value)},{s.trial},{s.subframe},"
-               f"{s.unserved_sc},{s.unserved_mc}")
-        if with_exact:
-            row += f",{s.unserved_exact}"
-        lines.append(row)
+    recomputed: one row per (value, trial, sub-frame)."""
+    lines = [_header(result, result.axis, "trial", "subframe")]
+    # [points, trials, sub-frames, columns]: one row of counts per sample.
+    by_sample = np.moveaxis(result.counts, 1, -1).tolist()
+    for value, trials in zip(result.values, by_sample):
+        lines.extend(f"{_fmt_value(value)},{trial},{t},"
+                     + ",".join(map(str, row))
+                     for trial, rows in enumerate(trials)
+                     for t, row in enumerate(rows))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_meta(result: SweepResult, csv_path) -> None:
     """Sidecar JSON describing how the CSV next to it was produced."""
     point_stats = []
-    for p in result.points:
-        entry = {
-            "value": p.value,
-            "mean_sc": p.unserved_sc,
-            "mean_mc": p.unserved_mc,
-            "std_sc": p.std_sc,
-            "std_mc": p.std_mc,
-            "samples": p.samples,
-            "trials": p.trials,
-        }
-        if p.unserved_exact is not None:
-            entry["mean_exact"] = p.unserved_exact
-            entry["std_exact"] = p.std_exact
+    for value, point in zip(result.values, result.counts):
+        _, trials, subframes = point.shape
+        entry = {"value": value, "samples": trials * subframes,
+                 "trials": trials}
+        for name, column in zip(("sc", "mc", "exact"), _samples(point)):
+            entry[f"mean_{name}"] = float(column.mean())
+            entry[f"std_{name}"] = float(column.std())
         point_stats.append(entry)
     meta = {
         "axis": result.axis,
@@ -352,7 +298,7 @@ def write_meta(result: SweepResult, csv_path) -> None:
         },
         "points": point_stats,
     }
-    if result.points[0].unserved_exact is not None:
+    if result.counts.shape[1] == 3:
         meta["columns"]["EXACT"] = "brute-force optimal cross-cell choice"
     path = Path(str(csv_path) + ".meta.json")
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",

@@ -136,7 +136,8 @@ def _gain_bounds(snr: np.ndarray, params: ChannelParams,
 
 class _Placement:
     """One placement as the kernel sees it: the per-link thresholds, the
-    fading seeds of its sub-frames and their unserved counts."""
+    fading seeds of its sub-frames and their unserved counts, one row per
+    column (SC, MC and, with the EXACT column, the optimum)."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
                  params: ChannelParams, stream: StreamSpec, num_prbs: int,
@@ -154,9 +155,8 @@ class _Placement:
         self.word_shape = (num_cells, num_prbs, -(-self.num_users // 64))
         self.slab = max(1, min(num_cells, _SLAB_BYTES
                                // max(num_prbs * self.num_users * 8, 1)))
-        self.mc = np.empty(self.subframes, dtype=np.int64)
-        self.sc = np.empty_like(self.mc)
-        self.exact = np.empty_like(self.mc) if with_exact else None
+        self.counts = np.empty((3 if with_exact else 2, self.subframes),
+                               dtype=np.int64)
 
 
 def _buffers(place: _Placement, fading: str):
@@ -211,7 +211,7 @@ def unserved_counts(
     stream: StreamSpec,
     num_prbs: int,
     with_exact: bool = False,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+) -> Iterator[np.ndarray]:
     """The Monte Carlo kernel: unserved users of a stream of placements,
     per sub-frame.
 
@@ -248,9 +248,9 @@ def unserved_counts(
     started are cancelled and the open queues emptied: a running helper
     stops after its current sub-frame.
 
-    Yields, per placement, the unserved counts ``(mc, sc, exact)``:
-    arrays of one entry per sub-frame; ``exact`` is None without
-    ``with_exact``.
+    Yields, per placement, its unserved counts: an int64 array
+    [columns, sub-frames] whose rows are SC, MC and, with
+    ``with_exact``, the optimum.
     """
     import queue  # not at module import: a run that never sweeps skips it
 
@@ -309,12 +309,12 @@ def unserved_counts(
                 # thresholds while the next placement's are alive.
                 done.snr = done.lo = done.hi = None
             num_users = done.num_users
-            counts = slice(start, stop)
+            unserved = done.counts[:, start:stop]
             mc_chosen, served, _ = greedy_batch(words)
-            done.mc[counts] = num_users - served
+            unserved[1] = num_users - served
             sc_chosen, served = sc_batch(words, done.owners)
-            done.sc[counts] = num_users - served
-            if done.exact is not None:
+            unserved[0] = num_users - served
+            if len(unserved) == 3:
                 # lower <= optimum <= upper: the users some set covers,
                 # and 1-swaps from the greedy's allocation and, where
                 # that falls short of upper, from the SC allocation.
@@ -324,16 +324,15 @@ def unserved_counts(
                 short = np.flatnonzero(lower < upper)
                 lower[short] = np.maximum(lower[short], swap_batch(
                     words[short], sc_chosen[short])[1])
-                done.exact[counts] = num_users - upper
+                unserved[2] = num_users - upper
                 for t in np.flatnonzero(lower < upper):
                     member = np.unpackbits(
                         words[t].view(np.uint8), axis=-1, count=num_users,
                         bitorder="little").view(bool)
-                    done.exact[start + t] = (
-                        num_users - exact_search(member)[1])
+                    unserved[2, t] = num_users - exact_search(member)[1]
             opened.extend(itertools.islice(upcoming, 1))
             if stop == done.subframes:
-                yield done.mc, done.sc, done.exact
+                yield done.counts
     finally:
         for _, _, _, todo, futures in opened:
             for future in futures:

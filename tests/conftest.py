@@ -33,9 +33,18 @@ def coverage_sets(instance: CoverageInstance):
 def run_subframe(scenario, params, stream, rng, num_prbs=4):
     """Unserved (MC, SC) counts of one sub-frame drawn from ``rng``: the
     sweep kernel on a stream of one placement with one sub-frame."""
-    mc, sc, _ = next(unserved_counts([(scenario, [rng])], params, stream,
-                                     num_prbs))
+    sc, mc = next(unserved_counts([(scenario, [rng])], params, stream,
+                                  num_prbs))
     return int(mc[0]), int(sc[0])
+
+
+def assert_same_sweep(got, want):
+    """Two sweep results are equal: axis, config, swept values and every
+    count.  `SweepResult` holds an array, so ``==`` cannot compare them."""
+    assert (got.axis, got.config, got.values) == (want.axis, want.config,
+                                                   want.values)
+    assert got.counts.shape == want.counts.shape
+    assert np.array_equal(got.counts, want.counts)
 
 
 @pytest.fixture

@@ -93,24 +93,31 @@ def test_unserved_user_trends_over_default_sweeps():
     elapsed = time.time() - t0
     assert elapsed < 300.0
 
+    def means(result):
+        # value -> (SC, MC) means, each over the point's samples
+        return {value: tuple(float(column.mean())
+                             for column in point.reshape(2, -1))
+                for value, point in zip(result.values, result.counts)}
+
+    users, radius = means(users_sweep), means(radius_sweep)
     # calibration anchor: mid-sweep SC mean sits in the visible regime
-    anchor = next(p for p in users_sweep.points if p.value == 175.0)
-    assert 5.0 <= anchor.unserved_sc <= 60.0
+    anchor = users[175.0][0]
+    assert 5.0 <= anchor <= 60.0
 
-    for p in (*users_sweep.points, *radius_sweep.points):
-        assert p.samples >= 2000
-        assert p.unserved_mc <= p.unserved_sc
+    for result in (users_sweep, radius_sweep):
+        assert result.counts[0, 0].size >= 2000
+    for sc, mc in (*users.values(), *radius.values()):
+        assert mc <= sc
 
-    by_radius = {p.value: p for p in radius_sweep.points}
-    sc_200, sc_400 = by_radius[200.0].unserved_sc, by_radius[400.0].unserved_sc
-    gap_200 = sc_200 - by_radius[200.0].unserved_mc
-    gap_400 = sc_400 - by_radius[400.0].unserved_mc
+    sc_200, sc_400 = radius[200.0][0], radius[400.0][0]
+    gap_200 = sc_200 - radius[200.0][1]
+    gap_400 = sc_400 - radius[400.0][1]
     assert sc_400 > sc_200
     assert gap_400 > gap_200
 
-    print(f"\nPASS: trends over {len(users_sweep.points)} user points and "
-          f"{len(radius_sweep.points)} radius points in {elapsed:.0f}s "
-          f"(anchor SC={anchor.unserved_sc:.2f}, "
+    print(f"\nPASS: trends over {len(users)} user points and "
+          f"{len(radius)} radius points in {elapsed:.0f}s "
+          f"(anchor SC={anchor:.2f}, "
           f"coordination gap {gap_200:.2f} -> {gap_400:.2f})")
 
 

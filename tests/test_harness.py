@@ -1,5 +1,6 @@
 """Experiment-harness and CLI tests."""
 
+import dataclasses
 import itertools
 import json
 import re
@@ -31,9 +32,9 @@ from mcms import (
     write_raw_csv,
 )
 from mcms.cli import main
-from mcms.harness import SweepPoint, random_instance
+from mcms.harness import random_instance
 
-from conftest import coverage_sets, run_subframe
+from conftest import assert_same_sweep, coverage_sets, run_subframe
 
 TINY = ExperimentConfig(trials=2, subframes=4, users_per_cell=20, seed=3)
 
@@ -70,13 +71,13 @@ def test_run_sweep_progress_lines_report_samples_per_second():
     lines = []
     result = run_sweep(TINY, "users", values=(20, 30), progress=lines.append)
     assert len(lines) == 2
-    for line, point in zip(lines, result.points):
+    for line, value, point in zip(lines, result.values, result.counts):
         m = re.fullmatch(r"users=(\d+): SC=(\d+\.\d{3}) MC=(\d+\.\d{3}) "
                          r"\((\d+) samples/s\)", line)
         assert m, line
-        assert float(m[1]) == point.value
-        assert m[2] == f"{point.unserved_sc:.3f}"
-        assert m[3] == f"{point.unserved_mc:.3f}"
+        assert float(m[1]) == value
+        assert m[2] == f"{point[0].mean():.3f}"
+        assert m[3] == f"{point[1].mean():.3f}"
         assert int(m[4]) > 0
 
 
@@ -111,16 +112,20 @@ def test_run_subframe_matches_solver_objectives():
 def test_run_sweep_deterministic_and_equal():
     a = run_sweep(TINY, "users", values=(20, 30))
     b = run_sweep(TINY, "users", values=(20, 30))
-    assert a == b
-    assert [p.value for p in a.points] == [20.0, 30.0]
-    assert all(p.samples == 8 for p in a.points)
+    assert_same_sweep(a, b)
+    assert a.values == (20.0, 30.0)
+    # [points, columns SC and MC, trials, sub-frames]
+    assert a.counts.shape == (2, 2, TINY.trials, TINY.subframes)
+    assert a.counts.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        a.counts[0, 0, 0, 0] = 1
 
 
 def test_run_sweep_point_isolation():
     # dropping later values must not change earlier points
     full = run_sweep(TINY, "users", values=(20, 30))
     head = run_sweep(TINY, "users", values=(20,))
-    assert full.points[0] == head.points[0]
+    assert np.array_equal(full.counts[:1], head.counts)
 
 
 def test_run_sweep_rejects_bad_values():
@@ -147,27 +152,38 @@ def test_run_sweep_rejects_fractional_users_before_sampling(monkeypatch):
 def test_run_sweep_radius_axis():
     res = run_sweep(TINY, "radius", values=(250, 350))
     assert res.axis == "radius"
-    assert [p.value for p in res.points] == [250.0, 350.0]
+    assert res.values == (250.0, 350.0)
 
 
-def test_sweep_means_match_raw_samples():
-    res = run_sweep(TINY, "users", values=(20, 35), collect_raw=True)
-    assert len(res.raw) == 2 * TINY.trials * TINY.subframes
-    for p in res.points:
-        rows = [r for r in res.raw if r.value == p.value]
-        assert len(rows) == p.samples
-        assert np.mean([r.unserved_sc for r in rows]) == p.unserved_sc
-        assert np.mean([r.unserved_mc for r in rows]) == p.unserved_mc
-        assert np.std([r.unserved_sc for r in rows]) == pytest.approx(p.std_sc)
+def test_sweep_means_match_raw_samples(tmp_path):
+    # The written per-sample dump gives back, exactly, the CSV's means
+    # and the .meta.json's means and standard deviations.
+    res = run_sweep(TINY, "users", values=(20, 35))
+    out, raw = tmp_path / "u.csv", tmp_path / "u.raw.csv"
+    write_csv(res, out)
+    write_meta(res, out)
+    write_raw_csv(res, raw)
+    rows = [line.split(",") for line in raw.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * TINY.trials * TINY.subframes
+    means = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    stats = json.loads((tmp_path / "u.csv.meta.json").read_text())["points"]
+    for (value, *mean), point in zip(means, stats):
+        # One column of samples per scheduler, in the dump's row order.
+        samples = [np.array([int(r[i]) for r in rows if r[0] == value])
+                   for i in (3, 4)]
+        assert [len(column) for column in samples] == [point["samples"]] * 2
+        for name, written, column in zip(("sc", "mc"), mean, samples):
+            assert float(written) == float(column.mean())
+            assert point[f"mean_{name}"] == float(column.mean())
+            assert point[f"std_{name}"] == float(column.std())
 
 
 def test_sweep_with_exact_column(tmp_path):
     config = ExperimentConfig(trials=1, subframes=3, users_per_cell=8,
                               num_prbs=2, seed=1)
     res = run_sweep(config, "users", values=(8, 12), with_exact=True)
-    for p in res.points:
-        assert p.unserved_exact is not None
-        assert p.unserved_exact <= p.unserved_sc + 1e-12
+    sc, mc, exact = np.moveaxis(res.counts, 1, 0)
+    assert (exact <= sc).all() and (exact <= mc).all()
     out = tmp_path / "exact.csv"
     write_csv(res, out)
     lines = out.read_text().splitlines()
@@ -192,7 +208,9 @@ def test_write_csv_headers_and_rows(tmp_path):
 
 
 def test_write_csv_rejects_empty_result(tmp_path):
-    empty = SweepResult(axis="users", config=TINY, points=())
+    empty = SweepResult(axis="users", config=TINY, values=(),
+                        counts=np.empty((0, 2, TINY.trials, TINY.subframes),
+                                        dtype=np.int64))
     target = tmp_path / "nope.csv"
     with pytest.raises(ValueError):
         write_csv(empty, target)
@@ -200,25 +218,30 @@ def test_write_csv_rejects_empty_result(tmp_path):
 
 
 def test_csv_numbers_stay_plain_decimal(tmp_path):
-    # tiny means must not fall into exponent notation
-    point = SweepPoint(value=100.0, unserved_sc=0.00005, unserved_mc=0.0,
-                       std_sc=0.0, std_mc=0.0, samples=1, trials=1)
-    res = SweepResult(axis="users", config=TINY, points=(point,))
+    # tiny means must not fall into exponent notation: one SC miss in
+    # 20,000 samples
+    config = dataclasses.replace(TINY, trials=1, subframes=20_000)
+    counts = np.zeros((1, 2, 1, 20_000), dtype=np.int64)
+    counts[0, 0, 0, 0] = 1
+    res = SweepResult(axis="users", config=config, values=(100.0,),
+                      counts=counts)
     out = tmp_path / "small.csv"
     write_csv(res, out)
     assert out.read_text().splitlines()[1] == "100,0.00005,0.0"
 
 
 def test_write_raw_csv(tmp_path):
-    res = run_sweep(TINY, "users", values=(20,), collect_raw=True)
+    res = run_sweep(TINY, "users", values=(20,))
     out = tmp_path / "raw.csv"
     write_raw_csv(res, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "users,trial,subframe,SC,MC"
     assert len(lines) == 1 + TINY.trials * TINY.subframes
-    no_raw = run_sweep(TINY, "users", values=(20,))
-    with pytest.raises(ValueError):
-        write_raw_csv(no_raw, tmp_path / "nope.csv")
+    # Rows run over trials, then sub-frames, and hold SC then MC.
+    for line, (trial, t) in zip(lines[1:], np.ndindex(TINY.trials,
+                                                      TINY.subframes)):
+        sc, mc = res.counts[0, :, trial, t]
+        assert line == f"20,{trial},{t},{sc},{mc}"
 
 
 def test_write_meta_sidecar(tmp_path):
@@ -599,6 +622,8 @@ def test_fading_seeds_are_bounded_to_the_placement():
     (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}/x.csv.meta.json"], None,
      "--dump-raw"),
     (["--dump-raw", "{tmp}/x.csv"], {"out": "{tmp}/x.csv"}, "--dump-raw"),
+    # The CSV's .meta.json sidecar must be writable too.
+    (["--out", "{taken}/x.csv"], None, "--out"),
 ])
 def test_cli_rejects_unwritable_outputs_before_sampling(
         tmp_path, capsys, monkeypatch, flags, config, message):
@@ -606,7 +631,11 @@ def test_cli_rejects_unwritable_outputs_before_sampling(
         raise AssertionError("the kernel was entered")
 
     monkeypatch.setattr(harness, "unserved_counts", no_sampling)
-    paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "dir")}
+    # {taken}/x.csv.meta.json is a directory.
+    taken = tmp_path / "taken"
+    (taken / "x.csv.meta.json").mkdir(parents=True)
+    paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "dir"),
+             "taken": str(taken)}
     argv = ["sweep-users", "--trials", "2", "--subframes", "50"]
     argv += [flag.format(**paths) for flag in flags]
     if config is not None:
@@ -617,7 +646,9 @@ def test_cli_rejects_unwritable_outputs_before_sampling(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message} ")
-    assert list(tmp_path.iterdir()) in ([], [tmp_path / "cfg.json"])
+    # No file but the config: neither the CSV nor any sidecar.
+    assert set(tmp_path.rglob("*")) <= {tmp_path / "cfg.json", taken,
+                                        taken / "x.csv.meta.json"}
 
 
 def test_cli_requires_out(capsys):
@@ -724,6 +755,19 @@ def test_cli_oracle_check_accepts_edge_arguments(capsys):
                "--density", "1"])
     assert rc == 0
     assert "violations=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-users", "--values", "10000000000000000", "--trials", "1",
+     "--subframes", "1", "--out", "{tmp}/x.csv"],
+    ["oracle-check", "--users", "10000000000000000", "--trials", "1"],
+])
+def test_cli_reports_an_allocation_failure(tmp_path, capsys, argv):
+    # 10^16 users ask for some 900 PiB, beyond any 57-bit address space,
+    # so the first allocation fails at once on every machine.
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_exact_flag_adds_column(tmp_path):

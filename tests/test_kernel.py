@@ -50,7 +50,7 @@ from mcms.scenario import mean_snr
 from mcms.solvers import (exact_search, greedy_batch, primary_words,
                           sc_batch, swap_batch)
 
-from conftest import run_subframe
+from conftest import assert_same_sweep, run_subframe
 
 # With one cell and one PRB every link decides whether its user is
 # served, so a single misjudged link changes the unserved counts.
@@ -140,15 +140,14 @@ def check_sweep_at_realized_rates(boundary, with_subframe=True):
     for rate in boundary_rates(boundary):
         stream = StreamSpec(rate_bps=rate)
         config = dataclasses.replace(boundary, stream_rate_bps=rate)
-        result = run_sweep(config, "users", values=(boundary.users_per_cell,),
-                           collect_raw=True)
-        for sample in result.raw:
-            scenario, fading = sweep_sample(config, sample.trial,
-                                            sample.subframe)
+        result = run_sweep(config, "users", values=(boundary.users_per_cell,))
+        for trial, t in np.ndindex(config.trials, config.subframes):
+            scenario, fading = sweep_sample(config, trial, t)
             want = pipeline_counts(scenario, params, stream,
                                    np.random.default_rng(fading),
                                    config.num_prbs)
-            assert (sample.unserved_mc, sample.unserved_sc) == want, rate
+            sc, mc = result.counts[0, :, trial, t]
+            assert (mc, sc) == want, rate
             if with_subframe:
                 got = run_subframe(scenario, params, stream,
                                    np.random.default_rng(fading),
@@ -190,7 +189,7 @@ def test_kernel_matches_pipeline_in_worker_threads(boundary, workers):
                                boundary.num_prbs)
         with worker_threads(workers), \
                 mock.patch.object(kernel, "shannon_rate_bps", spy):
-            mc, sc, _ = next(kernel.unserved_counts(
+            sc, mc = next(kernel.unserved_counts(
                 [(scenario, [fading] * 16)], params, stream,
                 boundary.num_prbs))
         assert set(zip(mc.tolist(), sc.tolist())) == {want}, rate
@@ -243,8 +242,9 @@ def test_results_do_not_depend_on_batch_size(seed, cells, prbs, users,
     for budget in forced_batches(config, users):
         with mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget):
             results.append(run_sweep(config, "users", values=(users,),
-                                     with_exact=with_exact, collect_raw=True))
-    assert results[0] == results[1] == results[2]
+                                     with_exact=with_exact))
+    for result in results[1:]:
+        assert_same_sweep(result, results[0])
 
 
 @settings(max_examples=15, deadline=None)
@@ -278,14 +278,15 @@ def test_results_do_not_depend_on_worker_count(seed, cells, prbs, users,
             with worker_threads(workers), \
                     mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget):
                 results.append(run_sweep(config, "users", values=users,
-                                         with_exact=with_exact,
-                                         collect_raw=True))
-    assert len(results[0].raw) == len(users) * trials * subframes
-    assert all(result == results[0] for result in results)
+                                         with_exact=with_exact))
+    assert results[0].counts.shape == (len(users), 2 + with_exact, trials,
+                                       subframes)
+    for result in results[1:]:
+        assert_same_sweep(result, results[0])
 
 
 def sweep_in_child(config, want):
-    assert run_sweep(config, "users", values=(20,), collect_raw=True) == want
+    assert_same_sweep(run_sweep(config, "users", values=(20,)), want)
 
 
 def test_sweep_runs_in_a_child_forked_after_a_sweep():
@@ -294,7 +295,7 @@ def test_sweep_runs_in_a_child_forked_after_a_sweep():
     config = ExperimentConfig(trials=1, subframes=6, users_per_cell=20,
                               seed=4)
     with worker_threads(2):
-        want = run_sweep(config, "users", values=(20,), collect_raw=True)
+        want = run_sweep(config, "users", values=(20,))
         assert kernel._pool is not None
         child = multiprocessing.get_context("fork").Process(
             target=sweep_in_child, args=(config, want))
@@ -389,7 +390,7 @@ def test_sweep_after_an_error_or_an_early_stop_gives_the_same_result():
                               seed=13)
     scenario = generate_scenario(7, 300.0, 20, 5)
     with worker_threads(2):
-        want = run_sweep(config, "users", values=(20, 25), collect_raw=True)
+        want = run_sweep(config, "users", values=(20, 25))
         # A helper's error, then a kernel closed after its first placement
         # while helpers draw the second; each time, the pool's one helper
         # thread must be free again.
@@ -405,8 +406,9 @@ def test_sweep_after_an_error_or_an_early_stop_gives_the_same_result():
         kernel._pool.submit(int).result(timeout=10)
         got = []
         assert run_in_thread(lambda: got.append(run_sweep(
-            config, "users", values=(20, 25), collect_raw=True))) is None
-    assert got == [want]
+            config, "users", values=(20, 25)))) is None
+    assert len(got) == 1
+    assert_same_sweep(got[0], want)
 
 
 class BlocksFirstHelperRead(list):
@@ -465,8 +467,7 @@ def test_pipeline_under_thread_stress():
                               num_prbs=2, seed=17)
     values = (9, 70, 130)
     with worker_threads(1):
-        want = run_sweep(config, "users", values=values, with_exact=True,
-                         collect_raw=True)
+        want = run_sweep(config, "users", values=values, with_exact=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -475,26 +476,27 @@ def test_pipeline_under_thread_stress():
                 mock.patch.object(kernel, "_BATCH_CELL_BYTES", 64):
             for _ in range(5):
                 assert run_in_thread(lambda: got.append(run_sweep(
-                    config, "users", values=values, with_exact=True,
-                    collect_raw=True))) is None
+                    config, "users", values=values,
+                    with_exact=True))) is None
     finally:
         sys.setswitchinterval(interval)
-    assert got == [want] * 5
+    assert len(got) == 5
+    for result in got:
+        assert_same_sweep(result, want)
 
 
 def test_one_thread_or_one_subframe_starts_no_pool():
     config = ExperimentConfig(trials=2, subframes=5, users_per_cell=20,
                               seed=2)
     with worker_threads(1):
-        one_thread = run_sweep(config, "users", values=(20, 30),
-                               collect_raw=True)
+        one_thread = run_sweep(config, "users", values=(20, 30))
         assert kernel._pool is None
     scenario = generate_scenario(7, 300.0, 20, 5)
     with worker_threads(2):
         got = run_subframe(scenario, ChannelParams(), StreamSpec(), 3)
         assert kernel._pool is None
-        assert run_sweep(config, "users", values=(20, 30),
-                         collect_raw=True) == one_thread
+        assert_same_sweep(run_sweep(config, "users", values=(20, 30)),
+                          one_thread)
     assert got == pipeline_counts(scenario, ChannelParams(), StreamSpec(),
                                   3, 4)
 
@@ -514,7 +516,7 @@ def test_sweep_builds_fading_seeds_as_it_draws():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert result.points[0].samples == 50_000
+    assert result.counts.shape == (1, 2, 1, 50_000)
     assert peak < 50_000 * 400 // 4, peak
 
 
@@ -752,9 +754,9 @@ def test_kernel_exact_is_the_optimum_certified_or_enumerated(batch):
                 mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget), \
                 mock.patch.object(kernel, "_draw", draw), \
                 counted_searches() as calls:
-            _, _, exact = next(kernel.unserved_counts(
+            exact = next(kernel.unserved_counts(
                 [instance_placement(batch)], ChannelParams(), StreamSpec(),
-                prbs, with_exact=True))
+                prbs, with_exact=True))[2]
         assert exact.tolist() == want
         assert len(calls) < len(batch)
         if prbs > 1 and users > 1:
@@ -768,8 +770,9 @@ def test_sweep_enumerates_only_what_the_bounds_leave_open():
     config = ExperimentConfig(trials=2, subframes=10, seed=1)
     with counted_searches() as calls:
         got = run_sweep(config, "users", values=(100, 175, 250),
-                        with_exact=True, collect_raw=True)
-    assert 0 < len(calls) <= len(got.raw) // 3, len(calls)
+                        with_exact=True)
+    samples = got.counts[:, 0].size
+    assert 0 < len(calls) <= samples // 3, len(calls)
     real_swap = kernel.swap_batch
 
     def no_lower_bound(words, chosen):
@@ -779,9 +782,9 @@ def test_sweep_enumerates_only_what_the_bounds_leave_open():
     with mock.patch.object(kernel, "swap_batch", no_lower_bound), \
             counted_searches() as calls:
         enumerated = run_sweep(config, "users", values=(100, 175, 250),
-                               with_exact=True, collect_raw=True)
-    assert len(calls) == len(got.raw)
-    assert enumerated == got
+                               with_exact=True)
+    assert len(calls) == samples
+    assert_same_sweep(enumerated, got)
 
 
 def exact_caps(num_cells, num_prbs, num_words):
@@ -867,9 +870,8 @@ def test_sweep_exact_never_leaves_more_unserved(seed, cells, prbs, users,
     config = ExperimentConfig(num_cells=cells, num_prbs=prbs, trials=2,
                               subframes=3, users_per_cell=users,
                               stream_rate_bps=rate, seed=seed)
-    result = run_sweep(config, "users", values=(users,), with_exact=True,
-                       collect_raw=True)
-    assert len(result.raw) == 6
-    for sample in result.raw:
-        assert sample.unserved_exact <= sample.unserved_mc
-        assert sample.unserved_exact <= sample.unserved_sc
+    result = run_sweep(config, "users", values=(users,), with_exact=True)
+    assert result.counts.shape == (1, 3, 2, 3)
+    sc, mc, exact = result.counts[0]
+    assert (exact <= mc).all()
+    assert (exact <= sc).all()

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import mcms
-from mcms import solve_exact, solve_greedy
+from mcms import solve_exact, solve_greedy, write_csv
 from mcms.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -15,7 +15,7 @@ def _blocks(language):
     return re.findall(rf"```{language}\n(.*?)```", README, re.S)
 
 
-def test_python_blocks_run_and_state_true_results(capsys):
+def test_python_blocks_run_and_state_true_results(tmp_path, capsys):
     # the blocks run in order in one namespace, as in one session
     namespace = {}
     blocks = _blocks("python")
@@ -28,6 +28,14 @@ def test_python_blocks_run_and_state_true_results(capsys):
     inst = namespace["inst"]
     assert solve_greedy(inst).objective == 6
     assert solve_exact(inst).objective == 7
+    # The sweep block prints the CSV's means, one line per swept value.
+    result = namespace["result"]
+    path = tmp_path / "sweep.csv"
+    write_csv(result, path)
+    rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
+    assert printed[2:] == [
+        f"users={value}: SC={float(sc):.2f} MC={float(mc):.2f} unserved"
+        for value, sc, mc in rows]
 
 
 def test_instance_document_solves_as_stated(tmp_path, capsys):

@@ -9,16 +9,18 @@ compares them with the threshold, with no log per link.  Gains within a
 narrow guard band of the threshold get their rate computed, so coverage
 is exactly that of `sample_rates` followed by `derive_instance`.
 
-Sub-frames go in batches capped by a fixed byte budget, each with its
-own packed uint64 words and a queue of its sub-frame indices.  The
-calling thread and helper tasks on a shared pool, one thread per
-available CPU, take indices from the queue and draw, threshold and pack
-those sub-frames (numpy's generator fills and comparisons release the
-interpreter lock); the calling thread draws ahead from the next batch
-while the helpers finish.  It then solves the batch with `greedy_batch`
-and `sc_batch` while the helpers draw the next batches, of this
-placement and of the next ones.  With the EXACT column, each
-sub-frame's optimum lies between a lower bound, a 1-swap local search
+Sub-frames go in batches capped by a fixed byte budget: runs of
+consecutive sub-frames of one shape, even across placements and sweep
+points, so that the solvers' fixed cost per batch is paid for as few
+batches as the budget allows.  Each batch has its own packed uint64
+words and a queue of its rows.  The calling thread and helper tasks on
+a shared pool, one thread per available CPU, take rows from the queue
+and draw, threshold and pack those sub-frames (numpy's generator fills
+and comparisons release the interpreter lock); the calling thread draws
+ahead from the next batch while the helpers finish.  It then solves the
+batch with `greedy_batch` and `sc_batch` while the helpers draw the next
+batches.  With the EXACT column, each sub-frame's optimum lies between
+a lower bound, the greedy's union raised by a 1-swap local search
 (`swap_batch`) from the greedy's or the SC allocation, and an upper
 bound, the users some set covers.  Where the two meet, that is the
 optimum; `exact_search` enumerates only the other sub-frames.  Either
@@ -54,6 +56,11 @@ from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
 # whole batch: one budget for all cells would give 19-cell batches of a
 # few sub-frames, each batch paying for 19 steps.
 _BATCH_CELL_BYTES = 16 << 10
+# Byte budget of the thresholds (mean SNR and gain bounds, 24 B a link)
+# of the placements one batch opens, at least one: a batch of placements
+# of a few sub-frames each would otherwise keep all of theirs alive, and
+# read twice as many scenarios ahead.
+_BATCH_OPEN_BYTES = 1 << 20
 # Batches open at once: the one the calling thread solves and the ones
 # drawn ahead of it.
 _RING = 2
@@ -100,10 +107,10 @@ if hasattr(os, "register_at_fork"):  # POSIX only
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _batch_subframes(subframes: int, num_prbs: int, num_users: int) -> int:
-    """Sub-frames per batch under _BATCH_CELL_BYTES, at least one."""
+def _batch_subframes(num_prbs: int, num_users: int) -> int:
+    """Most sub-frames of a batch under _BATCH_CELL_BYTES, at least one."""
     per_cell = num_prbs * -(-num_users // 64) * 8
-    return max(1, min(subframes, _BATCH_CELL_BYTES // max(per_cell, 1)))
+    return max(1, _BATCH_CELL_BYTES // max(per_cell, 1))
 
 
 def _gain_bounds(snr: np.ndarray, params: ChannelParams,
@@ -136,27 +143,86 @@ def _gain_bounds(snr: np.ndarray, params: ChannelParams,
 
 class _Placement:
     """One placement as the kernel sees it: the per-link thresholds, the
-    fading seeds of its sub-frames and their unserved counts, one row per
-    column (SC, MC and, with the EXACT column, the optimum)."""
+    fading seeds of its sub-frames, how many of them are still to be
+    drawn, and their unserved counts, one row per column (SC, MC and,
+    with the EXACT column, the optimum)."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
                  params: ChannelParams, stream: StreamSpec, num_prbs: int,
                  with_exact: bool):
-        self.subframes = len(fading_seeds)
-        if self.subframes < 1:
-            raise ValueError("a placement needs at least one sub-frame")
+        self.subframes = self.undrawn = len(fading_seeds)
         self.seeds = fading_seeds
         self.snr = mean_snr(scenario, params)
         num_cells, self.num_users = self.snr.shape
         self.lo, self.hi = _gain_bounds(self.snr, params, stream)
         self.owners = primary_words(scenario.primary_cell, num_cells)
-        self.batch = _batch_subframes(self.subframes, num_prbs,
-                                      self.num_users)
         self.word_shape = (num_cells, num_prbs, -(-self.num_users // 64))
         self.slab = max(1, min(num_cells, _SLAB_BYTES
                                // max(num_prbs * self.num_users * 8, 1)))
         self.counts = np.empty((3 if with_exact else 2, self.subframes),
                                dtype=np.int64)
+
+
+def _batches(placements: Iterable[tuple[Scenario, Sequence]], num_prbs: int,
+             open_place) -> Iterator[list[tuple[_Placement, int, int]]]:
+    """Cut a stream of placements into batches of sub-frames.
+
+    Yields, per batch, its segments ``(place, start, stop)``: sub-frames
+    start up to stop of one placement, which ``open_place(scenario,
+    seeds)`` builds when its first sub-frame is cut.  A batch holds
+    consecutive sub-frames of one shape, the cell and user counts, even
+    across placements: a run.  Placements are read ahead until two
+    batches of the run, at most `_batch_subframes` sub-frames each, are
+    known, or the placements of two batches under _BATCH_OPEN_BYTES, or
+    the run has ended.  Until its end is known a run is cut into full
+    batches; what is left of an ended run is split into batches whose
+    sizes differ by at most one.  Either way a run of L sub-frames takes
+    ceil(L / `_batch_subframes`) batches, unless batches end early at
+    the placements _BATCH_OPEN_BYTES lets each one open.
+    """
+    pairs = iter(placements)
+    ahead = next(pairs, None)
+    while ahead is not None:
+        shape = ahead[0].num_cells, ahead[0].num_users
+        cap = _batch_subframes(num_prbs, shape[1])
+        most = max(1, _BATCH_OPEN_BYTES // max(24 * shape[0] * shape[1], 1))
+        # [scenario and seeds, or the place once opened; first sub-frame
+        # not yet cut] of the run's placements read so far.
+        run = collections.deque()
+        left = 0  # sub-frames of the run read and not yet cut
+        while True:
+            while (ahead is not None and left < 2 * cap
+                   and len(run) < 2 * most
+                   and (ahead[0].num_cells, ahead[0].num_users) == shape):
+                if len(ahead[1]) < 1:
+                    raise ValueError("a placement needs at least one "
+                                     "sub-frame")
+                run.append([ahead, 0])
+                left += len(ahead[1])
+                ahead = next(pairs, None)
+            if not run:
+                break
+            ended = ahead is None or (ahead[0].num_cells,
+                                      ahead[0].num_users) != shape
+            size = -(-left // -(-left // cap)) if ended else cap
+            segments, opened = [], 0
+            while size and run:
+                entry = run[0]
+                if entry[1] == 0:
+                    if opened == most:
+                        break
+                    opened += 1
+                    entry[0] = open_place(*entry[0])
+                place, start = entry
+                stop = min(start + size, place.subframes)
+                segments.append((place, start, stop))
+                size -= stop - start
+                left -= stop - start
+                if stop == place.subframes:
+                    run.popleft()
+                else:
+                    entry[1] = stop
+            yield segments
 
 
 def _buffers(place: _Placement, fading: str):
@@ -222,119 +288,138 @@ def unserved_counts(
     sub-frame draws its Rayleigh gains from its seed as `sample_rates`
     does, a slab of whole cells at a time (`_gain_slabs`), and a link
     covers its user when the gain clears the threshold of `_gain_bounds`
-    (the same rule as `derive_instance`, with no log per link).
+    (the same rule as `derive_instance`, with no log per link).  A
+    placement's thresholds are computed when its first sub-frame joins a
+    batch and dropped once its last sub-frame is drawn.
 
-    Sub-frames go in batches of `_batch_subframes`, _RING of them open
-    at once, each with its own uint64 words and a queue of its sub-frame
-    indices.  A batch of n sub-frames gets min(_WORKERS - 1, n - 1)
-    helper tasks on a shared thread pool, so a stream of one sub-frame
-    never starts the pool.  Helpers and the calling thread take indices
-    until the queue is empty and pack each sub-frame's coverage into the
-    batch's words.  The calling thread drains the oldest batch's queue,
-    draws from the later batches until that batch's helpers are done,
-    raises a helper's error, and solves the batch alone with
-    `greedy_batch` (MC) and `sc_batch` (SC) while the helpers draw the
-    later batches.  With ``with_exact`` it also bounds each sub-frame's
-    optimum: ``upper``, the popcount of the OR of all its words, and
-    ``lower``, `swap_batch` from the greedy's allocation and, where that
-    is below ``upper``, from the SC allocation.  Since ``lower <=
-    optimum <= upper``, a sub-frame with ``lower == upper`` has the
-    optimum ``upper``; every other one is unpacked and solved by
-    `exact_search` (the caller checks that ``num_prbs ** cells`` is
-    within its enumeration budget).  Each sub-frame's result depends on
-    its seed alone, so the counts do not depend on the batch size, the
-    number of threads or which thread draws which sub-frame.  When the
-    stream ends, fails or the generator is closed, helper tasks not yet
-    started are cancelled and the open queues emptied: a running helper
-    stops after its current sub-frame.
+    Sub-frames go in batches cut by `_batches`: consecutive sub-frames of
+    one shape, also across placements, _RING batches open at once, each
+    with its own uint64 words and a queue of its rows, flat indices into
+    the words with the (placement, sub-frame) each stands for.  A batch
+    of n sub-frames gets min(_WORKERS - 1, n - 1) helper tasks on a
+    shared thread pool, so a stream of one sub-frame never starts the
+    pool.  Helpers and the calling thread take rows until the queue is
+    empty and pack each sub-frame's coverage into the batch's words.
+    The calling thread drains the oldest batch's queue, draws from the
+    later batches until that batch's helpers are done, raises a helper's
+    error, and solves the batch alone with `greedy_batch` (MC) and
+    `sc_batch` (SC, each row with its placement's primary users) while
+    the helpers draw the later batches.  With ``with_exact`` it also
+    bounds each sub-frame's optimum: ``upper``, the popcount of the OR
+    of all its words, and ``lower``, the greedy's union and, where that
+    is below ``upper``, `swap_batch` from the greedy's allocation and
+    then from the SC allocation.  Since ``lower <= optimum <= upper``, a
+    sub-frame with ``lower == upper`` has the optimum ``upper``; every
+    other one is unpacked and solved by `exact_search` (the caller
+    checks that ``num_prbs ** cells`` is within its enumeration budget).
+    Each sub-frame's result depends on its seed alone, so the counts do
+    not depend on the batch size, the number of threads or which thread
+    draws which sub-frame.  When the stream ends, fails or the generator
+    is closed, helper tasks not yet started are cancelled and the open
+    queues emptied: a running helper stops after its current sub-frame.
 
-    Yields, per placement, its unserved counts: an int64 array
-    [columns, sub-frames] whose rows are SC, MC and, with
-    ``with_exact``, the optimum.
+    Yields, per placement and in order, once its last sub-frame is
+    solved, its unserved counts: an int64 array [columns, sub-frames]
+    whose rows are SC, MC and, with ``with_exact``, the optimum.
     """
     import queue  # not at module import: a run that never sweeps skips it
 
     if num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
-    # Unsolved batches: (placement, start, words, index queue, futures).
+    # Unsolved batches: (segments, words, row queue, futures).
     opened: collections.deque[tuple] = collections.deque()
     # Thread id -> its _buffers, kept while placements of one shape
     # follow: fresh ones for each placement page-fault more.
     buffers = {}
+    # Guards each placement's count of sub-frames still to be drawn.
+    undrawn_lock = threading.Lock()
 
-    def draw(place, start, words, todo, until=lambda: False) -> None:
-        # Draws sub-frames of one batch until its queue is empty or until().
+    def draw(words, todo, until=lambda: False) -> None:
+        # Draws rows of one batch until its queue is empty or until().
         key = threading.get_ident()
         while not until():
             try:
-                t = todo.get_nowait()
+                row, place, t = todo.get_nowait()
             except queue.Empty:
                 return
             mine = buffers.get(key)
             if mine is None or mine[0].shape != (place.slab, num_prbs,
                                                  place.num_users):
                 mine = buffers[key] = _buffers(place, params.fading)
-            _draw(place, t, words[t - start], mine, params, stream)
+            _draw(place, t, words[row], mine, params, stream)
+            with undrawn_lock:
+                place.undrawn -= 1
+                if not place.undrawn:
+                    place.snr = place.lo = place.hi = None
+
+    def open_place(scenario, seeds):
+        return _Placement(scenario, seeds, params, stream, num_prbs,
+                          with_exact)
 
     def open_batches():
-        for pair in placements:
-            place = _Placement(*pair, params, stream, num_prbs, with_exact)
-            for start in range(0, place.subframes, place.batch):
-                stop = min(start + place.batch, place.subframes)
-                todo = queue.SimpleQueue()
-                for t in range(start, stop):
-                    todo.put(t)
-                batch = (place, start, np.empty(
-                    (stop - start, *place.word_shape), dtype=np.uint64), todo)
-                helpers = range(min(_WORKERS - 1, stop - start - 1))
-                yield *batch, [_thread_pool().submit(draw, *batch)
-                               for _ in helpers]
+        for segments in _batches(placements, num_prbs, open_place):
+            todo = queue.SimpleQueue()
+            rows = ((place, t) for place, start, stop in segments
+                    for t in range(start, stop))
+            for row, (place, t) in enumerate(rows):
+                todo.put((row, place, t))
+            batch = (np.empty((row + 1, *segments[0][0].word_shape),
+                              dtype=np.uint64), todo)
+            helpers = range(min(_WORKERS - 1, row))
+            yield segments, *batch, [_thread_pool().submit(draw, *batch)
+                                     for _ in helpers]
 
     upcoming = open_batches()
     try:
         opened.extend(itertools.islice(upcoming, _RING))
         while opened:
-            done, start, words, todo, futures = opened[0]
-            draw(done, start, words, todo)
+            segments, words, todo, futures = opened[0]
+            draw(words, todo)
             # A helper task still queued would find the queue empty.
             busy = [f for f in futures if not f.cancel()]
             for later in itertools.islice(opened, 1, None):
-                draw(*later[:4], until=lambda: all(f.done() for f in busy))
+                draw(*later[1:3], until=lambda: all(f.done() for f in busy))
             for future in busy:
                 future.result()
             opened.popleft()
-            stop = start + len(words)
-            if stop == done.subframes:
-                # Every sub-frame of the placement is drawn: drop the
-                # thresholds while the next placement's are alive.
-                done.snr = done.lo = done.hi = None
-            num_users = done.num_users
-            unserved = done.counts[:, start:stop]
+            num_users = segments[0][0].num_users
+            unserved = np.empty((3 if with_exact else 2, len(words)),
+                                dtype=np.int64)
             mc_chosen, served, _ = greedy_batch(words)
             unserved[1] = num_users - served
-            sc_chosen, served = sc_batch(words, done.owners)
-            unserved[0] = num_users - served
-            if len(unserved) == 3:
+            owners = np.repeat(np.stack([place.owners
+                                         for place, _, _ in segments]),
+                               [stop - start for _, start, stop in segments],
+                               axis=0)
+            sc_chosen, sc_served = sc_batch(words, owners)
+            unserved[0] = num_users - sc_served
+            if with_exact:
                 # lower <= optimum <= upper: the users some set covers,
-                # and 1-swaps from the greedy's allocation and, where
-                # that falls short of upper, from the SC allocation.
+                # and the greedy's union, raised where it falls short of
+                # upper by 1-swaps from its allocation, then from SC's.
                 upper = np.bitwise_count(np.bitwise_or.reduce(
                     words, axis=(1, 2))).sum(axis=-1, dtype=np.int64)
-                lower = swap_batch(words, mc_chosen)[1]
-                short = np.flatnonzero(lower < upper)
-                lower[short] = np.maximum(lower[short], swap_batch(
-                    words[short], sc_chosen[short])[1])
+                lower = served
+                for chosen in (mc_chosen, sc_chosen):
+                    short = np.flatnonzero(lower < upper)
+                    lower[short] = np.maximum(lower[short], swap_batch(
+                        words[short], chosen[short])[1])
                 unserved[2] = num_users - upper
-                for t in np.flatnonzero(lower < upper):
+                for row in np.flatnonzero(lower < upper):
                     member = np.unpackbits(
-                        words[t].view(np.uint8), axis=-1, count=num_users,
+                        words[row].view(np.uint8), axis=-1, count=num_users,
                         bitorder="little").view(bool)
-                    unserved[2, t] = num_users - exact_search(member)[1]
+                    unserved[2, row] = num_users - exact_search(member)[1]
             opened.extend(itertools.islice(upcoming, 1))
-            if stop == done.subframes:
-                yield done.counts
+            row = 0
+            for place, start, stop in segments:
+                place.counts[:, start:stop] = unserved[:, row:row + stop
+                                                       - start]
+                row += stop - start
+                if stop == place.subframes:
+                    yield place.counts
     finally:
-        for _, _, _, todo, futures in opened:
+        for _, _, todo, futures in opened:
             for future in futures:
                 future.cancel()
             with contextlib.suppress(queue.Empty):

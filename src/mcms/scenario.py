@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageInstance
+from .coverage import CoverageInstance, whole_number
 
 # Stream rate (bps) that puts a seven-cell, 300 m system in the regime
 # where single-connectivity leaves a small but visible share of users
@@ -187,18 +187,62 @@ class Scenario:
         return self.user_positions.shape[0]
 
 
-def _sample_in_hex(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+def _sample_in_hex(n: int, radius: float, uniform) -> np.ndarray:
     # Rejection sampling from the bounding box; acceptance ratio is 3/4.
-    half_w = _SQRT3 / 2.0 * radius
+    # ``uniform(rows)`` draws that many points in the box.
     out = np.empty((n, 2))
     filled = 0
     while filled < n:
         need = n - filled
-        batch = max(2 * need, 16)
-        pts = rng.uniform((-half_w, -radius), (half_w, radius), size=(batch, 2))
+        pts = uniform(max(2 * need, 16))
         pts = pts[in_hexagon(pts, (0.0, 0.0), radius)][:need]
         out[filled:filled + len(pts)] = pts
         filled += len(pts)
+    return out
+
+
+def _sample_cells(num_cells: int, n: int, radius: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """``n`` points uniform in the hexagon of circumradius ``radius``
+    around the origin, for each cell in turn: [cells, n, 2].
+
+    Each cell runs `_sample_in_hex` on one stream of points uniform in
+    the bounding box, whose first round draws max(2n, 16) points.  The
+    first rounds of all cells are drawn as one block and tested at once;
+    each cell whose round accepts at least n points takes its first n.
+    From the first cell that falls short, the cells run the rounds one
+    by one, taking the block's later points as the start of the stream
+    and drawing more only when those run out.  Every cell therefore gets
+    the points, and ``rng`` ends in the state, of the cells' rounds
+    drawn one after another.
+    """
+    out = np.empty((num_cells, n, 2))
+    if n == 0:
+        return out
+    half_w = _SQRT3 / 2.0 * radius
+
+    def uniform(rows):
+        return rng.uniform((-half_w, -radius), (half_w, radius),
+                           size=(rows, 2))
+
+    first = max(2 * n, 16)
+    block = uniform(num_cells * first)
+    inside = in_hexagon(block, (0.0, 0.0), radius).reshape(num_cells, first)
+    rank = np.cumsum(inside, axis=1)
+    full = rank[:, -1] >= n
+    short = num_cells if full.all() else int(np.argmin(full))
+    take = inside[:short] & (rank[:short] <= n)
+    out[:short] = block[:short * first][take.ravel()].reshape(short, n, 2)
+    spare = block[short * first:]
+
+    def stream(rows):
+        nonlocal spare
+        pts, spare = spare[:rows], spare[rows:]
+        return pts if len(pts) == rows else np.concatenate(
+            [pts, uniform(rows - len(pts))])
+
+    for c in range(short, num_cells):
+        out[c] = _sample_in_hex(n, radius, stream)
     return out
 
 
@@ -213,17 +257,17 @@ def generate_scenario(
     User ids are grouped by cell: users of cell c occupy the id block
     ``[c * users_per_cell, (c + 1) * users_per_cell)``.  ``rng`` may be
     a Generator or anything default_rng accepts (seed int, SeedSequence).
+    Each cell's users come from rejection sampling in its hexagon, cell
+    after cell from one stream (`_sample_cells`).  ``users_per_cell``
+    must be a whole number >= 0 (InstanceError, a ValueError, if not).
     """
+    users_per_cell = whole_number(users_per_cell, "users_per_cell")
     if users_per_cell < 0:
         raise ValueError("users_per_cell must be >= 0")
     rng = np.random.default_rng(rng)
     centers = hex_centers(num_cells, radius)
-    positions = np.empty((num_cells * users_per_cell, 2))
-    for c in range(num_cells):
-        local = _sample_in_hex(users_per_cell, radius, rng)
-        positions[c * users_per_cell:(c + 1) * users_per_cell] = (
-            local + centers[c]
-        )
+    local = _sample_cells(num_cells, users_per_cell, radius, rng)
+    positions = (local + centers[:, None, :]).reshape(-1, 2)
     primary = np.repeat(np.arange(num_cells, dtype=np.intp), users_per_cell)
     return Scenario(
         radius=radius,

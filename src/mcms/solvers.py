@@ -59,8 +59,12 @@ def greedy_bound(opt: int) -> int:
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set sizes of packed user sets: bit counts summed over the last axis."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    """Set sizes of packed user sets: bit counts summed over the last axis.
+
+    The sum is int32, cheaper than int64 and signed, so the greedy can
+    mark assigned cells -1; it holds up to 2**31 - 1 users.
+    """
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int32)
 
 
 def greedy_batch(
@@ -96,12 +100,13 @@ def sc_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`solve_sc_baseline` on a batch of instances at once.
 
-    ``words`` is as for `greedy_batch`; ``owners`` [cells, words] packs,
-    per cell, the users whose primary cell it is (see `primary_words`).
-    Returns ``(chosen, served)``: the PRB per cell [batch, cells] and the
-    SC served count [batch].
+    ``words`` is as for `greedy_batch`; ``owners`` packs, per cell, the
+    users whose primary cell it is (see `primary_words`): [cells, words]
+    for every row, or [batch, cells, words], one per row.  Returns
+    ``(chosen, served)``: the PRB per cell [batch, cells] and the SC
+    served count [batch].
     """
-    counts = _popcount(words & owners[:, None, :])
+    counts = _popcount(words & owners[..., None, :])
     return counts.argmax(axis=2), counts.max(axis=2).sum(axis=1)
 
 

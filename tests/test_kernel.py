@@ -5,14 +5,15 @@ threshold and solves sub-frames in packed batches.  These tests hold it
 to `sample_rates -> derive_instance -> solve_greedy/solve_sc_baseline`
 where the two rules are hardest to keep apart (stream rates equal to
 realized link rates), for every batch size, slab size and number of
-drawing threads, check that the thread pool survives a fork, that a
-helper's error (also one drawing ahead) reaches the caller and leaves
-the next sweep unharmed, that closing the kernel stops its helpers
-after their current sub-frame, and that fading seeds are built as they
-are drawn, and hold the packed solvers to the boolean-tensor and big-int
-solvers they replaced, the 1-swap local search to its local optimum,
-and the EXACT column, certified by its bounds or enumerated, to the
-optimum.
+drawing threads, hold placements batched together to the same
+placements one batch each, check that the thread pool survives a fork,
+that a helper's error (also one drawing ahead) reaches the caller and
+leaves the next sweep unharmed, that closing the kernel stops its
+helpers after their current sub-frame, and that fading seeds are built
+as they are drawn, and hold the packed solvers to the boolean-tensor
+and big-int solvers they replaced (SC also with one owner set per row),
+the 1-swap local search to its local optimum, and the EXACT column,
+certified by its bounds or enumerated, to the optimum.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -209,15 +211,17 @@ def test_kernel_matches_pipeline_without_fading():
 
 
 def forced_batches(config, users):
-    """Per-cell byte budgets that make the kernel batch 1, 3 and all
-    sub-frames."""
-    n, t = config.num_prbs, config.subframes
+    """Per-cell byte budgets that cap the kernel's batches at 1 and 3
+    sub-frames and at no fewer than a sweep point has."""
+    n = config.num_prbs
     m = config.num_cells * users
     per_cell = n * -(-m // 64) * 8
-    budgets = [(1, per_cell), (min(3, t), 3 * per_cell), (t, 1 << 62)]
+    budgets = [(1, per_cell), (3, 3 * per_cell), (None, 1 << 62)]
     for want, budget in budgets:
         with mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget):
-            assert kernel._batch_subframes(t, n, m) == want
+            cap = kernel._batch_subframes(n, m)
+        assert cap == want if want else cap >= (config.trials
+                                                * config.subframes)
     return [budget for _, budget in budgets]
 
 
@@ -262,9 +266,9 @@ def test_results_do_not_depend_on_worker_count(seed, cells, prbs, users,
                                                trials, subframes, rate,
                                                fading):
     # Several points of several placements each: the arrays change shape
-    # between placements, and helpers draw ahead across them.  Per-cell
+    # between points, and helpers draw ahead across them.  Per-cell
     # budgets of 1 byte, of three sub-frames at the largest point and of
-    # no limit batch 1, at least 3 and all sub-frames of each placement.
+    # no limit batch 1, at least 3 and all sub-frames of each point.
     users = sorted(users)
     config = ExperimentConfig(num_cells=cells, num_prbs=prbs, trials=trials,
                               subframes=subframes, users_per_cell=users[-1],
@@ -283,6 +287,87 @@ def test_results_do_not_depend_on_worker_count(seed, cells, prbs, users,
                                        subframes)
     for result in results[1:]:
         assert_same_sweep(result, results[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([1, 3, 7]),
+    prbs=st.integers(1, 3),
+    users=st.integers(1, 70),
+    subframes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    budget=st.integers(1, 4096),
+    open_budget=st.sampled_from([1, 10_000, 1 << 20]),
+    rate=st.floats(2e5, 4e6),
+    workers=st.sampled_from([1, 2]),
+)
+def test_batches_across_placements_match_one_placement_per_batch(
+        seed, cells, prbs, users, subframes, budget, open_budget, rate,
+        workers):
+    # Placements of one shape whose primary cells differ: every cell sits
+    # at the origin, so any user may belong to any cell, and users up to
+    # 2 km away leave some unserved.  Alone, each placement is one batch;
+    # together, under any budget, their sub-frames share batches and SC
+    # reads each row's own primary users.
+    rng = np.random.default_rng(seed)
+    placements = [
+        (Scenario(radius=3000.0, cell_centers=np.zeros((cells, 2)),
+                  user_positions=rng.uniform(-1500.0, 1500.0, (users, 2)),
+                  primary_cell=rng.integers(0, cells, users)),
+         rng.integers(0, 2**32, n).tolist())
+        for n in subframes]
+    params, stream = ChannelParams(), StreamSpec(rate_bps=rate)
+    with_exact = prbs ** cells <= 256
+    want = [next(kernel.unserved_counts([placement], params, stream, prbs,
+                                        with_exact))
+            for placement in placements]
+    with worker_threads(workers), \
+            mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget), \
+            mock.patch.object(kernel, "_BATCH_OPEN_BYTES", open_budget):
+        got = list(kernel.unserved_counts(placements, params, stream, prbs,
+                                          with_exact))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_a_batch_opens_the_placements_its_byte_budget_allows():
+    # Twelve placements of one sub-frame each fit one batch by words;
+    # thresholds of 2.5 placements cap each batch at two, and the cutter
+    # reads at most two batches' placements ahead, plus one to peek.
+    scenario = generate_scenario(7, 300.0, 20, 5)
+    read = []
+
+    def pairs():
+        for t in range(12):
+            read.append(t)
+            yield scenario, [t]
+
+    def open_place(scenario, seeds):
+        return types.SimpleNamespace(subframes=len(seeds), seeds=seeds)
+
+    cost = 24 * scenario.num_cells * scenario.num_users
+    batches, seen = [], []
+    with mock.patch.object(kernel, "_BATCH_OPEN_BYTES", 5 * cost // 2):
+        for segments in kernel._batches(pairs(), 4, open_place):
+            batches.append(segments)
+            seen.append(len(read))
+    assert [len(segments) for segments in batches] == [2] * 6
+    assert [place.seeds[t] for segments in batches
+            for place, start, stop in segments
+            for t in range(start, stop)] == list(range(12))
+    assert seen[0] == 5
+    # One placement a batch and three sub-frames a batch: the second
+    # batch finishes the first placement and opens the second, and the
+    # placements read ahead run out before three sub-frames are cut.
+    uneven = [(scenario, list(range(n))) for n in (1, 4, 1, 1)]
+    with mock.patch.object(kernel, "_BATCH_OPEN_BYTES", cost), \
+            mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
+        cut = [[(place.subframes, start, stop)
+                for place, start, stop in segments]
+               for segments in kernel._batches(uneven, 4, open_place)]
+    assert cut == [[(1, 0, 1)], [(4, 0, 3)], [(4, 3, 4), (1, 0, 1)],
+                   [(1, 0, 1)]]
 
 
 def sweep_in_child(config, want):
@@ -432,16 +517,18 @@ class BlocksFirstHelperRead(list):
 
 
 def test_closing_the_kernel_stops_helpers_after_their_current_subframe():
-    # The first placement has one sub-frame; the helper blocks in its
-    # first seed read of a later placement while more batches are queued.
+    # The first placement has one sub-frame and a shape of its own, so it
+    # is a batch alone; the helper blocks in its first seed read of a
+    # later placement while more batches of three sub-frames are queued.
     # Once the kernel is closed, the helper finishes that sub-frame and
     # reads no other seed.
     scenario = generate_scenario(7, 300.0, 20, 5)
     reads, blocked, release = [], threading.Event(), threading.Event()
-    placements = [(scenario, [0])] + [
+    placements = [(generate_scenario(7, 300.0, 21, 5), [0])] + [
         (scenario, BlocksFirstHelperRead(8, reads, blocked, release))
         for _ in range(2)]
-    with worker_threads(2):
+    with worker_threads(2), \
+            mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
         counts = kernel.unserved_counts(placements, ChannelParams(),
                                         StreamSpec(), 4)
         next(counts)
@@ -662,6 +749,20 @@ def test_packed_solvers_match_tensor_solvers(batch):
         assert (res.alloc, res.objective) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(instance_batches())
+def test_sc_batch_takes_the_owners_of_each_row(batch):
+    words = pack_users(np.stack([inst.membership_matrix() for inst in batch]))
+    owners = np.stack([primary_words(inst.primary_cell, inst.num_cells)
+                       for inst in batch])
+    chosen, served = sc_batch(words, owners)
+    for k, inst in enumerate(batch):
+        alone = sc_batch(words[k:k + 1], owners[k])
+        assert (chosen[k].tolist(), served[k]) == (alone[0][0].tolist(),
+                                                   alone[1][0])
+        assert (tuple(chosen[k].tolist()), int(served[k])) == tensor_sc(inst)
+
+
 def union_of(member, chosen):
     """Users served by allocation ``chosen`` of a boolean [cells, prbs,
     users] tensor."""
@@ -765,26 +866,33 @@ def test_kernel_exact_is_the_optimum_certified_or_enumerated(batch):
 
 def test_sweep_enumerates_only_what_the_bounds_leave_open():
     # The exact column of a seeded sweep: the bounds must settle two
-    # thirds of the sub-frames (they settle 46 of 60; the greedy's start
-    # alone settles 30), and enumerating every one gives the same column.
+    # thirds of the sub-frames (they settle 46 of 60; the greedy's union
+    # alone settles 15), and enumerating every one gives the same column.
     config = ExperimentConfig(trials=2, subframes=10, seed=1)
     with counted_searches() as calls:
         got = run_sweep(config, "users", values=(100, 175, 250),
                         with_exact=True)
     samples = got.counts[:, 0].size
     assert 0 < len(calls) <= samples // 3, len(calls)
-    real_swap = kernel.swap_batch
+    real_greedy, real_swap = kernel.greedy_batch, kernel.swap_batch
 
-    def no_lower_bound(words, chosen):
+    def no_greedy_bound(words):
+        chosen, served, marginals = real_greedy(words)
+        return chosen, np.zeros_like(served), marginals
+
+    def no_swap_bound(words, chosen):
         found, served = real_swap(words, chosen)
         return found, np.zeros_like(served)
 
-    with mock.patch.object(kernel, "swap_batch", no_lower_bound), \
+    # Without either lower bound every sub-frame is enumerated.  The MC
+    # column then reads every user unserved, so only SC and EXACT compare.
+    with mock.patch.object(kernel, "greedy_batch", no_greedy_bound), \
+            mock.patch.object(kernel, "swap_batch", no_swap_bound), \
             counted_searches() as calls:
         enumerated = run_sweep(config, "users", values=(100, 175, 250),
                                with_exact=True)
     assert len(calls) == samples
-    assert_same_sweep(enumerated, got)
+    assert np.array_equal(enumerated.counts[:, ::2], got.counts[:, ::2])
 
 
 def exact_caps(num_cells, num_prbs, num_words):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcms import (
     ChannelParams,
@@ -15,6 +16,7 @@ from mcms import (
     served,
     solve_exact,
 )
+from mcms.coverage import InstanceError
 from mcms.scenario import (
     hex_centers,
     in_hexagon,
@@ -124,6 +126,85 @@ def test_generate_scenario_accepts_generator_or_seed():
     a = generate_scenario(1, 300.0, 10, np.random.default_rng(5))
     b = generate_scenario(1, 300.0, 10, 5)
     assert np.array_equal(a.user_positions, b.user_positions)
+
+
+def per_cell_positions(num_cells, radius, n, rng):
+    """User positions as cell after cell of rejection sampling, each
+    drawing its own rounds from ``rng``: the sampler `generate_scenario`
+    replaced, kept as its oracle."""
+    half_w = SQRT3 / 2.0 * radius
+    centers = hex_centers(num_cells, radius)
+    positions = np.empty((num_cells * n, 2))
+    for c in range(num_cells):
+        out = np.empty((n, 2))
+        filled = 0
+        while filled < n:
+            need = n - filled
+            pts = rng.uniform((-half_w, -radius), (half_w, radius),
+                              size=(max(2 * need, 16), 2))
+            pts = pts[in_hexagon(pts, (0.0, 0.0), radius)][:need]
+            out[filled:filled + len(pts)] = pts
+            filled += len(pts)
+        positions[c * n:(c + 1) * n] = out + centers[c]
+    return positions
+
+
+def falls_short(num_cells, radius, n, seed):
+    """Whether some cell's first round of max(2n, 16) points, drawn for
+    every cell at once from ``seed``, holds fewer than n in its hexagon."""
+    half_w = SQRT3 / 2.0 * radius
+    first = max(2 * n, 16)
+    pts = np.random.default_rng(seed).uniform(
+        (-half_w, -radius), (half_w, radius), size=(num_cells * first, 2))
+    inside = in_hexagon(pts, (0.0, 0.0), radius).reshape(num_cells, first)
+    return bool((inside.sum(axis=1) < n).any())
+
+
+def check_same_draws(num_cells, radius, n, seed):
+    got_rng, want_rng = (np.random.default_rng(seed),
+                         np.random.default_rng(seed))
+    got = generate_scenario(num_cells, radius, n, got_rng)
+    want = per_cell_positions(num_cells, radius, n, want_rng)
+    assert got.user_positions.tobytes() == want.tobytes()
+    # The generator ends in the same state: its next draw is the same.
+    assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_cells=st.sampled_from([1, 7, 19]),
+    n=st.one_of(st.integers(0, 10), st.just(175)),
+    radius=st.floats(1.0, 1e4),
+)
+def test_generate_scenario_draws_as_the_per_cell_sampler(seed, num_cells, n,
+                                                         radius):
+    check_same_draws(num_cells, radius, n, seed)
+
+
+def test_generate_scenario_draws_as_the_per_cell_sampler_when_cells_fall_short():
+    # With n = 8 a cell's first round of 16 points holds fewer than 8 in
+    # the hexagon about 0.75 % of the time: the cells from the first such
+    # one on take their points round by round.
+    seeds = [s for s in range(300) if falls_short(19, 300.0, 8, s)]
+    assert len(seeds) >= 10
+    for seed in seeds:
+        check_same_draws(19, 300.0, 8, seed)
+
+
+@pytest.mark.parametrize("users", [2.5, True, np.float64(0.5), "3", None])
+def test_generate_scenario_rejects_users_that_are_not_whole(users):
+    with pytest.raises(InstanceError, match="users_per_cell"):
+        generate_scenario(7, 300.0, users, 1)
+
+
+def test_generate_scenario_takes_whole_numbers_of_users():
+    want = generate_scenario(7, 300.0, 3, 1).user_positions
+    for users in (3.0, np.int64(3), np.float64(3.0)):
+        got = generate_scenario(7, 300.0, users, 1)
+        assert got.user_positions.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=">= 0"):
+        generate_scenario(7, 300.0, -1, 1)
 
 
 def test_scenario_rejects_user_outside_its_hexagon():

@@ -12,8 +12,8 @@ Subcommands:
 Option precedence for experiment knobs: command-line flag, then the
 --config JSON file (keys named like the flags, underscores for
 dashes), then the MCMS_SEED environment variable (seed only), then
-built-in defaults.  A count that is not a whole number, a radius or
-rate that is not a finite positive number, a non-boolean
+built-in defaults.  A count that is not a whole number, more than 2**32
+sub-frames, a radius or rate that is not a finite positive number, a non-boolean
 ``deterministic_fading``, a negative ``solve --budget`` or an
 out-of-range ``oracle-check`` argument is an error with exit code 2,
 never coerced; so is an ``--out``, ``<out>.meta.json`` or

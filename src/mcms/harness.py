@@ -12,7 +12,9 @@ Each swept point averages over ``trials`` independent user placements
 times ``subframes`` independent fading draws per placement.  Randomness
 is keyed by (point index, trial, sub-frame) through SeedSequence spawn
 keys, so every sample is reproducible in isolation and results do not
-depend on execution order.
+depend on execution order.  A placement's fading seeds, one per
+sub-frame, are built a block of sub-frames at a time in one numpy pass
+(`_FadingSeeds`), word for word the states of those SeedSequences.
 
 Every sample goes through one Monte Carlo kernel,
 `mcms.kernel.unserved_counts`: `run_sweep` hands it all placements of
@@ -28,6 +30,7 @@ import json
 import math
 import numbers
 import sys
+import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -90,6 +93,11 @@ class ExperimentConfig:
         for name in ("users_per_cell", "num_prbs", "subframes", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.subframes > MAX_SUBFRAMES:
+            raise ValueError(
+                f"subframes must be <= 2**32 ({MAX_SUBFRAMES}), since a "
+                f"fading seed takes a sub-frame index of one uint32 word, "
+                f"got {self.subframes}")
         for name in ("radius_m", "stream_rate_bps"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
@@ -127,22 +135,141 @@ class SweepResult:
     counts: np.ndarray
 
 
+# numpy's SeedSequence (O'Neill's seed_seq_fe) with its default pool of
+# four uint32 words: the first hash constant and multiplier of
+# mix_entropy (A) and of generate_state (B), and the multipliers of mix.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Sub-frames whose fading seeds are built at once: [_SEED_BLOCK, 4]
+# words and their temporaries stay under some 100 KB per placement.
+_SEED_BLOCK = 1024
+# The fading seeds take a sub-frame index of one uint32 word.
+MAX_SUBFRAMES = 2**32
+
+
+def _hash_constants(init: int, mult: int, calls: int,
+                    count: int) -> np.ndarray:
+    """The two uint32 constants of each of ``count`` hashes after
+    ``calls`` others: the one a word is XORed with, then the one the
+    result is multiplied by.  Each hash multiplies the constant, which
+    starts at ``init``, by ``mult``."""
+    hashes = [init * pow(mult, calls, 2**32) % 2**32]
+    for _ in range(count):
+        hashes.append(hashes[-1] * mult % 2**32)
+    return np.array([hashes[:-1], hashes[1:]], dtype=np.uint32)
+
+
+# generate_state(4, np.uint64) hashes the pool twice over into 8 words.
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL)
+
+
+def _uint32_words(n: int) -> int:
+    """Words of ``n`` in SeedSequence's entropy: one for 0."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _child_states(seed: int, key: tuple[int, ...], first: int,
+                  stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(*key, t)).generate_state(4,
+    np.uint64)`` for t in [first, stop) as [stop - first, 4], with
+    ``key`` not empty and ``stop <= MAX_SUBFRAMES``.
+
+    A child's entropy is its parent's, ``SeedSequence(seed,
+    spawn_key=key)``, and one more word, t: mix_entropy leaves the
+    parent's pool as it is and mixes ``hashmix(t)`` into each of its
+    four words, with the hash constant advanced by every hashmix call
+    the parent made.  So each child's pool is a few vectorised uint32
+    steps from the parent's, and so are its state words.
+    """
+    parent = np.random.SeedSequence(seed, spawn_key=key)
+    # The run entropy is padded to the pool size before a spawn key.
+    entropy = (max(_uint32_words(seed), _POOL)
+               + sum(map(_uint32_words, key)))
+    # hashmix calls: one per pool word, one per ordered pair of pool
+    # words, then one per pool word for each word beyond the pool.
+    calls = _POOL + _POOL * (_POOL - 1) + _POOL * (entropy - _POOL)
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, calls, _POOL)
+    t = np.arange(first, stop, dtype=np.uint32)[:, None]
+    hashed = (t ^ xor) * mul
+    hashed ^= hashed >> 16
+    mixed = np.array([_MIX_L * int(word) % 2**32 for word in parent.pool],
+                     dtype=np.uint32) - np.uint32(_MIX_R) * hashed
+    mixed ^= mixed >> 16
+    state = np.tile(mixed, 2)
+    state ^= _STATE_HASH[0]
+    state *= _STATE_HASH[1]
+    state ^= state >> 16
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64,
+                                                             copy=False)
+
+
+class _SubframeSeed:
+    """A seed whose state is precomputed: the first four uint64 words of
+    the state of a `SeedSequence`, read-only.  `_FadingSeeds` registers
+    it as an ISeedSequence, which numpy's bit generators take as a seed,
+    when it builds a block: importing mcms does not import numpy.random,
+    and its ~12 ms stay off every run's set-up."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # PCG64 asks for np.uint64 itself: the test by identity keeps
+        # np.dtype off the path of every sub-frame.
+        if dtype is np.uint64 or np.dtype(dtype) == np.uint64:
+            words = self.words
+        elif np.dtype(dtype) == np.uint32:
+            # SeedSequence reads its uint32 words as little-endian uint64s.
+            words = self.words.astype("<u8").view("<u4").astype(np.uint32)
+        else:
+            raise ValueError("only support uint32 or uint64")
+        if not 0 <= n_words <= len(words):
+            raise ValueError(f"holds {len(words)} words of {words.dtype}, "
+                             f"asked for {n_words}")
+        return words[:n_words]
+
+
 class _FadingSeeds:
     """The fading seeds of the sub-frames of placement (point, trial) of
-    a sweep, each built when its sub-frame is drawn."""
+    a sweep, ``subframes <= MAX_SUBFRAMES`` of them: ``seeds[t]`` gives
+    the state of ``SeedSequence(seed, spawn_key=(point, trial, 1, t))``
+    and so the same PCG64 stream.  They are built by `_child_states`,
+    _SEED_BLOCK sub-frames at a time, when a sub-frame of the block is
+    first read; a placement keeps one block."""
 
     def __init__(self, seed: int, point: int, trial: int, subframes: int):
-        self.seed, self.subframes = seed, subframes
-        self.key = (point, trial, 1)
+        self.seed, self.subframes = int(seed), subframes
+        self.key = (int(point), int(trial), 1)
+        self._lock = threading.Lock()
+        # (first sub-frame, read-only words [sub-frames, 4]), replaced
+        # whole so that a reader never sees the words of another block.
+        self._block = (0, np.empty((0, 4), dtype=np.uint64))
 
     def __len__(self) -> int:
         return self.subframes
 
-    def __getitem__(self, t: int) -> np.random.SeedSequence:
+    def __getitem__(self, t: int) -> _SubframeSeed:
         if not 0 <= t < self.subframes:
             raise IndexError(f"sub-frame {t} out of range [0, "
                              f"{self.subframes})")
-        return np.random.SeedSequence(self.seed, spawn_key=(*self.key, t))
+        first, words = self._block
+        if not first <= t < first + len(words):
+            # Drawing threads read the seeds: one builds a block, the
+            # others wait for it.
+            with self._lock:
+                first, words = self._block
+                if not first <= t < first + len(words):
+                    np.random.bit_generator.ISeedSequence.register(
+                        _SubframeSeed)
+                    first = t - t % _SEED_BLOCK
+                    words = _child_states(
+                        self.seed, self.key, first,
+                        min(first + _SEED_BLOCK, self.subframes))
+                    words.flags.writeable = False
+                    self._block = first, words
+        return _SubframeSeed(words[t - first])
 
 
 def _point_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:

@@ -1,14 +1,18 @@
 """Experiment-harness and CLI tests."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
 import re
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mcms.harness as harness
 from mcms import (
@@ -54,13 +58,15 @@ def test_config_validation():
         ExperimentConfig(radius_m=-10.0)
     with pytest.raises(ValueError):
         ExperimentConfig(stream_rate_bps=0.0)
+    # Sub-frame indices 0 to 2**32 - 1 each take one seed word.
+    assert ExperimentConfig(subframes=2**32).subframes == 2**32
 
 
 @pytest.mark.parametrize("field, value", [
     ("num_cells", 7.0), ("trials", True), ("subframes", 2.5), ("seed", "1"),
     ("radius_m", float("nan")), ("radius_m", float("inf")),
     ("radius_m", "300"), ("stream_rate_bps", float("inf")), ("seed", -1),
-    ("stream_rate_bps", 1e300),
+    ("stream_rate_bps", 1e300), ("subframes", 2**32 + 1),
 ])
 def test_config_rejects_non_numbers_and_unreachable_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -589,6 +595,7 @@ def test_cli_config_accepts_integral_floats_and_json_booleans(tmp_path):
     # No finite SNR reaches 1024 x the 180 kHz PRB bandwidth.
     (["--rate", "1e300"], "no finite SNR reaches it"),
     (["--rate", "1.8432e8"], "no finite SNR reaches it"),
+    (["--subframes", str(2**32 + 1)], "subframes must be <= 2**32"),
 ])
 def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
     out = tmp_path / "x.csv"
@@ -603,10 +610,88 @@ def test_fading_seeds_are_bounded_to_the_placement():
     seeds = harness._FadingSeeds(7, 1, 2, 3)
     # Iteration stops at the first IndexError; islice bounds the check.
     listed = list(itertools.islice(seeds, 4))
-    assert [s.spawn_key for s in listed] == [(1, 2, 1, t) for t in range(3)]
+    assert [s.generate_state(4, np.uint64).tolist() for s in listed] == [
+        np.random.SeedSequence(7, spawn_key=(1, 2, 1, t)).generate_state(
+            4, np.uint64).tolist() for t in range(3)]
     for t in (3, -1, 100):
         with pytest.raises(IndexError):
             seeds[t]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # Seeds of 5 words outgrow the pool, keys from 2**32 take two words.
+    seed=st.integers(0, 2**130) | st.integers(2**128, 2**130),
+    point=st.integers(0, 2**40) | st.integers(2**32, 2**40),
+    trial=st.integers(0, 2**40) | st.integers(2**32, 2**40),
+    block=st.integers(0, harness.MAX_SUBFRAMES // harness._SEED_BLOCK - 1),
+    data=st.data(),
+)
+def test_fading_seeds_equal_numpy_seed_sequences(seed, point, trial, block,
+                                                 data):
+    edge = block * harness._SEED_BLOCK
+    subframes = data.draw(st.integers(edge + 1, harness.MAX_SUBFRAMES))
+    seeds = harness._FadingSeeds(seed, point, trial, subframes)
+    anywhere = data.draw(st.integers(0, subframes - 1))
+    for t in sorted({max(edge - 1, 0), edge, subframes - 1, anywhere}):
+        want = np.random.SeedSequence(seed, spawn_key=(point, trial, 1, t))
+        got = seeds[t]
+        assert np.array_equal(got.generate_state(4, np.uint64),
+                              want.generate_state(4, np.uint64))
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+        assert (np.random.default_rng(got).standard_exponential(8).tobytes()
+                == np.random.default_rng(want).standard_exponential(8)
+                .tobytes())
+
+
+def test_fading_seeds_take_numpy_integers():
+    words = [s.generate_state(8).tolist()
+             for s in harness._FadingSeeds(7, 1, 2, 3)]
+    seeds = harness._FadingSeeds(np.uint64(7), np.int64(1), np.int32(2), 3)
+    assert [s.generate_state(8).tolist() for s in seeds] == words
+    config = dataclasses.replace(TINY, seed=np.int64(TINY.seed))
+    assert np.array_equal(run_sweep(config, "users", values=(20,)).counts,
+                          run_sweep(TINY, "users", values=(20,)).counts)
+
+
+def test_fading_seeds_read_by_many_threads_equal_numpy_seed_sequences():
+    want = [np.random.SeedSequence(5, spawn_key=(0, 1, 1, t)).generate_state(
+        4, np.uint64).tolist() for t in range(200)]
+    seeds = harness._FadingSeeds(5, 0, 1, len(want))
+    got = [None] * len(want)
+
+    def read(offset):
+        # Each thread reads every sub-frame from its own offset, so the
+        # threads keep asking for different blocks.
+        for i in range(len(want)):
+            t = (offset + 37 * i) % len(want)
+            got[t] = seeds[t].generate_state(4, np.uint64).tolist()
+            assert got[t] == want[t], t
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(harness, "_SEED_BLOCK", 7), \
+                concurrent.futures.ThreadPoolExecutor(8) as pool:
+            for future in [pool.submit(read, 25 * k) for k in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_reading_every_fading_seed_holds_one_block():
+    # The state words of all 50,000 sub-frames take 1.6 MB, and building
+    # them in one pass peaks at some 5 MB.
+    seeds = harness._FadingSeeds(7, 1, 2, 50_000)
+    tracemalloc.start()
+    try:
+        for t in range(len(seeds)):
+            seeds[t]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000 * 32 // 4, peak
 
 
 @pytest.mark.parametrize("flags, config, message", [

@@ -589,10 +589,12 @@ def test_one_thread_or_one_subframe_starts_no_pool():
 
 
 def test_sweep_builds_fading_seeds_as_it_draws():
-    # One SeedSequence takes about 400 B, so building the seeds of all
-    # 50,000 sub-frames up front would hold some 20 MB.  Deterministic
-    # fading and one thread keep the draws themselves quick under
-    # tracemalloc; the seeds are built the same way with any thread count.
+    # Building the fading seeds of all 50,000 sub-frames up front, in one
+    # pass, would peak at some 5 MB, 1.6 MB of them state words; a block
+    # of seeds is built only when one of its sub-frames is drawn.
+    # Deterministic fading and one thread keep the draws themselves quick
+    # under tracemalloc; the seeds are built the same way with any thread
+    # count.
     config = ExperimentConfig(num_cells=1, users_per_cell=1, trials=1,
                               subframes=50_000,
                               channel=ChannelParams(fading="none"))

@@ -13,17 +13,17 @@ Option precedence for experiment knobs: command-line flag, then the
 --config JSON file (keys named like the flags, underscores for
 dashes), then the MCMS_SEED environment variable (seed only), then
 built-in defaults.  A count that is not a whole number, more than 2**32
-sub-frames, a radius or rate that is not a finite positive number, a non-boolean
+sub-frames, a radius or rate that is not a finite positive number, a
+radius whose layout overflows the float range, a non-boolean
 ``deterministic_fading``, a negative ``solve --budget`` or an
 out-of-range ``oracle-check`` argument is an error with exit code 2,
-never coerced; so is an ``--out``, ``<out>.meta.json`` or
-``--dump-raw`` path that is a directory or whose directory does not
-exist, and a ``--dump-raw`` path that names the CSV or its
-``.meta.json`` sidecar, before any sampling.  A sweep or instance too
-large to allocate is an error with exit code 2 too.
-Sweep values come from ``--values`` as comma-separated numbers, or from
-the config file's ``values`` as such a string or a JSON list of
-numbers.
+never coerced; so is an ``--out``, ``<out>.meta.json`` or ``--dump-raw``
+path that is a directory or whose directory does not exist, and a
+``--dump-raw`` path that names the CSV or its ``.meta.json`` sidecar,
+before any sampling.  A sweep or instance too large to allocate is an
+error with exit code 2 too.  Sweep values come from ``--values`` as
+comma-separated numbers, or from the config file's ``values`` as such a
+string or a JSON list of numbers.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ sub-frame, are built a block of sub-frames at a time in one numpy pass
 Every sample goes through one Monte Carlo kernel,
 `mcms.kernel.unserved_counts`: `run_sweep` hands it all placements of
 all points as one stream and reads back each placement's unserved
-counts.
+counts, one row per column of `mcms.kernel.COLUMNS`.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .scenario import (
     StreamSpec,
     derive_instance,
     generate_scenario,
+    hex_centers,
     sample_rates,
 )
 from .solvers import (
@@ -54,7 +55,7 @@ from .solvers import (
     solve_greedy,
     solve_sc_baseline,
 )
-from .kernel import unserved_counts
+from .kernel import BASE_COLUMNS, COLUMNS, unserved_counts
 
 # derive_instance, sample_rates, solve_exact, solve_greedy and
 # solve_sc_baseline are not called here: they stay bound so that
@@ -86,13 +87,12 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value,
                                                          numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.num_cells not in (1, 7, 19):
-            raise ValueError("num_cells must be 1, 7 or 19")
-        if self.seed < 0:  # SeedSequence takes no negative entropy
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("users_per_cell", "num_prbs", "subframes", "trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            # Plain ints, as json writes the config to the .meta.json.
+            object.__setattr__(self, name, int(value))
+            # SeedSequence takes no negative entropy; no count is below 1.
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.subframes > MAX_SUBFRAMES:
             raise ValueError(
                 f"subframes must be <= 2**32 ({MAX_SUBFRAMES}), since a "
@@ -104,6 +104,9 @@ class ExperimentConfig:
                     or not math.isfinite(value) or value <= 0):
                 raise ValueError(
                     f"{name} must be a finite number > 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        # 1, 7 or 19 cells, with finite coordinates and distances.
+        hex_centers(self.num_cells, self.radius_m)
         # The rate over one PRB is B * log2(1 + snr) with 1 + snr below
         # 2 ** max_exp, so no link reaches a higher stream rate.
         ceiling = self.channel.bandwidth_hz * sys.float_info.max_exp
@@ -114,24 +117,20 @@ class ExperimentConfig:
                 f"finite SNR reaches it, got {self.stream_rate_bps!r}")
 
 
-# The columns of a sweep, in the order of SweepResult.counts and of every
-# file the writers produce; EXACT only with the optimum.
-_COLUMNS = ("SC", "MC", "EXACT")
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Unserved users of every sample of a sweep.
 
     ``counts`` is a read-only int64 array [points, columns, trials,
-    sub-frames]: its columns are SC and MC, plus EXACT when the sweep
-    reported the optimum.  Every mean and standard deviation the writers
+    sub-frames] whose columns ``columns`` names in order, as in
+    `mcms.kernel.COLUMNS`.  Every mean and standard deviation the writers
     report is taken over one point's column, flat in trial-major order.
     """
 
     axis: str
     config: ExperimentConfig
     values: tuple[float, ...]
+    columns: tuple[str, ...]
     counts: np.ndarray
 
 
@@ -291,12 +290,11 @@ def run_sweep(
     """Run the Monte Carlo sweep along ``axis``.
 
     ``values`` must be strictly increasing and defaults to
-    DEFAULT_USER_SWEEP or DEFAULT_RADIUS_SWEEP.  With ``with_exact``
-    every sub-frame also gets the optimum, certified where a 1-swap from
-    the greedy's or the SC allocation serves every user some set covers
-    and enumerated by `exact_search` elsewhere (see `unserved_counts`).
-    It raises EnumerationBudgetError before the first sample unless
-    num_prbs ** num_cells stays within EXACT_BUDGET.  Every placement
+    DEFAULT_USER_SWEEP or DEFAULT_RADIUS_SWEEP.  The columns are SC and
+    MC, and with ``with_exact`` EXACT too, the optimum of every sub-frame
+    (`mcms.kernel.COLUMNS`); then it raises EnumerationBudgetError
+    before the first sample unless num_prbs ** num_cells stays within
+    EXACT_BUDGET.  Every placement
     of every point goes through one run of the kernel, `unserved_counts`,
     and its counts are copied into the result's `counts`.
     """
@@ -324,11 +322,13 @@ def run_sweep(
                 )
                 yield scenario, _FadingSeeds(pc.seed, pi, trial, pc.subframes)
 
-    counts = np.empty((len(values), 3 if with_exact else 2, config.trials,
+    columns = COLUMNS if with_exact else BASE_COLUMNS
+    names = tuple(column.name for column in columns)
+    counts = np.empty((len(values), len(columns), config.trials,
                        config.subframes), dtype=np.int64)
     kernel = unserved_counts(placements(), config.channel,
                              StreamSpec(rate_bps=config.stream_rate_bps),
-                             config.num_prbs, with_exact)
+                             config.num_prbs, columns)
     with contextlib.closing(kernel):
         started = time.perf_counter()
         for pi, value in enumerate(values):
@@ -338,11 +338,12 @@ def run_sweep(
                 now = time.perf_counter()
                 rate = counts[pi, 0].size / (now - started)
                 started = now
-                sc, mc = _samples(counts[pi])[:2]
-                progress(f"{axis}={value:g}: SC={sc.mean():.3f} "
-                         f"MC={mc.mean():.3f} ({rate:.0f} samples/s)")
+                means = " ".join(f"{name}={column.mean():.3f}" for name,
+                                 column in zip(names, _samples(counts[pi])))
+                progress(f"{axis}={value:g}: {means} ({rate:.0f} samples/s)")
     counts.flags.writeable = False
-    return SweepResult(axis=axis, config=config, values=values, counts=counts)
+    return SweepResult(axis=axis, config=config, values=values,
+                       columns=names, counts=counts)
 
 
 def _samples(point: np.ndarray) -> np.ndarray:
@@ -352,7 +353,7 @@ def _samples(point: np.ndarray) -> np.ndarray:
 
 
 def _header(result: SweepResult, *fields: str) -> str:
-    return ",".join((*fields, *_COLUMNS[:result.counts.shape[1]]))
+    return ",".join((*fields, *result.columns))
 
 
 def _fmt_float(x: float) -> str:
@@ -409,24 +410,20 @@ def write_meta(result: SweepResult, csv_path) -> None:
         _, trials, subframes = point.shape
         entry = {"value": value, "samples": trials * subframes,
                  "trials": trials}
-        for name, column in zip(("sc", "mc", "exact"), _samples(point)):
-            entry[f"mean_{name}"] = float(column.mean())
-            entry[f"std_{name}"] = float(column.std())
+        for name, column in zip(result.columns, _samples(point)):
+            entry[f"mean_{name.lower()}"] = float(column.mean())
+            entry[f"std_{name.lower()}"] = float(column.std())
         point_stats.append(entry)
+    described = {column.name: column.description for column in COLUMNS}
     meta = {
         "axis": result.axis,
         "config": dataclasses.asdict(result.config),
         "averaging": "unweighted mean of per-subframe unserved-user counts "
                      "over trials (fresh user placement each) x subframes "
                      "(fresh fading each) samples",
-        "columns": {
-            "SC": "uncoordinated per-cell choice, primary cell only",
-            "MC": "greedy cross-cell choice, decode from any cell",
-        },
+        "columns": {name: described[name] for name in result.columns},
         "points": point_stats,
     }
-    if result.counts.shape[1] == 3:
-        meta["columns"]["EXACT"] = "brute-force optimal cross-cell choice"
     path = Path(str(csv_path) + ".meta.json")
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")

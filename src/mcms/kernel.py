@@ -1,31 +1,20 @@
 """The Monte Carlo kernel: unserved users of a stream of placements.
 
-`unserved_counts` runs every sample of `mcms.harness.run_sweep`.  It
+`unserved_counts` runs every sample of `mcms.harness.run_sweep`: it
 takes the whole sweep as one stream of placements and yields each
-placement's unserved counts in order.  The mean SNR of every link and a
-per-link fading-gain threshold are computed once per placement.  Each
-sub-frame then draws its gains, a slab of whole cells at a time, and
-compares them with the threshold, with no log per link.  Gains within a
-narrow guard band of the threshold get their rate computed, so coverage
-is exactly that of `sample_rates` followed by `derive_instance`.
+placement's unserved counts in order, one row per column.  Per
+placement it computes the mean SNR of every link and a fading-gain
+threshold; per sub-frame it draws the gains, a slab of whole cells at a
+time, and compares them with the threshold, computing the rate only
+within a narrow guard band of it, so coverage is exactly that of
+`sample_rates` followed by `derive_instance`.  Sub-frames are drawn in
+batches under a fixed byte budget, by the calling thread and helpers on
+a shared pool, and solved by the calling thread.
 
-Sub-frames go in batches capped by a fixed byte budget: runs of
-consecutive sub-frames of one shape, even across placements and sweep
-points, so that the solvers' fixed cost per batch is paid for as few
-batches as the budget allows.  Each batch has its own packed uint64
-words and a queue of its rows.  The calling thread and helper tasks on
-a shared pool, one thread per available CPU, take rows from the queue
-and draw, threshold and pack those sub-frames (numpy's generator fills
-and comparisons release the interpreter lock); the calling thread draws
-ahead from the next batch while the helpers finish.  It then solves the
-batch with `greedy_batch` and `sc_batch` while the helpers draw the next
-batches.  With the EXACT column, each sub-frame's optimum lies between
-a lower bound, the greedy's union raised by a 1-swap local search
-(`swap_batch`) from the greedy's or the SC allocation, and an upper
-bound, the users some set covers.  Where the two meet, that is the
-optimum; `exact_search` enumerates only the other sub-frames.  Either
-way EXACT is the optimum.  Results depend on neither the batch size,
-the slab size nor the number of threads.
+`COLUMNS` is the one table of a sweep's columns, SC, MC and EXACT: each
+a name, a batch solver and a description.  Every count array and every
+file a sweep writes follows its order.  Results depend on neither the
+batch size, the slab size nor the number of threads.
 """
 
 from __future__ import annotations
@@ -35,17 +24,13 @@ import contextlib
 import itertools
 import os
 import threading
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import (
-    ChannelParams,
-    Scenario,
-    StreamSpec,
-    mean_snr,
-    shannon_rate_bps,
-)
+from .scenario import (ChannelParams, Scenario, StreamSpec, mean_snr,
+                       shannon_rate_bps)
 from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
                       swap_batch)
 
@@ -141,15 +126,65 @@ def _gain_bounds(snr: np.ndarray, params: ChannelParams,
     return lo[:, None, :], hi[:, None, :]
 
 
+def _exact_batch(words: np.ndarray, owners: np.ndarray,
+                 earlier: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The optimum of each row of a batch, from the MC and SC results.
+
+    ``lower <= optimum <= upper``: ``upper`` counts the users some set
+    covers, and ``lower`` is MC's union, raised where it falls short of
+    ``upper`` by `swap_batch` from MC's allocation, then from SC's.
+    Where the two meet the optimum is certified; `exact_search`
+    enumerates every other row.  ``earlier`` is left as it is.
+    """
+    upper = np.bitwise_count(np.bitwise_or.reduce(words, axis=(1, 2))).sum(
+        axis=-1, dtype=np.int64)
+    chosen, lower = earlier["MC"][0].copy(), earlier["MC"][1].astype(np.int64)
+    for start in (earlier["MC"][0], earlier["SC"][0]):
+        short = np.flatnonzero(lower < upper)
+        found, served = swap_batch(words[short], start[short])
+        better = served > lower[short]
+        chosen[short[better]] = found[better]
+        lower[short[better]] = served[better]
+    for row in np.flatnonzero(lower < upper):
+        # Padding bits are users no set covers, which the search drops.
+        chosen[row], lower[row] = exact_search(np.unpackbits(
+            words[row].view(np.uint8), axis=-1, bitorder="little").view(bool))
+    return chosen, lower
+
+
+class Column(NamedTuple):
+    """A column of a sweep: its name in every file; its batch solver,
+    ``(words, owners, earlier) -> (chosen, served)`` of a batch's packed
+    coverage [batch, cells, prbs, words], each row's packed primary users
+    [batch, cells, words] and, by name, the results of the columns
+    solved before it; and its ``.meta.json`` description."""
+
+    name: str
+    solve: Callable[..., tuple[np.ndarray, np.ndarray]]
+    description: str
+
+
+# Every column a sweep can report, in the order of every count array and
+# file.  EXACT reads the results of SC and MC, which come before it.
+COLUMNS = (
+    Column("SC", lambda words, owners, earlier: sc_batch(words, owners),
+           "uncoordinated per-cell choice, primary cell only"),
+    Column("MC", lambda words, owners, earlier: greedy_batch(words),
+           "greedy cross-cell choice, decode from any cell"),
+    Column("EXACT", _exact_batch, "brute-force optimal cross-cell choice"),
+)
+# The columns of a sweep that does not ask for the optimum.
+BASE_COLUMNS = COLUMNS[:2]
+
+
 class _Placement:
     """One placement as the kernel sees it: the per-link thresholds, the
     fading seeds of its sub-frames, how many of them are still to be
-    drawn, and their unserved counts, one row per column (SC, MC and,
-    with the EXACT column, the optimum)."""
+    drawn, and their unserved counts, one row per column."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
                  params: ChannelParams, stream: StreamSpec, num_prbs: int,
-                 with_exact: bool):
+                 num_columns: int):
         self.subframes = self.undrawn = len(fading_seeds)
         self.seeds = fading_seeds
         self.snr = mean_snr(scenario, params)
@@ -159,8 +194,7 @@ class _Placement:
         self.word_shape = (num_cells, num_prbs, -(-self.num_users // 64))
         self.slab = max(1, min(num_cells, _SLAB_BYTES
                                // max(num_prbs * self.num_users * 8, 1)))
-        self.counts = np.empty((3 if with_exact else 2, self.subframes),
-                               dtype=np.int64)
+        self.counts = np.empty((num_columns, self.subframes), dtype=np.int64)
 
 
 def _batches(placements: Iterable[tuple[Scenario, Sequence]], num_prbs: int,
@@ -276,7 +310,7 @@ def unserved_counts(
     params: ChannelParams,
     stream: StreamSpec,
     num_prbs: int,
-    with_exact: bool = False,
+    columns: Sequence[Column] = BASE_COLUMNS,
 ) -> Iterator[np.ndarray]:
     """The Monte Carlo kernel: unserved users of a stream of placements,
     per sub-frame.
@@ -284,43 +318,30 @@ def unserved_counts(
     ``placements`` yields ``(scenario, fading_seeds)`` pairs, with one
     seed per sub-frame, anything ``np.random.default_rng`` accepts; it
     is read on the calling thread, a few batches ahead of the results,
-    and each seed is read by the thread that draws its sub-frame.  Each
-    sub-frame draws its Rayleigh gains from its seed as `sample_rates`
-    does, a slab of whole cells at a time (`_gain_slabs`), and a link
-    covers its user when the gain clears the threshold of `_gain_bounds`
-    (the same rule as `derive_instance`, with no log per link).  A
-    placement's thresholds are computed when its first sub-frame joins a
-    batch and dropped once its last sub-frame is drawn.
+    and each seed is read by the thread that draws its sub-frame's
+    gains, those `sample_rates` would draw (`_draw`).  A placement's
+    thresholds are computed when its first sub-frame joins a batch and
+    dropped once its last sub-frame is drawn.
 
-    Sub-frames go in batches cut by `_batches`: consecutive sub-frames of
-    one shape, also across placements, _RING batches open at once, each
-    with its own uint64 words and a queue of its rows, flat indices into
-    the words with the (placement, sub-frame) each stands for.  A batch
-    of n sub-frames gets min(_WORKERS - 1, n - 1) helper tasks on a
-    shared thread pool, so a stream of one sub-frame never starts the
-    pool.  Helpers and the calling thread take rows until the queue is
-    empty and pack each sub-frame's coverage into the batch's words.
-    The calling thread drains the oldest batch's queue, draws from the
-    later batches until that batch's helpers are done, raises a helper's
-    error, and solves the batch alone with `greedy_batch` (MC) and
-    `sc_batch` (SC, each row with its placement's primary users) while
-    the helpers draw the later batches.  With ``with_exact`` it also
-    bounds each sub-frame's optimum: ``upper``, the popcount of the OR
-    of all its words, and ``lower``, the greedy's union and, where that
-    is below ``upper``, `swap_batch` from the greedy's allocation and
-    then from the SC allocation.  Since ``lower <= optimum <= upper``, a
-    sub-frame with ``lower == upper`` has the optimum ``upper``; every
-    other one is unpacked and solved by `exact_search` (the caller
-    checks that ``num_prbs ** cells`` is within its enumeration budget).
-    Each sub-frame's result depends on its seed alone, so the counts do
-    not depend on the batch size, the number of threads or which thread
-    draws which sub-frame.  When the stream ends, fails or the generator
-    is closed, helper tasks not yet started are cancelled and the open
-    queues emptied: a running helper stops after its current sub-frame.
+    Sub-frames go in batches cut by `_batches`, _RING open at once, each
+    with its own uint64 words and a queue of its rows.  A batch of n
+    sub-frames gets min(_WORKERS - 1, n - 1) helper tasks on a shared
+    thread pool, so a stream of one sub-frame never starts the pool.
+    Helpers and the calling thread take rows until the queue is empty.
+    The calling thread then draws from the later batches until the
+    oldest batch's helpers are done, raises a helper's error, and solves
+    that batch alone: the batch solvers of ``columns``, entries of
+    `COLUMNS` in its order, one after the other.  With EXACT the caller
+    checks that ``num_prbs ** cells`` is within its enumeration budget.
+    A sub-frame's counts depend on its seed alone, not on the batch
+    size, the number of threads or which thread draws it.  When the
+    stream ends, fails or the generator is closed, helper tasks not yet
+    started are cancelled and the open queues emptied: a running helper
+    stops after its current sub-frame.
 
     Yields, per placement and in order, once its last sub-frame is
-    solved, its unserved counts: an int64 array [columns, sub-frames]
-    whose rows are SC, MC and, with ``with_exact``, the optimum.
+    solved, its unserved counts: an int64 array [columns, sub-frames],
+    one row per entry of ``columns``.
     """
     import queue  # not at module import: a run that never sweeps skips it
 
@@ -354,7 +375,7 @@ def unserved_counts(
 
     def open_place(scenario, seeds):
         return _Placement(scenario, seeds, params, stream, num_prbs,
-                          with_exact)
+                          len(columns))
 
     def open_batches():
         for segments in _batches(placements, num_prbs, open_place):
@@ -383,33 +404,15 @@ def unserved_counts(
                 future.result()
             opened.popleft()
             num_users = segments[0][0].num_users
-            unserved = np.empty((3 if with_exact else 2, len(words)),
-                                dtype=np.int64)
-            mc_chosen, served, _ = greedy_batch(words)
-            unserved[1] = num_users - served
             owners = np.repeat(np.stack([place.owners
                                          for place, _, _ in segments]),
                                [stop - start for _, start, stop in segments],
                                axis=0)
-            sc_chosen, sc_served = sc_batch(words, owners)
-            unserved[0] = num_users - sc_served
-            if with_exact:
-                # lower <= optimum <= upper: the users some set covers,
-                # and the greedy's union, raised where it falls short of
-                # upper by 1-swaps from its allocation, then from SC's.
-                upper = np.bitwise_count(np.bitwise_or.reduce(
-                    words, axis=(1, 2))).sum(axis=-1, dtype=np.int64)
-                lower = served
-                for chosen in (mc_chosen, sc_chosen):
-                    short = np.flatnonzero(lower < upper)
-                    lower[short] = np.maximum(lower[short], swap_batch(
-                        words[short], chosen[short])[1])
-                unserved[2] = num_users - upper
-                for row in np.flatnonzero(lower < upper):
-                    member = np.unpackbits(
-                        words[row].view(np.uint8), axis=-1, count=num_users,
-                        bitorder="little").view(bool)
-                    unserved[2, row] = num_users - exact_search(member)[1]
+            unserved = np.empty((len(columns), len(words)), dtype=np.int64)
+            earlier = {}
+            for i, column in enumerate(columns):
+                earlier[column.name] = column.solve(words, owners, earlier)
+                unserved[i] = num_users - earlier[column.name][1]
             opened.extend(itertools.islice(upcoming, 1))
             row = 0
             for place, start, stop in segments:

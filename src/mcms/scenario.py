@@ -108,6 +108,8 @@ def hex_centers(num_cells: int, radius: float) -> np.ndarray:
 
     Cell 0 sits at the origin; ring cells follow counter-clockwise from
     the positive x axis.  Adjacent centers are sqrt(3)*radius apart.
+    Raises ValueError unless every coordinate of the layout, and every
+    distance between a station and a user, is finite.
     """
     if num_cells not in (1, 7, 19):
         raise ValueError(f"num_cells must be 1, 7 or 19, got {num_cells}")
@@ -125,6 +127,14 @@ def hex_centers(num_cells: int, radius: float) -> np.ndarray:
             b = math.radians(60.0 * k + 30.0)
             centers.append((3.0 * radius * math.cos(b), 3.0 * radius * math.sin(b)))
     out = np.array(centers, dtype=float)
+    # Users lie within radius of their station, so no coordinate and no
+    # station-user distance exceeds twice this reach.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.hypot(out[:, 0], out[:, 1]).max() + radius
+        if not np.isfinite(2 * reach):
+            raise ValueError(
+                f"radius {radius!r} is too large for a {num_cells}-cell "
+                f"layout: its coordinates or station-user distances overflow")
     out.setflags(write=False)
     return out
 

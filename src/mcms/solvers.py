@@ -48,7 +48,6 @@ class SolveResult:
 
     alloc: tuple[int, ...]
     objective: int
-    per_step_marginals: tuple[int, ...] | None = None
 
 
 def greedy_bound(opt: int) -> int:
@@ -67,32 +66,27 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int32)
 
 
-def greedy_batch(
-    words: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def greedy_batch(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`solve_greedy` on a batch of instances at once.
 
     ``words`` is a uint64 tensor [batch, cells, prbs, words] of packed
-    coverage sets (see `pack_users`).  Returns ``(chosen, served,
-    marginals)``: the PRB per cell [batch, cells], the union coverage
-    [batch] and the gain of each step in commit order [batch, cells].
+    coverage sets (see `pack_users`).  Returns ``(chosen, served)``: the
+    PRB per cell [batch, cells] and the union coverage [batch].
     """
     batch, num_cells, num_prbs, _ = words.shape
     rows = np.arange(batch)
     chosen = np.zeros((batch, num_cells), dtype=np.intp)
-    marginals = np.zeros((batch, num_cells), dtype=np.int64)
     remaining = np.ones((batch, num_cells), dtype=bool)
     covered = np.zeros((batch, words.shape[3]), dtype=np.uint64)
-    for step in range(num_cells):
+    for _ in range(num_cells):
         gains = _popcount(words & ~covered[:, None, None, :])
         gains[~remaining] = -1  # assigned cells never win again
         # First maximum in row-major order: lowest cell, then lowest PRB.
         c, j = np.divmod(gains.reshape(batch, -1).argmax(axis=1), num_prbs)
         chosen[rows, c] = j
         remaining[rows, c] = False
-        marginals[:, step] = gains[rows, c, j]
         covered |= words[rows, c, j]
-    return chosen, _popcount(covered), marginals
+    return chosen, _popcount(covered)
 
 
 def sc_batch(
@@ -165,17 +159,11 @@ def solve_greedy(instance: CoverageInstance) -> SolveResult:
     optimum (`greedy_bound`); (1 - 1/e) does not hold under the
     one-PRB-per-cell constraint.  Runs in O(C^2 * N * M / 64) time on the
     packed membership words; this is `greedy_batch` on a batch of one.
-
-    Returns a SolveResult whose ``per_step_marginals`` holds the C gains
-    in commit order; they are non-increasing.
     """
-    chosen, served, marginals = greedy_batch(
+    chosen, served = greedy_batch(
         pack_users(instance.membership_matrix())[None])
-    return SolveResult(
-        alloc=tuple(chosen[0].tolist()),
-        objective=int(served[0]),
-        per_step_marginals=tuple(marginals[0].tolist()),
-    )
+    return SolveResult(alloc=tuple(chosen[0].tolist()),
+                       objective=int(served[0]))
 
 
 # Byte budget of each temporary of the exact search: the table of tail

@@ -4,13 +4,16 @@ for byte.
 Each case runs one ``mcms`` sweep command and compares its CSV, its
 ``.meta.json`` sidecar and its ``--dump-raw`` per-sample log with the
 files under ``tests/golden/``.  The cases cover both axes, 1, 7 and 19
-cells, deterministic fading, a single PRB and an EXACT column.
+cells, deterministic fading, a single PRB and an EXACT column, and
+the EXACT case without --exact must give its files less the EXACT
+column.
 
 The files pin the deterministic output contract, not a tolerance.  To
 record them again after a deliberate change to that contract, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -69,6 +72,23 @@ def test_sweep_output_matches_golden_bytes(name, tmp_path):
     for suffix, data in got.items():
         want = (GOLDEN / f"{name}{suffix}").read_bytes()
         assert data == want, f"{name}{suffix} differs from the golden file"
+
+
+def test_users_exact_without_exact_is_its_sc_and_mc_columns(tmp_path):
+    # The EXACT column is one more column: without --exact the case
+    # writes the golden files with every EXACT entry taken out.
+    argv = [arg for arg in CASES["users_exact"] if arg != "--exact"]
+    out, raw = tmp_path / "x.csv", tmp_path / "x.raw.csv"
+    assert main(argv + ["--out", str(out), "--dump-raw", str(raw)]) == 0
+    for got, suffix in ((out, ".csv"), (raw, ".raw.csv")):
+        want = (GOLDEN / f"users_exact{suffix}").read_text().splitlines()
+        assert got.read_text().splitlines() == [
+            line.rsplit(",", 1)[0] for line in want]
+    meta = json.loads((GOLDEN / "users_exact.csv.meta.json").read_text())
+    del meta["columns"]["EXACT"]
+    for point in meta["points"]:
+        del point["mean_exact"], point["std_exact"]
+    assert json.loads(Path(f"{out}.meta.json").read_text()) == meta
 
 
 if __name__ == "__main__":

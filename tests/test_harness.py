@@ -73,6 +73,24 @@ def test_config_rejects_non_numbers_and_unreachable_values(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", np.int64(3)), ("users_per_cell", np.int32(5)),
+    ("radius_m", np.float32(300.0)),
+    ("stream_rate_bps", np.float32(1.4e6)),
+])
+def test_config_stores_numpy_scalars_as_plain_numbers(tmp_path, field,
+                                                      value):
+    # json writes plain ints and floats only: the .meta.json of a config
+    # given numpy scalars is written, with the same numbers.
+    config = ExperimentConfig(**{"trials": 1, "subframes": 2,
+                                 "users_per_cell": 5, field: value})
+    assert type(getattr(config, field)) is type(value.item())
+    result = run_sweep(config, "users", values=(5,))
+    write_meta(result, tmp_path / "m.csv")
+    meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+    assert meta["config"][field] == value.item()
+
+
 def test_run_sweep_progress_lines_report_samples_per_second():
     lines = []
     result = run_sweep(TINY, "users", values=(20, 30), progress=lines.append)
@@ -196,6 +214,25 @@ def test_sweep_with_exact_column(tmp_path):
     assert lines[0] == "users,SC,MC,EXACT"
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_every_writer_names_the_same_columns(tmp_path, exact):
+    out, raw = tmp_path / "c.csv", tmp_path / "c.raw.csv"
+    assert main(["sweep-users", "--out", str(out), "--dump-raw", str(raw),
+                 "--values", "10,20", "--trials", "2", "--subframes", "2",
+                 "--prbs", "2"] + ["--exact"] * exact) == 0
+    columns = out.read_text().splitlines()[0].split(",")[1:]
+    assert columns == ["SC", "MC", "EXACT"][:2 + exact]
+    assert raw.read_text().splitlines()[0].split(",")[3:] == columns
+    # The sidecar's keys are sorted: the same names in sorted order.
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert list(meta["columns"]) == sorted(columns)
+    for point in meta["points"]:
+        for stat in ("mean_", "std_"):
+            assert [key[len(stat):] for key in point
+                    if key.startswith(stat)] == sorted(map(str.lower,
+                                                           columns))
+
+
 def test_write_csv_headers_and_rows(tmp_path):
     res = run_sweep(TINY, "users", values=(20, 30))
     out = tmp_path / "users.csv"
@@ -215,6 +252,7 @@ def test_write_csv_headers_and_rows(tmp_path):
 
 def test_write_csv_rejects_empty_result(tmp_path):
     empty = SweepResult(axis="users", config=TINY, values=(),
+                        columns=("SC", "MC"),
                         counts=np.empty((0, 2, TINY.trials, TINY.subframes),
                                         dtype=np.int64))
     target = tmp_path / "nope.csv"
@@ -230,7 +268,7 @@ def test_csv_numbers_stay_plain_decimal(tmp_path):
     counts = np.zeros((1, 2, 1, 20_000), dtype=np.int64)
     counts[0, 0, 0, 0] = 1
     res = SweepResult(axis="users", config=config, values=(100.0,),
-                      counts=counts)
+                      columns=("SC", "MC"), counts=counts)
     out = tmp_path / "small.csv"
     write_csv(res, out)
     assert out.read_text().splitlines()[1] == "100,0.00005,0.0"
@@ -596,11 +634,23 @@ def test_cli_config_accepts_integral_floats_and_json_booleans(tmp_path):
     (["--rate", "1e300"], "no finite SNR reaches it"),
     (["--rate", "1.8432e8"], "no finite SNR reaches it"),
     (["--subframes", str(2**32 + 1)], "subframes must be <= 2**32"),
+    # Coordinates or station-user distances beyond the float range.
+    (["--radius", "1e308"], "radius 1e+308 is too large for a 7-cell"),
+    (["--radius", "5e307"], "radius 5e+307 is too large for a 7-cell"),
+    (["--radius", "5e307", "--cells", "19"],
+     "radius 5e+307 is too large for a 19-cell"),
+    (["--radius", "1e308", "--cells", "1"],
+     "radius 1e+308 is too large for a 1-cell"),
+    (["sweep-radius", "--values", "1e308"],
+     "radius 1e+308 is too large for a 7-cell"),
 ])
 def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
     out = tmp_path / "x.csv"
-    rc = main(["sweep-users", "--out", str(out), "--values", "20",
-               "--trials", "1", "--subframes", "1"] + flags)
+    command = ["sweep-users", "--values", "20"]
+    if flags[0] == "sweep-radius":  # a command and values of its own
+        command, flags = flags[:3], flags[3:]
+    rc = main(command + ["--out", str(out), "--trials", "1", "--subframes",
+                         "1"] + flags)
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

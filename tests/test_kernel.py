@@ -13,7 +13,9 @@ helpers after their current sub-frame, and that fading seeds are built
 as they are drawn, and hold the packed solvers to the boolean-tensor
 and big-int solvers they replaced (SC also with one owner set per row),
 the 1-swap local search to its local optimum, and the EXACT column,
-certified by its bounds or enumerated, to the optimum.
+certified by its bounds or enumerated, to the optimum, leaving the SC
+and MC results it starts from as they are, and check that adding EXACT
+leaves the other columns unchanged.
 """
 
 import contextlib
@@ -47,7 +49,8 @@ from mcms import (
     solve_greedy,
     solve_sc_baseline,
 )
-from mcms.coverage import pack_users
+from mcms.coverage import pack_users, served
+from mcms.harness import random_instance
 from mcms.scenario import mean_snr
 from mcms.solvers import (exact_search, greedy_batch, primary_words,
                           sc_batch, swap_batch)
@@ -289,6 +292,32 @@ def test_results_do_not_depend_on_worker_count(seed, cells, prbs, users,
         assert_same_sweep(result, results[0])
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([1, 7]),
+    prbs=st.integers(1, 4),
+    axis=st.sampled_from(["users", "radius"]),
+    points=st.integers(1, 3),
+    trials=st.integers(1, 3),
+    subframes=st.integers(1, 4),
+    rate=st.floats(2e5, 4e6),
+    fading=st.sampled_from(["rayleigh", "none"]),
+)
+def test_adding_a_column_leaves_the_other_columns_unchanged(
+        seed, cells, prbs, axis, points, trials, subframes, rate, fading):
+    config = ExperimentConfig(num_cells=cells, num_prbs=prbs, trials=trials,
+                              subframes=subframes, users_per_cell=12,
+                              stream_rate_bps=rate, seed=seed,
+                              channel=ChannelParams(fading=fading))
+    values = [(4, 12, 25), (250.0, 400.0, 700.0)][axis == "radius"][:points]
+    base = run_sweep(config, axis, values)
+    more = run_sweep(config, axis, values, with_exact=True)
+    assert (base.columns, more.columns) == (("SC", "MC"),
+                                            ("SC", "MC", "EXACT"))
+    assert np.array_equal(base.counts, more.counts[:, :2])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -317,15 +346,15 @@ def test_batches_across_placements_match_one_placement_per_batch(
          rng.integers(0, 2**32, n).tolist())
         for n in subframes]
     params, stream = ChannelParams(), StreamSpec(rate_bps=rate)
-    with_exact = prbs ** cells <= 256
+    columns = kernel.COLUMNS if prbs ** cells <= 256 else kernel.BASE_COLUMNS
     want = [next(kernel.unserved_counts([placement], params, stream, prbs,
-                                        with_exact))
+                                        columns))
             for placement in placements]
     with worker_threads(workers), \
             mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget), \
             mock.patch.object(kernel, "_BATCH_OPEN_BYTES", open_budget):
         got = list(kernel.unserved_counts(placements, params, stream, prbs,
-                                          with_exact))
+                                          columns))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -622,7 +651,7 @@ def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
     budget = prbs * scenario.num_users * 8 if one_cell else kernel._SLAB_BYTES
     with mock.patch.object(kernel, "_SLAB_BYTES", budget):
         place = kernel._Placement(scenario, [seed], ChannelParams(),
-                                  StreamSpec(), prbs, False)
+                                  StreamSpec(), prbs, len(kernel.COLUMNS))
         gains = kernel._buffers(place, "rayleigh")[0]
     if one_cell:
         assert place.slab == 1
@@ -735,20 +764,36 @@ def instance_batches(draw):
 @given(instance_batches())
 def test_packed_solvers_match_tensor_solvers(batch):
     words = pack_users(np.stack([inst.membership_matrix() for inst in batch]))
-    chosen, served, marginals = greedy_batch(words)
+    chosen, served = greedy_batch(words)
     for k, inst in enumerate(batch):
-        want = tensor_greedy(inst)
-        assert (tuple(chosen[k].tolist()), int(served[k]),
-                tuple(marginals[k].tolist())) == want
+        want = tensor_greedy(inst)[:2]
+        assert (tuple(chosen[k].tolist()), int(served[k])) == want
         res = solve_greedy(inst)
-        assert (res.alloc, res.objective,
-                res.per_step_marginals) == want
+        assert (res.alloc, res.objective) == want
         sc_chosen, sc_served = sc_batch(
             words[k:k + 1], primary_words(inst.primary_cell, inst.num_cells))
         want = tensor_sc(inst)
         assert (tuple(sc_chosen[0].tolist()), int(sc_served[0])) == want
         res = solve_sc_baseline(inst)
         assert (res.alloc, res.objective) == want
+
+
+def test_greedy_marginals_non_increasing_and_sum_to_objective(rng):
+    # The oracle's gain per step: no step gains more than the one before,
+    # the gains add up to the served count, and greedy_batch (through
+    # solve_greedy) picks the oracle's allocation.
+    for _ in range(100):
+        inst = random_instance(rng,
+                               num_users=int(rng.integers(1, 40)),
+                               num_cells=int(rng.integers(1, 6)),
+                               num_prbs=int(rng.integers(1, 5)))
+        alloc, objective, marg = tensor_greedy(inst)
+        assert len(marg) == inst.num_cells
+        assert all(a >= b for a, b in zip(marg, marg[1:]))
+        assert sum(marg) == objective
+        assert objective == served(inst, alloc)[0].sum()
+        res = solve_greedy(inst)
+        assert (res.alloc, res.objective) == (alloc, objective)
 
 
 @settings(max_examples=100, deadline=None)
@@ -859,11 +904,34 @@ def test_kernel_exact_is_the_optimum_certified_or_enumerated(batch):
                 counted_searches() as calls:
             exact = next(kernel.unserved_counts(
                 [instance_placement(batch)], ChannelParams(), StreamSpec(),
-                prbs, with_exact=True))[2]
+                prbs, kernel.COLUMNS))[2]
         assert exact.tolist() == want
         assert len(calls) < len(batch)
         if prbs > 1 and users > 1:
             assert calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_batches())
+def test_exact_column_serves_the_optimum_and_leaves_earlier_results(batch):
+    # EXACT starts from the SC and MC results it is handed: it must leave
+    # them as they are, and return an allocation serving the optimum.
+    words = pack_users(np.stack([inst.membership_matrix() for inst in batch]))
+    owners = np.stack([primary_words(inst.primary_cell, inst.num_cells)
+                       for inst in batch])
+    earlier = {}
+    for column in kernel.BASE_COLUMNS:
+        earlier[column.name] = column.solve(words, owners, earlier)
+    kept = {name: [array.copy() for array in result]
+            for name, result in earlier.items()}
+    exact = dict((column.name, column) for column in kernel.COLUMNS)["EXACT"]
+    chosen, served = exact.solve(words, owners, earlier)
+    for name, result in earlier.items():
+        assert all(map(np.array_equal, result, kept[name])), name
+    for k, inst in enumerate(batch):
+        optimum = bigint_exact(inst)[1]
+        assert served[k] == union_of(inst.membership_matrix(),
+                                     chosen[k]) == optimum
 
 
 def test_sweep_enumerates_only_what_the_bounds_leave_open():
@@ -879,8 +947,8 @@ def test_sweep_enumerates_only_what_the_bounds_leave_open():
     real_greedy, real_swap = kernel.greedy_batch, kernel.swap_batch
 
     def no_greedy_bound(words):
-        chosen, served, marginals = real_greedy(words)
-        return chosen, np.zeros_like(served), marginals
+        chosen, served = real_greedy(words)
+        return chosen, np.zeros_like(served)
 
     def no_swap_bound(words, chosen):
         found, served = real_swap(words, chosen)

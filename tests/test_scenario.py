@@ -20,6 +20,7 @@ from mcms.coverage import InstanceError
 from mcms.scenario import (
     hex_centers,
     in_hexagon,
+    mean_snr,
     pathloss_db,
     shannon_rate_bps,
 )
@@ -64,6 +65,21 @@ def test_hex_centers_nineteen_cells():
     # outer ring alternates between straight-through and diagonal cells
     assert np.allclose(np.sort(dist[7:]), sorted([2 * SQRT3 * 100.0] * 6
                                                  + [300.0] * 6))
+
+
+@pytest.mark.parametrize("cells, farthest", [(1, 0.0), (7, SQRT3),
+                                             (19, 2 * SQRT3)])
+def test_largest_radius_a_layout_takes_keeps_every_distance_finite(
+        cells, farthest):
+    # hex_centers takes a radius while twice its reach, the farthest
+    # station plus one radius, is finite.  Users dropped in such a layout
+    # and their links stay finite, with no overflow warning.
+    largest = np.finfo(float).max / (2 * (farthest + 1)) * (1 - 1e-9)
+    scenario = generate_scenario(cells, largest, 20, 1)
+    assert np.isfinite(scenario.user_positions).all()
+    assert np.isfinite(mean_snr(scenario, ChannelParams())).all()
+    with pytest.raises(ValueError, match=f"too large for a {cells}-cell"):
+        hex_centers(cells, largest * 1.01)
 
 
 def test_hex_centers_rejects_unsupported_layouts():

@@ -50,14 +50,12 @@ def test_greedy_single_cell_takes_largest_set():
     res = solve_greedy(inst)
     assert res.alloc == (1,)
     assert res.objective == 2
-    assert res.per_step_marginals == (2,)
 
 
 def test_greedy_on_gap_instance(gap_instance):
     res = solve_greedy(gap_instance)
     assert res.objective == 6
     assert res.alloc == (1, 0)
-    assert res.per_step_marginals == (5, 1)
 
 
 def test_greedy_disjoint_sets_is_optimal(rng):
@@ -80,20 +78,6 @@ def test_greedy_disjoint_sets_is_optimal(rng):
         assert solve_greedy(inst).objective == solve_exact(inst).objective
 
 
-def test_greedy_marginals_non_increasing_and_sum_to_objective(rng):
-    for _ in range(100):
-        inst = random_instance(rng,
-                               num_users=int(rng.integers(1, 40)),
-                               num_cells=int(rng.integers(1, 6)),
-                               num_prbs=int(rng.integers(1, 5)))
-        res = solve_greedy(inst)
-        marg = res.per_step_marginals
-        assert len(marg) == inst.num_cells
-        assert all(a >= b for a, b in zip(marg, marg[1:]))
-        assert sum(marg) == res.objective
-        assert res.objective == served(inst, res.alloc)[0].sum()
-
-
 def test_greedy_tie_break_lowest_cell_then_lowest_prb():
     # every set has gain 1: cell 0 PRB 0 must win the first step
     inst = CoverageInstance(3, [[{0}, {1}], [{0}, {1}]], [0, 0, 0])
@@ -107,7 +91,6 @@ def test_greedy_zero_gain_cells_still_allocate():
     inst = CoverageInstance(1, [[{0}, set()], [set(), set()]], [0])
     res = solve_greedy(inst)
     assert res.alloc == (0, 0)
-    assert res.per_step_marginals == (1, 0)
 
 
 def test_greedy_is_deterministic(rng):

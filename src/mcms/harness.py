@@ -13,7 +13,7 @@ times ``subframes`` independent fading draws per placement.  Randomness
 is keyed by (point index, trial, sub-frame) through SeedSequence spawn
 keys, so every sample is reproducible in isolation and results do not
 depend on execution order.  A placement's fading seeds, one per
-sub-frame, are built a block of sub-frames at a time in one numpy pass
+sub-frame, are built a slice of sub-frames at a time in one numpy pass
 (`_FadingSeeds`), word for word the states of those SeedSequences.
 
 Every sample goes through one Monte Carlo kernel,
@@ -27,10 +27,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
 import numbers
 import sys
-import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -44,6 +42,7 @@ from .scenario import (
     DEFAULT_STREAM_RATE_BPS,
     StreamSpec,
     derive_instance,
+    finite_float,
     generate_scenario,
     hex_centers,
     sample_rates,
@@ -99,12 +98,8 @@ class ExperimentConfig:
                 f"fading seed takes a sub-frame index of one uint32 word, "
                 f"got {self.subframes}")
         for name in ("radius_m", "stream_rate_bps"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value <= 0):
-                raise ValueError(
-                    f"{name} must be a finite number > 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, finite_float(
+                getattr(self, name), name, positive=True))
         # 1, 7 or 19 cells, with finite coordinates and distances.
         hex_centers(self.num_cells, self.radius_m)
         # The rate over one PRB is B * log2(1 + snr) with 1 + snr below
@@ -141,9 +136,6 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Sub-frames whose fading seeds are built at once: [_SEED_BLOCK, 4]
-# words and their temporaries stay under some 100 KB per placement.
-_SEED_BLOCK = 1024
 # The fading seeds take a sub-frame index of one uint32 word.
 MAX_SUBFRAMES = 2**32
 
@@ -169,18 +161,17 @@ def _uint32_words(n: int) -> int:
     return max(1, -(-n.bit_length() // 32))
 
 
-def _child_states(seed: int, key: tuple[int, ...], first: int,
-                  stop: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(*key, t)).generate_state(4,
-    np.uint64)`` for t in [first, stop) as [stop - first, 4], with
-    ``key`` not empty and ``stop <= MAX_SUBFRAMES``.
+def _parent_terms(seed: int, key: tuple[int, ...]) -> np.ndarray:
+    """What the children ``SeedSequence(seed, spawn_key=(*key, t))`` of
+    the parent ``SeedSequence(seed, spawn_key=key)``, ``key`` not empty,
+    share: [3, 4] uint32, the parent's pool words times _MIX_L, then the
+    constants each word's hash of t is XORed with and multiplied by.
 
-    A child's entropy is its parent's, ``SeedSequence(seed,
-    spawn_key=key)``, and one more word, t: mix_entropy leaves the
-    parent's pool as it is and mixes ``hashmix(t)`` into each of its
-    four words, with the hash constant advanced by every hashmix call
-    the parent made.  So each child's pool is a few vectorised uint32
-    steps from the parent's, and so are its state words.
+    A child's entropy is its parent's and one more word, t: mix_entropy
+    leaves the parent's pool as it is and mixes ``hashmix(t)`` into each
+    of its four words, with the hash constant advanced by every hashmix
+    call the parent made.  So a child's state words are a few vectorised
+    uint32 steps from these terms.
     """
     parent = np.random.SeedSequence(seed, spawn_key=key)
     # The run entropy is padded to the pool size before a spawn key.
@@ -189,12 +180,21 @@ def _child_states(seed: int, key: tuple[int, ...], first: int,
     # hashmix calls: one per pool word, one per ordered pair of pool
     # words, then one per pool word for each word beyond the pool.
     calls = _POOL + _POOL * (_POOL - 1) + _POOL * (entropy - _POOL)
-    xor, mul = _hash_constants(_INIT_A, _MULT_A, calls, _POOL)
+    pool = [_MIX_L * int(word) % 2**32 for word in parent.pool]
+    return np.vstack([np.array(pool, dtype=np.uint32),
+                      _hash_constants(_INIT_A, _MULT_A, calls, _POOL)])
+
+
+def _child_states(terms: np.ndarray, first: int, stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(*key, t)).generate_state(4,
+    np.uint64)`` for t in [first, stop) as [stop - first, 4], from
+    ``terms = _parent_terms(seed, key)``, with ``stop <=
+    MAX_SUBFRAMES``."""
+    pool, xor, mul = terms
     t = np.arange(first, stop, dtype=np.uint32)[:, None]
     hashed = (t ^ xor) * mul
     hashed ^= hashed >> 16
-    mixed = np.array([_MIX_L * int(word) % 2**32 for word in parent.pool],
-                     dtype=np.uint32) - np.uint32(_MIX_R) * hashed
+    mixed = pool - np.uint32(_MIX_R) * hashed
     mixed ^= mixed >> 16
     state = np.tile(mixed, 2)
     state ^= _STATE_HASH[0]
@@ -208,7 +208,7 @@ class _SubframeSeed:
     """A seed whose state is precomputed: the first four uint64 words of
     the state of a `SeedSequence`, read-only.  `_FadingSeeds` registers
     it as an ISeedSequence, which numpy's bit generators take as a seed,
-    when it builds a block: importing mcms does not import numpy.random,
+    when it builds a slice: importing mcms does not import numpy.random,
     and its ~12 ms stay off every run's set-up."""
 
     def __init__(self, words: np.ndarray):
@@ -234,41 +234,30 @@ class _FadingSeeds:
     """The fading seeds of the sub-frames of placement (point, trial) of
     a sweep, ``subframes <= MAX_SUBFRAMES`` of them: ``seeds[t]`` gives
     the state of ``SeedSequence(seed, spawn_key=(point, trial, 1, t))``
-    and so the same PCG64 stream.  They are built by `_child_states`,
-    _SEED_BLOCK sub-frames at a time, when a sub-frame of the block is
-    first read; a placement keeps one block."""
+    and so the same PCG64 stream, and ``seeds[start:stop]`` a list of
+    those seeds, built in one `_child_states` pass from the terms the
+    placement's seeds share."""
 
     def __init__(self, seed: int, point: int, trial: int, subframes: int):
-        self.seed, self.subframes = int(seed), subframes
-        self.key = (int(point), int(trial), 1)
-        self._lock = threading.Lock()
-        # (first sub-frame, read-only words [sub-frames, 4]), replaced
-        # whole so that a reader never sees the words of another block.
-        self._block = (0, np.empty((0, 4), dtype=np.uint64))
+        self.subframes = subframes
+        self.terms = _parent_terms(int(seed), (int(point), int(trial), 1))
 
     def __len__(self) -> int:
         return self.subframes
 
-    def __getitem__(self, t: int) -> _SubframeSeed:
-        if not 0 <= t < self.subframes:
-            raise IndexError(f"sub-frame {t} out of range [0, "
-                             f"{self.subframes})")
-        first, words = self._block
-        if not first <= t < first + len(words):
-            # Drawing threads read the seeds: one builds a block, the
-            # others wait for it.
-            with self._lock:
-                first, words = self._block
-                if not first <= t < first + len(words):
-                    np.random.bit_generator.ISeedSequence.register(
-                        _SubframeSeed)
-                    first = t - t % _SEED_BLOCK
-                    words = _child_states(
-                        self.seed, self.key, first,
-                        min(first + _SEED_BLOCK, self.subframes))
-                    words.flags.writeable = False
-                    self._block = first, words
-        return _SubframeSeed(words[t - first])
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            if not 0 <= index < self.subframes:
+                raise IndexError(f"sub-frame {index} out of range [0, "
+                                 f"{self.subframes})")
+            return self[index:index + 1][0]
+        start, stop, step = index.indices(self.subframes)
+        if step != 1:
+            raise ValueError("fading seeds are sliced with step 1")
+        np.random.bit_generator.ISeedSequence.register(_SubframeSeed)
+        words = _child_states(self.terms, start, stop)
+        words.flags.writeable = False
+        return [_SubframeSeed(row) for row in words]
 
 
 def _point_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:

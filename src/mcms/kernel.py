@@ -8,8 +8,9 @@ threshold; per sub-frame it draws the gains, a slab of whole cells at a
 time, and compares them with the threshold, computing the rate only
 within a narrow guard band of it, so coverage is exactly that of
 `sample_rates` followed by `derive_instance`.  Sub-frames are drawn in
-batches under a fixed byte budget, by the calling thread and helpers on
-a shared pool, and solved by the calling thread.
+batches under a fixed byte budget, by the calling thread and helpers of
+a pool of the call's own; helpers only draw, and the calling thread
+alone cuts the batches, reads the fading seeds, frees and solves.
 
 `COLUMNS` is the one table of a sweep's columns, SC, MC and EXACT: each
 a name, a batch solver and a description.  Every count array and every
@@ -43,8 +44,7 @@ from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
 _BATCH_CELL_BYTES = 16 << 10
 # Byte budget of the thresholds (mean SNR and gain bounds, 24 B a link)
 # of the placements one batch opens, at least one: a batch of placements
-# of a few sub-frames each would otherwise keep all of theirs alive, and
-# read twice as many scenarios ahead.
+# of a few sub-frames each would otherwise keep all of theirs alive.
 _BATCH_OPEN_BYTES = 1 << 20
 # Batches open at once: the one the calling thread solves and the ones
 # drawn ahead of it.
@@ -63,33 +63,6 @@ _GUARD = 1e-9
 # parallel.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _thread_pool():
-    """The shared pool of the _WORKERS - 1 helper threads, started on
-    first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1,
-                                       thread_name_prefix="mcms-draw")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the parent's threads: the pool would
-    # take tasks and never run them, and its lock may be held.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _batch_subframes(num_prbs: int, num_users: int) -> int:
@@ -179,13 +152,13 @@ BASE_COLUMNS = COLUMNS[:2]
 
 class _Placement:
     """One placement as the kernel sees it: the per-link thresholds, the
-    fading seeds of its sub-frames, how many of them are still to be
-    drawn, and their unserved counts, one row per column."""
+    fading seeds of its sub-frames and their unserved counts, one row per
+    column."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
                  params: ChannelParams, stream: StreamSpec, num_prbs: int,
                  num_columns: int):
-        self.subframes = self.undrawn = len(fading_seeds)
+        self.subframes = len(fading_seeds)
         self.seeds = fading_seeds
         self.snr = mean_snr(scenario, params)
         num_cells, self.num_users = self.snr.shape
@@ -205,58 +178,41 @@ def _batches(placements: Iterable[tuple[Scenario, Sequence]], num_prbs: int,
     start up to stop of one placement, which ``open_place(scenario,
     seeds)`` builds when its first sub-frame is cut.  A batch holds
     consecutive sub-frames of one shape, the cell and user counts, even
-    across placements: a run.  Placements are read ahead until two
-    batches of the run, at most `_batch_subframes` sub-frames each, are
-    known, or the placements of two batches under _BATCH_OPEN_BYTES, or
-    the run has ended.  Until its end is known a run is cut into full
-    batches; what is left of an ended run is split into batches whose
-    sizes differ by at most one.  Either way a run of L sub-frames takes
-    ceil(L / `_batch_subframes`) batches, unless batches end early at
-    the placements _BATCH_OPEN_BYTES lets each one open.
+    across placements, at most `_batch_subframes` of them.  It ends
+    early only where the shape changes, where the stream ends, or once
+    it has opened the placements _BATCH_OPEN_BYTES allows, at least one:
+    a run of L sub-frames takes ceil(L / `_batch_subframes`) batches
+    unless that cap ends some early.  The cutter reads one placement
+    beyond the batch it yields.
     """
     pairs = iter(placements)
     ahead = next(pairs, None)
-    while ahead is not None:
-        shape = ahead[0].num_cells, ahead[0].num_users
+    # An opened placement whose sub-frames from start are not yet cut.
+    place, start = None, 0
+    while place is not None or ahead is not None:
+        if place is None:
+            shape = ahead[0].num_cells, ahead[0].num_users
         cap = _batch_subframes(num_prbs, shape[1])
         most = max(1, _BATCH_OPEN_BYTES // max(24 * shape[0] * shape[1], 1))
-        # [scenario and seeds, or the place once opened; first sub-frame
-        # not yet cut] of the run's placements read so far.
-        run = collections.deque()
-        left = 0  # sub-frames of the run read and not yet cut
-        while True:
-            while (ahead is not None and left < 2 * cap
-                   and len(run) < 2 * most
-                   and (ahead[0].num_cells, ahead[0].num_users) == shape):
+        segments, size, opened = [], 0, 0
+        while size < cap:
+            if place is None:
+                if (ahead is None or opened == most
+                        or (ahead[0].num_cells, ahead[0].num_users) != shape):
+                    break
                 if len(ahead[1]) < 1:
                     raise ValueError("a placement needs at least one "
                                      "sub-frame")
-                run.append([ahead, 0])
-                left += len(ahead[1])
+                place, start = open_place(*ahead), 0
+                opened += 1
                 ahead = next(pairs, None)
-            if not run:
-                break
-            ended = ahead is None or (ahead[0].num_cells,
-                                      ahead[0].num_users) != shape
-            size = -(-left // -(-left // cap)) if ended else cap
-            segments, opened = [], 0
-            while size and run:
-                entry = run[0]
-                if entry[1] == 0:
-                    if opened == most:
-                        break
-                    opened += 1
-                    entry[0] = open_place(*entry[0])
-                place, start = entry
-                stop = min(start + size, place.subframes)
-                segments.append((place, start, stop))
-                size -= stop - start
-                left -= stop - start
-                if stop == place.subframes:
-                    run.popleft()
-                else:
-                    entry[1] = stop
-            yield segments
+            stop = min(start + cap - size, place.subframes)
+            segments.append((place, start, stop))
+            size += stop - start
+            start = stop
+            if stop == place.subframes:
+                place = None
+        yield segments
 
 
 def _buffers(place: _Placement, fading: str):
@@ -281,14 +237,13 @@ def _gain_slabs(rng, gains: np.ndarray, num_cells: int):
         yield first, slab
 
 
-def _draw(place: _Placement, t: int, out: np.ndarray, buffers,
+def _draw(place: _Placement, seed, out: np.ndarray, buffers,
           params: ChannelParams, stream: StreamSpec) -> None:
-    """Draw sub-frame ``t`` of a placement, threshold its gains and pack
-    its coverage into ``out`` [cells, prbs, words]."""
+    """Draw a sub-frame of a placement from its fading seed, threshold its
+    gains and pack its coverage into ``out`` [cells, prbs, words]."""
     gains, maybe, padded = buffers
     num_users = place.num_users
-    rng = (np.random.default_rng(place.seeds[t])
-           if params.fading == "rayleigh" else None)
+    rng = np.random.default_rng(seed) if params.fading == "rayleigh" else None
     for first, slab in _gain_slabs(rng, gains, len(out)):
         cells = slice(first, first + len(slab))
         bits = padded[:len(slab)]
@@ -315,28 +270,28 @@ def unserved_counts(
     """The Monte Carlo kernel: unserved users of a stream of placements,
     per sub-frame.
 
-    ``placements`` yields ``(scenario, fading_seeds)`` pairs, with one
-    seed per sub-frame, anything ``np.random.default_rng`` accepts; it
-    is read on the calling thread, a few batches ahead of the results,
-    and each seed is read by the thread that draws its sub-frame's
-    gains, those `sample_rates` would draw (`_draw`).  A placement's
-    thresholds are computed when its first sub-frame joins a batch and
-    dropped once its last sub-frame is drawn.
+    ``placements`` yields ``(scenario, fading_seeds)`` pairs: one seed
+    per sub-frame, anything ``np.random.default_rng`` accepts, in a
+    sequence that slices.  A sub-frame's gains are those `sample_rates`
+    would draw from its seed (`_draw`).
 
-    Sub-frames go in batches cut by `_batches`, _RING open at once, each
-    with its own uint64 words and a queue of its rows.  A batch of n
-    sub-frames gets min(_WORKERS - 1, n - 1) helper tasks on a shared
-    thread pool, so a stream of one sub-frame never starts the pool.
-    Helpers and the calling thread take rows until the queue is empty.
-    The calling thread then draws from the later batches until the
-    oldest batch's helpers are done, raises a helper's error, and solves
-    that batch alone: the batch solvers of ``columns``, entries of
-    `COLUMNS` in its order, one after the other.  With EXACT the caller
-    checks that ``num_prbs ** cells`` is within its enumeration budget.
-    A sub-frame's counts depend on its seed alone, not on the batch
-    size, the number of threads or which thread draws it.  When the
-    stream ends, fails or the generator is closed, helper tasks not yet
-    started are cancelled and the open queues emptied: a running helper
+    The calling thread owns all of the kernel's state.  It cuts batches
+    (`_batches`), _RING open at once, each with its own uint64 words and
+    a queue of its rows (row, placement, seed).  It computes a
+    placement's thresholds when its first sub-frame joins a batch, reads
+    ``fading_seeds[start:stop]`` once per segment as it queues a batch,
+    and drops the thresholds of the placements a batch ends once that
+    batch is drawn.  A batch of n sub-frames gets min(_WORKERS - 1, n -
+    1) helper tasks on a thread pool of this call's own, started when
+    first needed.  Helpers only take rows, draw and pack them until the
+    queue is empty; so does the calling thread, which then draws from
+    later batches until the oldest batch's helpers are done, raises a
+    helper's error, and solves that batch with the batch solvers of
+    ``columns``, entries of `COLUMNS`, in its order.  A sub-frame's
+    counts depend on its seed alone, not on the batch size, the number
+    of threads or which thread draws it.  When the stream ends, fails or
+    the generator is closed, the open queues are emptied and the pool is
+    shut down: tasks not yet started are cancelled, and a running helper
     stops after its current sub-frame.
 
     Yields, per placement and in order, once its last sub-frame is
@@ -352,43 +307,44 @@ def unserved_counts(
     # Thread id -> its _buffers, kept while placements of one shape
     # follow: fresh ones for each placement page-fault more.
     buffers = {}
-    # Guards each placement's count of sub-frames still to be drawn.
-    undrawn_lock = threading.Lock()
+    pool = None
 
     def draw(words, todo, until=lambda: False) -> None:
         # Draws rows of one batch until its queue is empty or until().
         key = threading.get_ident()
         while not until():
             try:
-                row, place, t = todo.get_nowait()
+                row, place, seed = todo.get_nowait()
             except queue.Empty:
                 return
             mine = buffers.get(key)
             if mine is None or mine[0].shape != (place.slab, num_prbs,
                                                  place.num_users):
                 mine = buffers[key] = _buffers(place, params.fading)
-            _draw(place, t, words[row], mine, params, stream)
-            with undrawn_lock:
-                place.undrawn -= 1
-                if not place.undrawn:
-                    place.snr = place.lo = place.hi = None
+            _draw(place, seed, words[row], mine, params, stream)
 
     def open_place(scenario, seeds):
         return _Placement(scenario, seeds, params, stream, num_prbs,
                           len(columns))
 
     def open_batches():
+        nonlocal pool
         for segments in _batches(placements, num_prbs, open_place):
             todo = queue.SimpleQueue()
-            rows = ((place, t) for place, start, stop in segments
-                    for t in range(start, stop))
-            for row, (place, t) in enumerate(rows):
-                todo.put((row, place, t))
-            batch = (np.empty((row + 1, *segments[0][0].word_shape),
-                              dtype=np.uint64), todo)
-            helpers = range(min(_WORKERS - 1, row))
-            yield segments, *batch, [_thread_pool().submit(draw, *batch)
-                                     for _ in helpers]
+            rows = ((place, seed) for place, start, stop in segments
+                    for seed in place.seeds[start:stop])
+            for row, (place, seed) in enumerate(rows):
+                todo.put((row, place, seed))
+            words = np.empty((row + 1, *segments[0][0].word_shape),
+                             dtype=np.uint64)
+            helpers = min(_WORKERS - 1, row)
+            if helpers and pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                pool = ThreadPoolExecutor(max_workers=_WORKERS - 1,
+                                          thread_name_prefix="mcms-draw")
+            yield segments, words, todo, [pool.submit(draw, words, todo)
+                                          for _ in range(helpers)]
 
     upcoming = open_batches()
     try:
@@ -403,6 +359,9 @@ def unserved_counts(
             for future in busy:
                 future.result()
             opened.popleft()
+            for place, start, stop in segments:
+                if stop == place.subframes:
+                    place.snr = place.lo = place.hi = None
             num_users = segments[0][0].num_users
             owners = np.repeat(np.stack([place.owners
                                          for place, _, _ in segments]),
@@ -422,9 +381,9 @@ def unserved_counts(
                 if stop == place.subframes:
                     yield place.counts
     finally:
-        for _, _, todo, futures in opened:
-            for future in futures:
-                future.cancel()
+        for _, _, todo, _ in opened:
             with contextlib.suppress(queue.Empty):
                 while True:
                     todo.get_nowait()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)

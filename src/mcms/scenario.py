@@ -28,6 +28,7 @@ coverage.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,19 @@ _HEX_AXES = np.array([
 ])
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):  # nan fails both
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+def finite_float(value, what: str, positive: bool = False) -> float:
+    """``value`` as a plain float, which json can write; ValueError
+    unless it is a real number, not a bool, whose float is finite, and
+    > 0 if ``positive``.  An int beyond the float range is not finite."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and (number > 0 or not positive):
+            return number
+    least = " > 0" if positive else ""
+    raise ValueError(f"{what} must be a finite number{least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,12 +99,13 @@ class ChannelParams:
     def __post_init__(self):
         if self.fading not in ("rayleigh", "none"):
             raise ValueError(f"unknown fading mode {self.fading!r}")
+        # Plain floats, as json writes the channel to the .meta.json.
         for name in ("tx_power_dbm", "noise_figure_db", "noise_psd_dbm_hz",
-                     "pathloss_const_db", "pathloss_slope_db"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("bandwidth_hz", "min_distance_m"):
-            _require_positive(name, getattr(self, name))
+                     "bandwidth_hz", "pathloss_const_db", "pathloss_slope_db",
+                     "min_distance_m"):
+            object.__setattr__(self, name, finite_float(
+                getattr(self, name), name,
+                positive=name in ("bandwidth_hz", "min_distance_m")))
 
     @property
     def noise_power_dbm(self) -> float:
@@ -113,7 +125,7 @@ def hex_centers(num_cells: int, radius: float) -> np.ndarray:
     """
     if num_cells not in (1, 7, 19):
         raise ValueError(f"num_cells must be 1, 7 or 19, got {num_cells}")
-    _require_positive("radius", radius)
+    finite_float(radius, "radius", positive=True)
     spacing = _SQRT3 * radius
     centers = [(0.0, 0.0)]
     if num_cells >= 7:
@@ -164,7 +176,7 @@ class Scenario:
         centers = np.asarray(self.cell_centers, dtype=float)
         users = np.asarray(self.user_positions, dtype=float)
         primary = np.asarray(self.primary_cell, dtype=np.intp)
-        _require_positive("radius", self.radius)
+        finite_float(self.radius, "radius", positive=True)
         if centers.ndim != 2 or centers.shape[1] != 2:
             raise ValueError("cell_centers must be [num_cells, 2]")
         if users.ndim != 2 or users.shape[1] != 2:
@@ -361,7 +373,7 @@ class StreamSpec:
     rate_bps: float = DEFAULT_STREAM_RATE_BPS
 
     def __post_init__(self):
-        _require_positive("rate_bps", self.rate_bps)
+        finite_float(self.rate_bps, "rate_bps", positive=True)
 
 
 def derive_instance(

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,17 @@ def gap_instance() -> CoverageInstance:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def helpers_alive():
+    """Names of the kernel's helper threads alive now."""
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("mcms-draw")]
+
+
+@pytest.fixture(autouse=True)
+def no_helper_thread_left_alive():
+    """Fail any test that leaves one of the kernel's helper threads
+    alive: the kernel shuts its pool down when it ends or is closed."""
+    yield
+    assert not helpers_alive(), helpers_alive()

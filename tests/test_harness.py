@@ -67,6 +67,9 @@ def test_config_validation():
     ("radius_m", float("nan")), ("radius_m", float("inf")),
     ("radius_m", "300"), ("stream_rate_bps", float("inf")), ("seed", -1),
     ("stream_rate_bps", 1e300), ("subframes", 2**32 + 1),
+    pytest.param("radius_m", 10**400, id="radius_m-int-beyond-floats"),
+    pytest.param("stream_rate_bps", -10**400,
+                 id="stream_rate_bps-int-beyond-floats"),
 ])
 def test_config_rejects_non_numbers_and_unreachable_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -89,6 +92,25 @@ def test_config_stores_numpy_scalars_as_plain_numbers(tmp_path, field,
     write_meta(result, tmp_path / "m.csv")
     meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
     assert meta["config"][field] == value.item()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tx_power_dbm", np.float32(30.0)), ("bandwidth_hz", np.float64(180e3)),
+    ("min_distance_m", np.int64(10)), ("pathloss_slope_db", np.float16(37.5)),
+])
+def test_channel_params_store_numpy_scalars_as_plain_floats(tmp_path, field,
+                                                            value):
+    # The .meta.json of a channel given numpy scalars is written, byte for
+    # byte the one of the same channel given plain floats.
+    plain = dataclasses.replace(TINY, trials=1, subframes=2,
+                                channel=ChannelParams(**{field: float(value)}))
+    given = dataclasses.replace(plain, channel=ChannelParams(**{field: value}))
+    assert type(getattr(given.channel, field)) is float
+    for config, name in ((plain, "plain"), (given, "given")):
+        write_meta(run_sweep(config, "users", values=(20,)),
+                   tmp_path / f"{name}.csv")
+    assert ((tmp_path / "given.csv.meta.json").read_bytes()
+            == (tmp_path / "plain.csv.meta.json").read_bytes())
 
 
 def test_run_sweep_progress_lines_report_samples_per_second():
@@ -598,6 +620,9 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     ({"deterministic_fading": "false"}, "deterministic_fading must be true"),
     ({"deterministic_fading": 0}, "deterministic_fading must be true"),
     ({"out": 5}, "out must be a path string"),
+    # JSON integers beyond the float range.
+    ({"radius": 10**400}, "radius_m must be a finite number"),
+    ({"rate": 10**400}, "stream_rate_bps must be a finite number"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -666,6 +691,7 @@ def test_fading_seeds_are_bounded_to_the_placement():
     for t in (3, -1, 100):
         with pytest.raises(IndexError):
             seeds[t]
+    assert len(seeds[1:100]) == 2 and seeds[3:100] == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -674,24 +700,35 @@ def test_fading_seeds_are_bounded_to_the_placement():
     seed=st.integers(0, 2**130) | st.integers(2**128, 2**130),
     point=st.integers(0, 2**40) | st.integers(2**32, 2**40),
     trial=st.integers(0, 2**40) | st.integers(2**32, 2**40),
-    block=st.integers(0, harness.MAX_SUBFRAMES // harness._SEED_BLOCK - 1),
+    # At 2**32 sub-frames the last index fills its uint32 word.
+    subframes=(st.integers(1, harness.MAX_SUBFRAMES)
+               | st.just(harness.MAX_SUBFRAMES)),
     data=st.data(),
 )
-def test_fading_seeds_equal_numpy_seed_sequences(seed, point, trial, block,
-                                                 data):
-    edge = block * harness._SEED_BLOCK
-    subframes = data.draw(st.integers(edge + 1, harness.MAX_SUBFRAMES))
+def test_fading_seeds_equal_numpy_seed_sequences(seed, point, trial,
+                                                 subframes, data):
     seeds = harness._FadingSeeds(seed, point, trial, subframes)
+    length = data.draw(st.integers(1, min(5, subframes)))
     anywhere = data.draw(st.integers(0, subframes - 1))
-    for t in sorted({max(edge - 1, 0), edge, subframes - 1, anywhere}):
-        want = np.random.SeedSequence(seed, spawn_key=(point, trial, 1, t))
-        got = seeds[t]
-        assert np.array_equal(got.generate_state(4, np.uint64),
-                              want.generate_state(4, np.uint64))
-        assert np.array_equal(got.generate_state(8), want.generate_state(8))
-        assert (np.random.default_rng(got).standard_exponential(8).tobytes()
-                == np.random.default_rng(want).standard_exponential(8)
-                .tobytes())
+    # A slice that ends at the last sub-frame, and one anywhere.
+    for first, stop in ((subframes - length, subframes),
+                        (anywhere, min(anywhere + length, subframes))):
+        got = seeds[first:stop]
+        assert len(got) == stop - first
+        for t, seed_t in zip(range(first, stop), got):
+            want = np.random.SeedSequence(seed, spawn_key=(point, trial, 1,
+                                                           t))
+            assert np.array_equal(seed_t.generate_state(4, np.uint64),
+                                  want.generate_state(4, np.uint64))
+            assert np.array_equal(seed_t.generate_state(8),
+                                  want.generate_state(8))
+            assert (np.random.default_rng(seed_t).standard_exponential(8)
+                    .tobytes() == np.random.default_rng(want)
+                    .standard_exponential(8).tobytes())
+    # One sub-frame read alone is the same seed.
+    assert np.array_equal(seeds[anywhere].generate_state(4, np.uint64),
+                          seeds[anywhere:anywhere + 1][0].generate_state(
+                              4, np.uint64))
 
 
 def test_fading_seeds_take_numpy_integers():
@@ -704,40 +741,16 @@ def test_fading_seeds_take_numpy_integers():
                           run_sweep(TINY, "users", values=(20,)).counts)
 
 
-def test_fading_seeds_read_by_many_threads_equal_numpy_seed_sequences():
-    want = [np.random.SeedSequence(5, spawn_key=(0, 1, 1, t)).generate_state(
-        4, np.uint64).tolist() for t in range(200)]
-    seeds = harness._FadingSeeds(5, 0, 1, len(want))
-    got = [None] * len(want)
-
-    def read(offset):
-        # Each thread reads every sub-frame from its own offset, so the
-        # threads keep asking for different blocks.
-        for i in range(len(want)):
-            t = (offset + 37 * i) % len(want)
-            got[t] = seeds[t].generate_state(4, np.uint64).tolist()
-            assert got[t] == want[t], t
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(harness, "_SEED_BLOCK", 7), \
-                concurrent.futures.ThreadPoolExecutor(8) as pool:
-            for future in [pool.submit(read, 25 * k) for k in range(8)]:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
-
-
 def test_reading_every_fading_seed_holds_one_block():
     # The state words of all 50,000 sub-frames take 1.6 MB, and building
-    # them in one pass peaks at some 5 MB.
+    # them in one pass peaks at some 5 MB.  Read a slice at a time, as
+    # the kernel reads a batch's segments, the seeds keep nothing of the
+    # slices before.
     seeds = harness._FadingSeeds(7, 1, 2, 50_000)
     tracemalloc.start()
     try:
-        for t in range(len(seeds)):
-            seeds[t]
+        for first in range(0, len(seeds), 500):
+            seeds[first:first + 500]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

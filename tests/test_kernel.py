@@ -6,16 +6,17 @@ to `sample_rates -> derive_instance -> solve_greedy/solve_sc_baseline`
 where the two rules are hardest to keep apart (stream rates equal to
 realized link rates), for every batch size, slab size and number of
 drawing threads, hold placements batched together to the same
-placements one batch each, check that the thread pool survives a fork,
-that a helper's error (also one drawing ahead) reaches the caller and
-leaves the next sweep unharmed, that closing the kernel stops its
-helpers after their current sub-frame, and that fading seeds are built
-as they are drawn, and hold the packed solvers to the boolean-tensor
-and big-int solvers they replaced (SC also with one owner set per row),
-the 1-swap local search to its local optimum, and the EXACT column,
-certified by its bounds or enumerated, to the optimum, leaving the SC
-and MC results it starts from as they are, and check that adding EXACT
-leaves the other columns unchanged.
+placements one batch each and batches to their one cutting rule, check
+that a sweep runs in a child forked after a sweep, that a helper's error
+(also one drawing ahead) reaches the caller and leaves the next sweep
+unharmed, that closing the kernel stops its helpers after their current
+sub-frame and leaves none alive, that helpers never read fading seeds,
+and that fading seeds are built as they are drawn, and hold the packed
+solvers to the boolean-tensor and big-int solvers they replaced (SC
+also with one owner set per row), the 1-swap local search to its local
+optimum, and the EXACT column, certified by its bounds or enumerated,
+to the optimum, leaving the SC and MC results it starts from as they
+are, and check that adding EXACT leaves the other columns unchanged.
 """
 
 import contextlib
@@ -55,7 +56,7 @@ from mcms.scenario import mean_snr
 from mcms.solvers import (exact_search, greedy_batch, primary_words,
                           sc_batch, swap_batch)
 
-from conftest import assert_same_sweep, run_subframe
+from conftest import assert_same_sweep, helpers_alive, run_subframe
 
 # With one cell and one PRB every link decides whether its user is
 # served, so a single misjudged link changes the unserved counts.
@@ -122,22 +123,31 @@ def test_boundary_family_defeats_a_plain_gain_threshold():
     assert flips > 0
 
 
-@contextlib.contextmanager
 def worker_threads(count):
     """Run the kernel with ``count`` drawing threads, the calling thread
-    and helpers from a pool of its own."""
-    with mock.patch.object(kernel, "_WORKERS", count), \
-            mock.patch.object(kernel, "_pool", None):
-        try:
-            yield
-        finally:
-            if kernel._pool is not None:
-                kernel._pool.shutdown(wait=False)
+    and count - 1 helpers."""
+    return mock.patch.object(kernel, "_WORKERS", count)
 
 
 def in_helper():
     """Whether this is one of the kernel's helper threads."""
     return threading.current_thread().name.startswith("mcms-draw")
+
+
+@contextlib.contextmanager
+def started_helpers():
+    """Record the kernel's helper threads started inside: yields the list
+    that gets the name of each."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name.startswith("mcms-draw"):
+            started.append(thread.name)
+        return real_start(thread)
+
+    with mock.patch.object(threading.Thread, "start", start):
+        yield started
 
 
 def check_sweep_at_realized_rates(boundary, with_subframe=True):
@@ -363,7 +373,7 @@ def test_batches_across_placements_match_one_placement_per_batch(
 def test_a_batch_opens_the_placements_its_byte_budget_allows():
     # Twelve placements of one sub-frame each fit one batch by words;
     # thresholds of 2.5 placements cap each batch at two, and the cutter
-    # reads at most two batches' placements ahead, plus one to peek.
+    # reads a batch's placements plus one to peek.
     scenario = generate_scenario(7, 300.0, 20, 5)
     read = []
 
@@ -385,7 +395,7 @@ def test_a_batch_opens_the_placements_its_byte_budget_allows():
     assert [place.seeds[t] for segments in batches
             for place, start, stop in segments
             for t in range(start, stop)] == list(range(12))
-    assert seen[0] == 5
+    assert seen == [3, 5, 7, 9, 11, 12]
     # One placement a batch and three sub-frames a batch: the second
     # batch finishes the first placement and opens the second, and the
     # placements read ahead run out before three sub-frames are cut.
@@ -399,18 +409,90 @@ def test_a_batch_opens_the_placements_its_byte_budget_allows():
                    [(1, 0, 1)]]
 
 
+# Shapes (cells, users) of the placements the cutting rule is tested on.
+CUT_SHAPES = ((1, 3), (7, 20), (7, 70), (19, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=st.lists(st.tuples(st.sampled_from(CUT_SHAPES),
+                              st.integers(1, 12)), min_size=1, max_size=12),
+    cell_bytes=st.integers(1, 2 * 3 * 8 * 12),
+    open_bytes=st.integers(1, 24 * 7 * 70 * 4) | st.just(1 << 40),
+)
+def test_batches_follow_the_cutting_rule(stream, cell_bytes, open_bytes):
+    # A stream of placements of mixed shapes and sub-frame counts, cut
+    # under random byte budgets, with 2 PRBs.
+    read = []
+
+    def pairs():
+        for k, ((cells, users), n) in enumerate(stream):
+            read.append(k)
+            yield (types.SimpleNamespace(num_cells=cells, num_users=users),
+                   [(k, t) for t in range(n)])
+
+    def open_place(scenario, seeds):
+        return types.SimpleNamespace(
+            subframes=len(seeds), seeds=seeds,
+            shape=(scenario.num_cells, scenario.num_users))
+
+    with mock.patch.object(kernel, "_BATCH_CELL_BYTES", cell_bytes), \
+            mock.patch.object(kernel, "_BATCH_OPEN_BYTES", open_bytes):
+        batches = [(segments, len(read))
+                   for segments in kernel._batches(pairs(), 2, open_place)]
+        caps = {shape: kernel._batch_subframes(2, shape[1])
+                for shape in CUT_SHAPES}
+    # The segments concatenate to the stream, in order.
+    assert [seed for segments, _ in batches
+            for place, start, stop in segments
+            for seed in place.seeds[start:stop]] == [
+        (k, t) for k, (_, n) in enumerate(stream) for t in range(n)]
+    # Batches of each run of placements of one shape, by run.
+    runs = [k for k in range(len(stream))
+            if k == 0 or stream[k][0] != stream[k - 1][0]]
+    by_run = {}
+    for segments, reads in batches:
+        shapes = {place.shape for place, _, _ in segments}
+        assert len(shapes) == 1
+        shape = shapes.pop()
+        cap = caps[shape]
+        most = max(1, open_bytes // (24 * shape[0] * shape[1]))
+        size = sum(stop - start for _, start, stop in segments)
+        opened = sum(start == 0 for _, start, _ in segments)
+        assert all(stop > start for _, start, stop in segments)
+        assert size <= cap and opened <= most
+        place, _, stop = segments[-1]
+        last = place.seeds[0][0]
+        if size < cap:
+            # Short only at the end of the stream, at a shape change or
+            # at the open cap.
+            assert stop == place.subframes
+            assert (last == len(stream) - 1 or stream[last + 1][0] != shape
+                    or opened == most)
+        # The cutter reads at most one placement beyond the batch.
+        assert reads <= last + 2
+        first = segments[0][0].seeds[0][0]
+        run = max(k for k in runs if k <= first)
+        by_run.setdefault(run, []).append(opened < most)
+    for run, uncapped in by_run.items():
+        end = min([k for k in runs if k > run] + [len(stream)])
+        if all(uncapped):
+            length = sum(n for _, n in stream[run:end])
+            assert len(uncapped) == -(-length // caps[stream[run][0]])
+
+
 def sweep_in_child(config, want):
     assert_same_sweep(run_sweep(config, "users", values=(20,)), want)
 
 
 def test_sweep_runs_in_a_child_forked_after_a_sweep():
-    # The child inherits the pool object but none of its threads; without
-    # the fork hook its first batch waits forever.
+    # The parent's sweep starts helpers and shuts them down, so the child
+    # inherits no helper thread and no pool, and starts helpers its own.
     config = ExperimentConfig(trials=1, subframes=6, users_per_cell=20,
                               seed=4)
-    with worker_threads(2):
+    with worker_threads(2), started_helpers() as started:
         want = run_sweep(config, "users", values=(20,))
-        assert kernel._pool is not None
+        assert started
         child = multiprocessing.get_context("fork").Process(
             target=sweep_in_child, args=(config, want))
         child.start()
@@ -422,35 +504,45 @@ def test_sweep_runs_in_a_child_forked_after_a_sweep():
     assert child.exitcode == 0
 
 
+class HookedSeed(np.random.bit_generator.ISeedSequence):
+    """A fading seed that calls ``hook()`` each time a thread uses it,
+    then gives the state of ``SeedSequence(entropy)``."""
+
+    def __init__(self, entropy, hook):
+        self.entropy, self.hook = entropy, hook
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        self.hook()
+        return np.random.SeedSequence(self.entropy).generate_state(n_words,
+                                                                   dtype)
+
+
 class HelperGetsBadSeed(list):
-    """Fading seeds whose sub-frames drawn by a helper thread have an
-    invalid seed; the calling thread waits until a helper has taken one,
-    then gets valid seeds."""
+    """Fading seeds that fail when a helper thread uses one; uses on the
+    calling thread wait until a helper has taken one, then work."""
 
     def __init__(self, length):
-        super().__init__(range(length))
         self.helper_took = threading.Event()
+        super().__init__(HookedSeed(t, self.use) for t in range(length))
 
-    def __getitem__(self, t):
+    def use(self):
         if in_helper():
             self.helper_took.set()
-            return -1  # SeedSequence rejects negative entropy
+            raise ValueError("a seed no generator takes")
         self.helper_took.wait(timeout=10)
-        return t
 
 
 class WaitsForHelperSeed(list):
-    """Fading seeds whose reads on the calling thread wait until
-    ``event`` is set."""
+    """Fading seeds whose uses on the calling thread wait until ``event``
+    is set."""
 
     def __init__(self, length, event):
-        super().__init__(range(length))
         self.event = event
+        super().__init__(HookedSeed(t, self.use) for t in range(length))
 
-    def __getitem__(self, t):
+    def use(self):
         if not in_helper():
             self.event.wait(timeout=10)
-        return t
 
 
 def run_in_thread(fn):
@@ -480,12 +572,13 @@ def test_helper_error_reaches_the_caller(workers):
             [(scenario, seeds)], ChannelParams(), StreamSpec(), 4)))
     assert seeds.helper_took.is_set()
     assert isinstance(error, ValueError)
+    assert not helpers_alive()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_helper_error_in_look_ahead_placement_reaches_the_caller(workers):
     # The calling thread holds the one sub-frame of the first placement
-    # until a helper has read a seed of the second placement, and that
+    # until a helper has used a seed of the second placement, and that
     # seed is invalid: the error comes from a helper drawing ahead.
     first = generate_scenario(7, 300.0, 20, 5)
     second = generate_scenario(7, 300.0, 30, 6)
@@ -506,18 +599,18 @@ def test_sweep_after_an_error_or_an_early_stop_gives_the_same_result():
     with worker_threads(2):
         want = run_sweep(config, "users", values=(20, 25))
         # A helper's error, then a kernel closed after its first placement
-        # while helpers draw the second; each time, the pool's one helper
-        # thread must be free again.
+        # while helpers draw the second; each time, no helper thread may
+        # be left behind.
         bad = HelperGetsBadSeed(8)
         assert isinstance(run_in_thread(lambda: list(kernel.unserved_counts(
             [(scenario, bad)], ChannelParams(), StreamSpec(), 4))),
             ValueError)
-        kernel._pool.submit(int).result(timeout=10)
+        assert not helpers_alive()
         counts = kernel.unserved_counts([(scenario, range(9))] * 3,
                                         ChannelParams(), StreamSpec(), 4)
         next(counts)
         counts.close()
-        kernel._pool.submit(int).result(timeout=10)
+        assert not helpers_alive()
         got = []
         assert run_in_thread(lambda: got.append(run_sweep(
             config, "users", values=(20, 25)))) is None
@@ -525,36 +618,35 @@ def test_sweep_after_an_error_or_an_early_stop_gives_the_same_result():
     assert_same_sweep(got[0], want)
 
 
-class BlocksFirstHelperRead(list):
-    """Fading seeds that record every read by a helper thread in
-    ``reads``.  The first such read sets ``blocked`` and waits until
-    ``release`` is set; reads on the calling thread wait for ``blocked``."""
+class BlocksFirstHelperUse(list):
+    """Fading seeds that record every use by a helper thread in ``uses``.
+    The first such use sets ``blocked`` and waits until ``release`` is
+    set; uses on the calling thread wait for ``blocked``."""
 
-    def __init__(self, length, reads, blocked, release):
-        super().__init__(range(length))
-        self.reads, self.blocked, self.release = reads, blocked, release
+    def __init__(self, length, uses, blocked, release):
+        self.uses, self.blocked, self.release = uses, blocked, release
+        super().__init__(HookedSeed(t, self.use) for t in range(length))
 
-    def __getitem__(self, t):
+    def use(self):
         if not in_helper():
             self.blocked.wait(timeout=10)
-            return t
-        self.reads.append(t)
-        if len(self.reads) == 1:
+            return
+        self.uses.append(threading.current_thread().name)
+        if len(self.uses) == 1:
             self.blocked.set()
             self.release.wait(timeout=10)
-        return t
 
 
 def test_closing_the_kernel_stops_helpers_after_their_current_subframe():
     # The first placement has one sub-frame and a shape of its own, so it
-    # is a batch alone; the helper blocks in its first seed read of a
+    # is a batch alone; the helper blocks in its first seed use of a
     # later placement while more batches of three sub-frames are queued.
-    # Once the kernel is closed, the helper finishes that sub-frame and
-    # reads no other seed.
+    # Once the kernel is closed, the helper finishes that sub-frame,
+    # uses no other seed and ends.
     scenario = generate_scenario(7, 300.0, 20, 5)
-    reads, blocked, release = [], threading.Event(), threading.Event()
+    uses, blocked, release = [], threading.Event(), threading.Event()
     placements = [(generate_scenario(7, 300.0, 21, 5), [0])] + [
-        (scenario, BlocksFirstHelperRead(8, reads, blocked, release))
+        (scenario, BlocksFirstHelperUse(8, uses, blocked, release))
         for _ in range(2)]
     with worker_threads(2), \
             mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
@@ -564,14 +656,62 @@ def test_closing_the_kernel_stops_helpers_after_their_current_subframe():
         assert blocked.wait(timeout=10)
         closer = threading.Thread(target=counts.close, daemon=True)
         closer.start()
-        # Closing may wait for the running helper; release it only once
-        # the close has had time to take the queued sub-frames away.
+        # Closing waits for the running helper; release it only once the
+        # close has had time to take the queued sub-frames away.
         closer.join(timeout=0.5)
         release.set()
         closer.join(timeout=10)
         assert not closer.is_alive()
-        kernel._pool.submit(int).result(timeout=10)
-    assert len(reads) == 1
+        assert not helpers_alive()
+    assert len(uses) == 1
+
+
+class ReadsRecorded(list):
+    """Fading seeds that record, for every read, whether a helper thread
+    made it."""
+
+    def __init__(self, seeds, reads):
+        self.reads = reads
+        super().__init__(seeds)
+
+    def __getitem__(self, index):
+        self.reads.append(in_helper())
+        return super().__getitem__(index)
+
+
+def test_helpers_never_read_fading_seeds():
+    # The calling thread reads each segment's seeds once, as it queues a
+    # batch; helpers only use the seeds their rows carry.  Three
+    # placements of eight sub-frames in batches of three make ten
+    # segments.  The calling thread's seed uses wait until a helper has
+    # used one, so helpers draw.
+    scenario = generate_scenario(7, 300.0, 20, 5)
+    helper_used = threading.Event()
+
+    def use():
+        if in_helper():
+            helper_used.set()
+        else:
+            helper_used.wait(timeout=10)
+
+    reads = []
+    placements = [(scenario, ReadsRecorded(
+        [HookedSeed(8 * k + t, use) for t in range(8)], reads))
+        for k in range(3)]
+    with mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
+        with worker_threads(3), started_helpers() as started:
+            got = []
+            assert run_in_thread(lambda: got.extend(kernel.unserved_counts(
+                placements, ChannelParams(), StreamSpec(), 4))) is None
+        assert started and helper_used.is_set()
+        assert reads == [False] * 10
+        want = list(kernel.unserved_counts(
+            [(scenario, [np.random.SeedSequence(8 * k + t)
+                         for t in range(8)]) for k in range(3)],
+            ChannelParams(), StreamSpec(), 4))
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_pipeline_under_thread_stress():
@@ -604,13 +744,14 @@ def test_pipeline_under_thread_stress():
 def test_one_thread_or_one_subframe_starts_no_pool():
     config = ExperimentConfig(trials=2, subframes=5, users_per_cell=20,
                               seed=2)
-    with worker_threads(1):
+    with worker_threads(1), started_helpers() as started:
         one_thread = run_sweep(config, "users", values=(20, 30))
-        assert kernel._pool is None
+    assert not started
     scenario = generate_scenario(7, 300.0, 20, 5)
     with worker_threads(2):
-        got = run_subframe(scenario, ChannelParams(), StreamSpec(), 3)
-        assert kernel._pool is None
+        with started_helpers() as started:
+            got = run_subframe(scenario, ChannelParams(), StreamSpec(), 3)
+        assert not started
         assert_same_sweep(run_sweep(config, "users", values=(20, 30)),
                           one_thread)
     assert got == pipeline_counts(scenario, ChannelParams(), StreamSpec(),

@@ -278,7 +278,11 @@ def test_channel_params_validation():
 @pytest.mark.parametrize("field", [
     "bandwidth_hz", "min_distance_m", "tx_power_dbm", "noise_figure_db",
     "noise_psd_dbm_hz", "pathloss_const_db", "pathloss_slope_db"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf,
+    # float() of these raises OverflowError, not ValueError.
+    pytest.param(10**400, id="int-beyond-floats"),
+    pytest.param(-10**400, id="-int-beyond-floats")])
 def test_channel_params_rejects_non_finite(field, value):
     # Raised at construction, not by the first mean SNR of a sweep.
     with pytest.raises(ValueError, match=field):

@@ -19,6 +19,7 @@ of its own primary users.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,49 +168,33 @@ def solve_greedy(instance: CoverageInstance) -> SolveResult:
 
 
 # Byte budget of each temporary of the exact search: the table of tail
-# unions and each block of head unions ORed with it.
+# unions and, for each head PRB tuple, that table ORed with its union.
 _EXACT_BYTES = 64 << 10
 
 
-def _exact_split(num_cells: int, num_prbs: int, num_words: int
-                 ) -> tuple[int, int]:
-    """``(tail_cells, head_rows)`` of the exact search under _EXACT_BYTES.
-
-    The last ``tail_cells`` cells, as many as fit, form the table of tail
-    unions; ``head_rows`` unions of the other cells are built and ORed
-    with the whole table at a time, at least one.
-    """
+def _tail_cells(num_cells: int, num_prbs: int, num_words: int) -> int:
+    """How many last cells the exact search's table of tail unions
+    holds: as many as fit _EXACT_BYTES, possibly none."""
     row_bytes = num_words * 8
     tail_cells = 0
     while (tail_cells < num_cells
            and num_prbs ** (tail_cells + 1) * row_bytes <= _EXACT_BYTES):
         tail_cells += 1
-    return tail_cells, max(1, _EXACT_BYTES
-                           // (num_prbs ** tail_cells * row_bytes))
+    return tail_cells
 
 
 def _unions(words: np.ndarray) -> np.ndarray:
     """Unions [words, prbs ** cells] of one set per cell of ``words``
-    [cells, words, prbs], in lexicographic order of the PRB tuples with
+    [cells, prbs, words], in lexicographic order of the PRB tuples with
     cell 0 most significant.  Words lead so that every OR and count runs
-    over the long union axis."""
-    unions = np.zeros((words.shape[1], 1), dtype=np.uint64)
-    for cell in words[::-1]:  # each earlier cell is a more significant digit
+    over the long union axis; a contiguous word-major copy of the sets
+    keeps the ORs several times faster than strided views."""
+    cells = np.ascontiguousarray(words.transpose(0, 2, 1))
+    unions = np.zeros((cells.shape[1], 1), dtype=np.uint64)
+    for cell in cells[::-1]:  # each earlier cell is a more significant digit
         unions = (cell[:, :, None] | unions[:, None, :]).reshape(
             len(unions), -1)
     return unions
-
-
-def _union_block(words: np.ndarray, start: int, rows: int) -> np.ndarray:
-    """Columns ``start`` up to ``start + rows`` of `_unions` of ``words``,
-    built without the rest of the table."""
-    num_prbs = words.shape[2]
-    index = np.arange(start, min(start + rows, num_prbs ** len(words)))
-    block = np.zeros((words.shape[1], len(index)), dtype=np.uint64)
-    for cell in words[::-1]:
-        index, digit = np.divmod(index, num_prbs)
-        block |= cell[:, digit]
-    return block
 
 
 def _count_words(unions: np.ndarray) -> np.ndarray:
@@ -230,29 +215,31 @@ def exact_search(member: np.ndarray) -> tuple[tuple[int, ...], int]:
     as a constant; a user in no set is never served and is dropped.  The
     contested users are packed into uint64 words and every union of one
     set per cell is enumerated with word-wise ORs and popcounted.  The
-    last cells form one table of unions (`_exact_split`); blocks of
-    unions of the other cells are built one at a time and ORed with all
-    of it, so no temporary outgrows _EXACT_BYTES by more than one row.
-    The first maximum wins, within a block by ``argmax`` and across
-    blocks by a strict ``>``, which keeps the lexicographically smallest
-    tuple.
+    last cells form one table of unions (`_tail_cells`); the other
+    cells' PRB tuples are taken one at a time in lexicographic order,
+    and each tuple's union is ORed with all of the table, so no
+    temporary outgrows _EXACT_BYTES by more than one row.  The first
+    maximum wins, within the table by ``argmax`` and across tuples by a
+    strict ``>``, which keeps the lexicographically smallest tuple.
     """
     num_cells, num_prbs, _ = member.shape
     always = member.all(axis=1).any(axis=0)
     words = pack_users(member[:, :, member.any(axis=(0, 1)) & ~always])
     if words.shape[2] == 0:  # no contested user: one all-zero word
         words = np.zeros((num_cells, num_prbs, 1), dtype=np.uint64)
-    words = np.ascontiguousarray(words.transpose(0, 2, 1))
-    tail_cells, head_rows = _exact_split(num_cells, num_prbs, words.shape[1])
-    head_cells = num_cells - tail_cells
+    head_cells = num_cells - _tail_cells(num_cells, num_prbs, words.shape[2])
     tail = _unions(words[head_cells:])
+    zero = np.zeros(words.shape[2], dtype=np.uint64)
     best, best_index = -1, 0
-    for start in range(0, num_prbs ** head_cells, head_rows):
-        head = _union_block(words[:head_cells], start, head_rows)
-        counts = _count_words(head[:, :, None] | tail[:, None, :]).ravel()
+    for index, head in enumerate(
+            itertools.product(range(num_prbs), repeat=head_cells)):
+        union = zero
+        for cell, prb in enumerate(head):
+            union = union | words[cell, prb]
+        counts = _count_words(union[:, None] | tail)
         i = int(counts.argmax())
-        if counts[i] > best:  # strict: the earlier block keeps a tie
-            best, best_index = int(counts[i]), start * tail.shape[1] + i
+        if counts[i] > best:  # strict: the earlier tuple keeps a tie
+            best, best_index = int(counts[i]), index * tail.shape[1] + i
     chosen = np.unravel_index(best_index, (num_prbs,) * num_cells)
     return tuple(int(j) for j in chosen), int(np.count_nonzero(always)) + best
 

@@ -1107,22 +1107,20 @@ def test_sweep_enumerates_only_what_the_bounds_leave_open():
 
 
 def exact_caps(num_cells, num_prbs, num_words):
-    """Byte budgets that make the exact search OR 1 head row at a time
-    over a split table, several head rows at a time, and the whole
-    enumeration as one table with no split."""
-    row = num_words * 8
-    tail = num_prbs ** (num_cells - 1) * row
-    caps = {"one_row": tail, "rows": 2 * tail, "no_split": 1 << 62}
-    want = {"one_row": (num_cells - 1, 1), "rows": (num_cells - 1, 2),
-            "no_split": (num_cells, (1 << 62) // (tail * num_prbs))}
+    """Byte budgets that make the exact search OR 1 head tuple at a time
+    with a split table, and build the whole enumeration as one table
+    with no split."""
+    tail = num_prbs ** (num_cells - 1) * num_words * 8
+    caps = {"one_row": tail, "no_split": 1 << 62}
+    want = {"one_row": num_cells - 1, "no_split": num_cells}
     for name, cap in caps.items():
         with mock.patch.object(solvers, "_EXACT_BYTES", cap):
-            assert solvers._exact_split(num_cells, num_prbs,
-                                        num_words) == want[name]
+            assert solvers._tail_cells(num_cells, num_prbs,
+                                       num_words) == want[name]
     return caps
 
 
-@pytest.mark.parametrize("regime", ["one_row", "rows", "no_split"])
+@pytest.mark.parametrize("regime", ["one_row", "no_split"])
 def test_exact_search_splits_as_its_byte_budget_says(regime):
     # 3 cells of 3 PRBs and 70 contested users (2 words): forced splits
     # must find the same allocation as the oracle, ties included.
@@ -1155,16 +1153,16 @@ def test_exact_search_matches_bigint_oracle(batch, cap):
             assert (res.alloc, res.objective) == want
 
 
-def test_exact_search_builds_head_unions_a_block_at_a_time():
+def test_exact_search_builds_head_unions_one_tuple_at_a_time():
     # 7 cells of 4 PRBs and 512 contested users (8 words).  A 512 B
-    # budget leaves one tail cell and ORs 2 head unions at a time; all
-    # 4^6 head unions at once would take 256 KiB.
+    # budget leaves one tail cell and ORs each of the 4^6 head unions
+    # with it in turn; all of them at once would take 256 KiB.
     rng = np.random.default_rng(3)
     users = np.arange(512)
     member = rng.random((7, 4, 512)) < 0.2
     member[:, users % 4, users] = False  # no cell covers a user always
     with mock.patch.object(solvers, "_EXACT_BYTES", 512):
-        assert solvers._exact_split(7, 4, 8) == (1, 2)
+        assert solvers._tail_cells(7, 4, 8) == 1
         tracemalloc.start()
         try:
             found = exact_search(member)

@@ -20,8 +20,9 @@ out-of-range ``oracle-check`` argument is an error with exit code 2,
 never coerced; so is an ``--out``, ``<out>.meta.json`` or ``--dump-raw``
 path that is a directory or whose directory does not exist, and a
 ``--dump-raw`` path that names the CSV or its ``.meta.json`` sidecar,
-before any sampling.  A sweep or instance too large to allocate is an
-error with exit code 2 too.  Sweep values come from ``--values`` as
+before any sampling.  A sweep or instance too large to allocate, and a
+config or instance file that is not valid JSON, are errors with exit
+code 2 too; the latter name the file.  Sweep values come from ``--values`` as
 comma-separated numbers, or from the config file's ``values`` as such a
 string or a JSON list of numbers.
 """
@@ -37,7 +38,7 @@ import sys
 
 import numpy as np
 
-from .coverage import AllocationError, InstanceError, whole_number
+from .coverage import whole_number
 from .harness import (
     ExperimentConfig,
     load_instance,
@@ -66,7 +67,11 @@ _CONFIG_KEYS = {
 
 def _load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path} is not valid JSON: {exc}"
+                             ) from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     unknown = set(data) - _CONFIG_KEYS
@@ -353,8 +358,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, AllocationError, ValueError, OSError,
-            json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

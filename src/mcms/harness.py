@@ -442,7 +442,12 @@ def instance_from_dict(data: dict) -> CoverageInstance:
 
 def load_instance(path) -> CoverageInstance:
     with open(path, encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InstanceError(
+                f"instance file {path} is not valid JSON: {exc}") from exc
+    return instance_from_dict(data)
 
 
 def random_instance(

@@ -456,6 +456,21 @@ def test_cli_solve_missing_file_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["config file", "instance file"])
+def test_cli_malformed_json_names_its_file(tmp_path, capsys, kind):
+    path = tmp_path / "bad.json"
+    path.write_text('{"seed": }')
+    out = tmp_path / "x.csv"
+    argv = {"config file": ["sweep-users", "--out", str(out),
+                            "--config", str(path)],
+            "instance file": ["solve", str(path)]}[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {kind} {path} is not valid JSON")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_cli_sweep_users_writes_csv_and_meta(tmp_path, capsys):
     out = tmp_path / "u.csv"
     rc = main(["sweep-users", "--out", str(out), "--values", "20,30",

@@ -7,6 +7,7 @@ cannot hide in its own oracle.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mcms import (
     solve_sc_baseline,
 )
 from mcms.harness import random_instance
+from mcms.solvers import exact_search
 
 from conftest import coverage_sets
 
@@ -238,6 +240,66 @@ def test_greedy_is_only_a_half_approximation(block, extra_cells):
     # the (1 - 1/e) claim this family refutes
     assert greedy.objective < math.ceil(
         (1 - 1 / math.e) * exact.objective - 1e-9)
+
+
+def max_k_coverage_instance(sets, num_users, k):
+    """The reduction from max-k-coverage: k identical cells, each with one
+    PRB per set, so an allocation is a choice of k sets."""
+    return CoverageInstance(num_users, [sets] * k, [0] * num_users)
+
+
+def max_k_coverage(sets, k):
+    """Brute-force max-k-coverage: the largest union of at most k sets."""
+    return max(len(set().union(*chosen)) for chosen in
+               itertools.combinations(sets, min(k, len(sets))))
+
+
+def greedy_floor(opt, k):
+    """Fewest users the classical greedy serves on max-k-coverage with
+    optimum ``opt``: ceil((1 - (1 - 1/k)^k) * opt), exactly."""
+    return math.ceil((1 - Fraction(k - 1, k) ** k) * opt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), num_users=st.integers(4, 39),
+       num_sets=st.integers(2, 6), k=st.integers(1, 5))
+def test_greedy_earns_one_minus_one_over_e_on_max_k_coverage(
+        data, num_users, num_sets, k):
+    sets = [data.draw(st.sets(st.integers(0, num_users - 1)))
+            for _ in range(num_sets)]
+    inst = max_k_coverage_instance(sets, num_users, k)
+    opt = max_k_coverage(sets, k)
+    alloc, found = exact_search(inst.membership_matrix())
+    assert found == opt == len(set().union(*(sets[j] for j in alloc)))
+    assert solve_exact(inst).objective == opt
+    greedy = solve_greedy(inst).objective
+    assert opt >= greedy >= greedy_floor(opt, k)
+    assert greedy >= math.ceil((1 - 1 / math.e) * opt)
+
+
+def tight_sets(k):
+    """Sets on which the greedy, taking the first maximum, serves exactly
+    1 - (1 - 1/k)^k of the optimum: its own sets come first, at the
+    lowest PRB indices, and tie with the optimum's k disjoint blocks."""
+    if k == 2:  # PRBs [G, A, B]
+        return [{0, 1, 4, 5}, set(range(4)), set(range(4, 8))]
+    blocks = [range(27 * b, 27 * (b + 1)) for b in range(3)]
+    greedy = [{u for block in blocks for u in block[lo:hi]}
+              for lo, hi in ((0, 9), (9, 15), (15, 19))]
+    return greedy + [set(block) for block in blocks]  # [G1, G2, G3, O1, O2, O3]
+
+
+@pytest.mark.parametrize("k, num_users, greedy_served",
+                         [(2, 8, 6), (3, 81, 57)])
+def test_greedy_is_tight_on_max_k_coverage(k, num_users, greedy_served):
+    sets = tight_sets(k)
+    inst = max_k_coverage_instance(sets, num_users, k)
+    greedy = solve_greedy(inst)
+    assert greedy.alloc == tuple(range(k))
+    assert greedy.objective == greedy_served == greedy_floor(num_users, k)
+    assert solve_exact(inst).objective == num_users
+    assert max_k_coverage(sets, k) == num_users
+    assert Fraction(greedy_served, num_users) == 1 - Fraction(k - 1, k) ** k
 
 
 def test_greedy_meets_bound_on_random_instances(rng):

@@ -144,7 +144,9 @@ COLUMNS = (
            "uncoordinated per-cell choice, primary cell only"),
     Column("MC", lambda words, owners, earlier: greedy_batch(words),
            "greedy cross-cell choice, decode from any cell"),
-    Column("EXACT", _exact_batch, "brute-force optimal cross-cell choice"),
+    Column("EXACT", _exact_batch,
+           "optimal cross-cell choice: certified where a 1-swap search "
+           "serves every coverable user, else enumerated"),
 )
 # The columns of a sweep that does not ask for the optimum.
 BASE_COLUMNS = COLUMNS[:2]

@@ -22,9 +22,9 @@ path that is a directory or whose directory does not exist, and a
 ``--dump-raw`` path that names the CSV or its ``.meta.json`` sidecar,
 before any sampling.  A sweep or instance too large to allocate, and a
 config or instance file that is not valid JSON, are errors with exit
-code 2 too; the latter name the file.  Sweep values come from ``--values`` as
-comma-separated numbers, or from the config file's ``values`` as such a
-string or a JSON list of numbers.
+code 2 too; the latter name the file.  Sweep values come from
+``--values`` as comma-separated numbers, or from the config file's
+``values`` as such a string or a JSON list of numbers.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"config file {path} is not valid JSON: {exc}"
                              ) from exc
     if not isinstance(data, dict):

@@ -444,7 +444,7 @@ def load_instance(path) -> CoverageInstance:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise InstanceError(
                 f"instance file {path} is not valid JSON: {exc}") from exc
     return instance_from_dict(data)

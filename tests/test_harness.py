@@ -456,10 +456,11 @@ def test_cli_solve_missing_file_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b'{"seed": }', b"\xff{}"])
 @pytest.mark.parametrize("kind", ["config file", "instance file"])
-def test_cli_malformed_json_names_its_file(tmp_path, capsys, kind):
+def test_cli_malformed_json_names_its_file(tmp_path, capsys, kind, content):
     path = tmp_path / "bad.json"
-    path.write_text('{"seed": }')
+    path.write_bytes(content)
     out = tmp_path / "x.csv"
     argv = {"config file": ["sweep-users", "--out", str(out),
                             "--config", str(path)],

@@ -296,7 +296,7 @@ def test_greedy_is_tight_on_max_k_coverage(k, num_users, greedy_served):
     inst = max_k_coverage_instance(sets, num_users, k)
     greedy = solve_greedy(inst)
     assert greedy.alloc == tuple(range(k))
-    assert greedy.objective == greedy_served == greedy_floor(num_users, k)
+    assert greedy.objective == greedy_served
     assert solve_exact(inst).objective == num_users
     assert max_k_coverage(sets, k) == num_users
     assert Fraction(greedy_served, num_users) == 1 - Fraction(k - 1, k) ** k

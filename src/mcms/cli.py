@@ -15,9 +15,9 @@ dashes), then the MCMS_SEED environment variable (seed only), then
 built-in defaults.  A count that is not a whole number, more than 2**32
 sub-frames, a radius or rate that is not a finite positive number, a
 radius whose layout overflows the float range, a non-boolean
-``deterministic_fading``, a negative ``solve --budget`` or an
-out-of-range ``oracle-check`` argument is an error with exit code 2,
-never coerced; so is an ``--out``, ``<out>.meta.json`` or ``--dump-raw``
+``deterministic_fading``, a config value that is JSON null (the error
+names its keys), a negative ``solve --budget`` or an out-of-range
+``oracle-check`` argument is an error with exit code 2, never coerced; so is an ``--out``, ``<out>.meta.json`` or ``--dump-raw``
 path that is a directory or whose directory does not exist, and a
 ``--dump-raw`` path that names the CSV or its ``.meta.json`` sidecar,
 before any sampling.  A sweep or instance too large to allocate, and a
@@ -58,11 +58,14 @@ from .solvers import (
     solve_sc_baseline,
 )
 
-# config-file keys mirror the sweep flags
-_CONFIG_KEYS = {
-    "seed", "trials", "subframes", "prbs", "rate", "cells", "radius",
-    "users_per_cell", "deterministic_fading", "values", "out",
+# Each sweep knob's flag dest, which is also its config-file key, and
+# its ExperimentConfig field.
+_FIELDS = {
+    "seed": "seed", "trials": "trials", "subframes": "subframes",
+    "prbs": "num_prbs", "rate": "stream_rate_bps", "cells": "num_cells",
+    "radius": "radius_m", "users_per_cell": "users_per_cell",
 }
+_CONFIG_KEYS = {*_FIELDS, "deterministic_fading", "values", "out"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -80,6 +83,10 @@ def _load_config_file(path: str) -> dict:
             f"unknown config keys {sorted(unknown)}; "
             f"known keys: {sorted(_CONFIG_KEYS)}"
         )
+    nulls = sorted(key for key, value in data.items() if value is None)
+    if nulls:
+        raise ValueError(f"config file {path} sets {nulls} to null; leave "
+                         f"a key out to take its default")
     return data
 
 
@@ -90,44 +97,31 @@ def _resolve(args, axis: str) -> tuple[ExperimentConfig, str | None,
     Returns (config, out path, sweep values or None for the default).
     """
     cfg = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key):
-        return flag_value if flag_value is not None else cfg.get(key)
-
-    def pick_count(flag_value, key):
-        value = pick(flag_value, key)
-        return None if value is None else whole_number(value, key)
-
-    seed = pick_count(args.seed, "seed")
-    if seed is None:
-        env = os.environ.get("MCMS_SEED")
-        if env is not None:
+    fields = {}
+    for key, field in _FIELDS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg.get(key)
+        if value is None and key == "seed" and "MCMS_SEED" in os.environ:
+            env = os.environ["MCMS_SEED"]
             try:
-                seed = int(env)
+                value = int(env)
             except ValueError:
                 raise ValueError(f"MCMS_SEED must be an integer, got {env!r}")
+        if value is None:
+            continue
+        # ExperimentConfig checks radius and rate itself.
+        fields[field] = (value if key in ("radius", "rate")
+                         else whole_number(value, key))
 
     deterministic = cfg.get("deterministic_fading", False)
     if not isinstance(deterministic, bool):
         raise ValueError("deterministic_fading must be true or false, "
                          f"got {deterministic!r}")
-    fields = {
-        "num_cells": pick_count(args.cells, "cells"),
-        "radius_m": pick(getattr(args, "radius", None), "radius"),
-        "users_per_cell": pick_count(getattr(args, "users_per_cell", None),
-                                     "users_per_cell"),
-        "num_prbs": pick_count(args.prbs, "prbs"),
-        "subframes": pick_count(args.subframes, "subframes"),
-        "trials": pick_count(args.trials, "trials"),
-        "stream_rate_bps": pick(args.rate, "rate"),
-        "channel": (ChannelParams(fading="none")
-                    if args.deterministic_fading or deterministic else None),
-        "seed": seed,
-    }
-    config = ExperimentConfig(
-        **{k: v for k, v in fields.items() if v is not None}
-    )
-    out = pick(args.out, "out")
+    if args.deterministic_fading or deterministic:
+        fields["channel"] = ChannelParams(fading="none")
+    config = ExperimentConfig(**fields)
+    out = args.out if args.out is not None else cfg.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"out must be a path string, got {out!r}")
     if args.values is not None:

@@ -9,8 +9,9 @@ time, and compares them with the threshold, computing the rate only
 within a narrow guard band of it, so coverage is exactly that of
 `sample_rates` followed by `derive_instance`.  Sub-frames are drawn in
 batches under a fixed byte budget, by the calling thread and helpers of
-a pool of the call's own; helpers only draw, and the calling thread
-alone cuts the batches, reads the fading seeds, frees and solves.
+a pool of the call's own, two batches open at once: the batch it solves
+and the next one.  Helpers only draw, and the calling thread alone cuts
+the batches, reads the fading seeds, frees and solves.
 
 `COLUMNS` is the one table of a sweep's columns, SC, MC and EXACT: each
 a name, a batch solver and a description.  Every count array and every
@@ -20,9 +21,7 @@ batch size, the slab size nor the number of threads.
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import itertools
 import os
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -46,9 +45,6 @@ _BATCH_CELL_BYTES = 16 << 10
 # of the placements one batch opens, at least one: a batch of placements
 # of a few sub-frames each would otherwise keep all of theirs alive.
 _BATCH_OPEN_BYTES = 1 << 20
-# Batches open at once: the one the calling thread solves and the ones
-# drawn ahead of it.
-_RING = 2
 # Byte budget of one thread's fading gains: a sub-frame is drawn a slab
 # of whole cells at a time, at least one cell.
 _SLAB_BYTES = 512 << 10
@@ -278,23 +274,25 @@ def unserved_counts(
     would draw from its seed (`_draw`).
 
     The calling thread owns all of the kernel's state.  It cuts batches
-    (`_batches`), _RING open at once, each with its own uint64 words and
-    a queue of its rows (row, placement, seed).  It computes a
-    placement's thresholds when its first sub-frame joins a batch, reads
-    ``fading_seeds[start:stop]`` once per segment as it queues a batch,
-    and drops the thresholds of the placements a batch ends once that
-    batch is drawn.  A batch of n sub-frames gets min(_WORKERS - 1, n -
-    1) helper tasks on a thread pool of this call's own, started when
-    first needed.  Helpers only take rows, draw and pack them until the
-    queue is empty; so does the calling thread, which then draws from
-    later batches until the oldest batch's helpers are done, raises a
-    helper's error, and solves that batch with the batch solvers of
-    ``columns``, entries of `COLUMNS`, in its order.  A sub-frame's
-    counts depend on its seed alone, not on the batch size, the number
-    of threads or which thread draws it.  When the stream ends, fails or
-    the generator is closed, the open queues are emptied and the pool is
-    shut down: tasks not yet started are cancelled, and a running helper
-    stops after its current sub-frame.
+    (`_batches`), two open at once, the batch it solves and the next one,
+    each with its own uint64 words and a queue of its rows (row,
+    placement, seed): it opens each batch as it starts on the one before
+    it.  It computes a placement's thresholds when its first sub-frame
+    joins a batch, reads ``fading_seeds[start:stop]`` once per segment
+    as it queues a batch, and drops the thresholds of the placements a
+    batch ends once that batch is drawn.  A batch of n sub-frames gets
+    min(_WORKERS - 1, n - 1) helper tasks on a thread pool of this
+    call's own, started when first needed.  Helpers only take rows, draw
+    and pack them until the queue is empty; so does the calling thread,
+    which then draws from the next batch until the helpers of the batch
+    it solves are done, raises a helper's error, and solves that batch
+    with the batch solvers of ``columns``, entries of `COLUMNS`, in its
+    order.  A sub-frame's counts depend on its seed alone, not on the
+    batch size, the number of threads or which thread draws it.  When
+    the stream ends, fails or the generator is closed, the queues of
+    both open batches are emptied and the pool is shut down: tasks not
+    yet started are cancelled, and a running helper stops after its
+    current sub-frame.
 
     Yields, per placement and in order, once its last sub-frame is
     solved, its unserved counts: an int64 array [columns, sub-frames],
@@ -304,8 +302,6 @@ def unserved_counts(
 
     if num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
-    # Unsolved batches: (segments, words, row queue, futures).
-    opened: collections.deque[tuple] = collections.deque()
     # Thread id -> its _buffers, kept while placements of one shape
     # follow: fresh ones for each placement page-fault more.
     buffers = {}
@@ -349,18 +345,21 @@ def unserved_counts(
                                           for _ in range(helpers)]
 
     upcoming = open_batches()
+    # The batch the calling thread solves and the next one, each
+    # (segments, words, row queue, helper futures).
+    current = ahead = None
     try:
-        opened.extend(itertools.islice(upcoming, _RING))
-        while opened:
-            segments, words, todo, futures = opened[0]
+        ahead = next(upcoming, None)
+        while ahead is not None:
+            current, ahead = ahead, next(upcoming, None)
+            segments, words, todo, futures = current
             draw(words, todo)
             # A helper task still queued would find the queue empty.
             busy = [f for f in futures if not f.cancel()]
-            for later in itertools.islice(opened, 1, None):
-                draw(*later[1:3], until=lambda: all(f.done() for f in busy))
+            if ahead is not None:
+                draw(*ahead[1:3], until=lambda: all(f.done() for f in busy))
             for future in busy:
                 future.result()
-            opened.popleft()
             for place, start, stop in segments:
                 if stop == place.subframes:
                     place.snr = place.lo = place.hi = None
@@ -374,7 +373,6 @@ def unserved_counts(
             for i, column in enumerate(columns):
                 earlier[column.name] = column.solve(words, owners, earlier)
                 unserved[i] = num_users - earlier[column.name][1]
-            opened.extend(itertools.islice(upcoming, 1))
             row = 0
             for place, start, stop in segments:
                 place.counts[:, start:stop] = unserved[:, row:row + stop
@@ -383,9 +381,10 @@ def unserved_counts(
                 if stop == place.subframes:
                     yield place.counts
     finally:
-        for _, _, todo, _ in opened:
-            with contextlib.suppress(queue.Empty):
-                while True:
-                    todo.get_nowait()
+        for batch in (current, ahead):
+            if batch is not None:
+                with contextlib.suppress(queue.Empty):
+                    while True:
+                        batch[2].get_nowait()
         if pool is not None:
             pool.shutdown(cancel_futures=True)

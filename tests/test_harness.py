@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -554,6 +555,41 @@ def test_cli_config_file_supplies_knobs(tmp_path):
     assert (tmp_path / "from_cfg.csv").read_bytes() == direct.read_bytes()
 
 
+@pytest.mark.parametrize("command, key, value, field", [
+    ("sweep-users", "seed", 9, "seed"),
+    ("sweep-users", "trials", 2, "trials"),
+    ("sweep-users", "subframes", 3, "subframes"),
+    ("sweep-users", "prbs", 3, "num_prbs"),
+    ("sweep-users", "rate", 1.1e6, "stream_rate_bps"),
+    ("sweep-users", "cells", 1, "num_cells"),
+    ("sweep-users", "radius", 250.0, "radius_m"),
+    ("sweep-radius", "users_per_cell", 15, "users_per_cell"),
+])
+def test_cli_every_config_knob_does_what_its_flag_does(tmp_path, command,
+                                                       key, value, field):
+    # Both runs write the same CSV and .meta.json bytes, and the value
+    # lands in the knob's own ExperimentConfig field.
+    assert getattr(ExperimentConfig(), field) != value
+    base = [command, "--values", "20" if command == "sweep-users" else "250"]
+    for name, count in (("trials", "1"), ("subframes", "2")):
+        if name != key:
+            base += [f"--{name}", count]
+    flag_out = tmp_path / "flag" / "x.csv"
+    cfg_out = tmp_path / "cfg" / "x.csv"
+    flag_out.parent.mkdir()
+    cfg_out.parent.mkdir()
+    assert main(base + ["--out", str(flag_out),
+                        "--" + key.replace("_", "-"), str(value)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(base + ["--out", str(cfg_out), "--config", str(cfg)]) == 0
+    for suffix in ("", ".meta.json"):
+        assert (Path(str(cfg_out) + suffix).read_bytes()
+                == Path(str(flag_out) + suffix).read_bytes())
+    meta = json.loads(Path(str(cfg_out) + ".meta.json").read_text())
+    assert meta["config"][field] == value
+
+
 @pytest.mark.parametrize("axis, values, flag", [
     ("users", [20, 30], "20,30"),
     ("users", [20.0, 30], "20,30"),
@@ -639,8 +675,16 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     # JSON integers beyond the float range.
     ({"radius": 10**400}, "radius_m must be a finite number"),
     ({"rate": 10**400}, "stream_rate_bps must be a finite number"),
+    # A null is an error, not the default, nor the MCMS_SEED seed.
+    ({"trials": None}, "sets ['trials'] to null"),
+    ({"values": None}, "sets ['values'] to null"),
+    ({"radius": None}, "sets ['radius'] to null"),
+    ({"out": None}, "sets ['out'] to null"),
+    ({"seed": None}, "sets ['seed'] to null"),
 ])
-def test_cli_rejects_bad_config_values(tmp_path, capsys, doc, message):
+def test_cli_rejects_bad_config_values(tmp_path, capsys, monkeypatch, doc,
+                                       message):
+    monkeypatch.setenv("MCMS_SEED", "3")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"values": "20", "out": str(tmp_path / "x.csv"),
                                **doc}))

@@ -9,14 +9,16 @@ drawing threads, hold placements batched together to the same
 placements one batch each and batches to their one cutting rule, check
 that a sweep runs in a child forked after a sweep, that a helper's error
 (also one drawing ahead) reaches the caller and leaves the next sweep
-unharmed, that closing the kernel stops its helpers after their current
-sub-frame and leaves none alive, that helpers never read fading seeds,
-and that fading seeds are built as they are drawn, and hold the packed
-solvers to the boolean-tensor and big-int solvers they replaced (SC
-also with one owner set per row), the 1-swap local search to its local
-optimum, and the EXACT column, certified by its bounds or enumerated,
-to the optimum, leaving the SC and MC results it starts from as they
-are, and check that adding EXACT leaves the other columns unchanged.
+unharmed, that a batch solver's error reaches the caller while the next
+batch is drawn and opens no later batch, that closing the kernel stops
+its helpers after their current sub-frame and leaves none alive, that
+helpers never read fading seeds, and that fading seeds are built as
+they are drawn, and hold the packed solvers to the boolean-tensor and
+big-int solvers they replaced (SC also with one owner set per row), the
+1-swap local search to its local optimum, and the EXACT column,
+certified by its bounds or enumerated, to the optimum, leaving the SC
+and MC results it starts from as they are, and check that adding EXACT
+leaves the other columns unchanged.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from unittest import mock
@@ -616,6 +619,44 @@ def test_sweep_after_an_error_or_an_early_stop_gives_the_same_result():
             config, "users", values=(20, 25)))) is None
     assert len(got) == 1
     assert_same_sweep(got[0], want)
+
+
+def test_solver_error_reaches_the_caller_while_the_next_batch_is_drawn():
+    # Batches of three sub-frames of one placement of twelve.  The BAD
+    # column raises on the first batch once the helper has started on
+    # the second, and holds that sub-frame while the failed kernel empties
+    # the queues: the helper draws no other sub-frame of the second batch,
+    # and the third batch is never opened.
+    scenario = generate_scenario(7, 300.0, 20, 5)
+    uses, ahead = [], threading.Event()
+
+    def use(t):
+        helper = in_helper()
+        uses.append((t, helper))
+        if t < 3:
+            return
+        if helper and not ahead.is_set():
+            ahead.set()
+            time.sleep(0.5)
+        elif not helper:
+            ahead.wait(timeout=10)
+
+    def bad(words, owners, earlier):
+        assert ahead.wait(timeout=10)
+        raise RuntimeError("a failing batch solver")
+
+    seeds = [HookedSeed(t, lambda t=t: use(t)) for t in range(12)]
+    columns = (kernel.COLUMNS[0], kernel.Column("BAD", bad, ""))
+    with worker_threads(2), \
+            mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
+        error = run_in_thread(lambda: list(kernel.unserved_counts(
+            [(scenario, seeds)], ChannelParams(), StreamSpec(), 4, columns)))
+    assert isinstance(error, RuntimeError)
+    assert not helpers_alive()
+    drawn = [t for t, _ in uses]
+    assert len(drawn) == len(set(drawn))
+    assert set(range(3)) <= set(drawn) <= set(range(6))
+    assert len([t for t, helper in uses if helper and t >= 3]) == 1
 
 
 class BlocksFirstHelperUse(list):

@@ -10,7 +10,7 @@ Subcommands:
   and report ratio statistics.
 
 Option precedence for experiment knobs: command-line flag, then the
---config JSON file (keys named like the flags, underscores for
+--config JSON file (keys: the command's own flags, underscores for
 dashes), then the MCMS_SEED environment variable (seed only), then
 built-in defaults.  A count that is not a whole number, more than 2**32
 sub-frames, a radius or rate that is not a finite positive number, a
@@ -24,7 +24,8 @@ before any sampling.  A sweep or instance too large to allocate, and a
 config or instance file that is not valid JSON, are errors with exit
 code 2 too; the latter name the file.  Sweep values come from
 ``--values`` as comma-separated numbers, or from the config file's
-``values`` as such a string or a JSON list of numbers.
+``values`` as such a string or a JSON list of numbers, and only from
+there: the swept knob has no flag, so its config key is unknown.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 
 from .coverage import whole_number
 from .harness import (
+    SWEEP_AXES,
     ExperimentConfig,
     load_instance,
     random_instance,
@@ -58,17 +60,33 @@ from .solvers import (
     solve_sc_baseline,
 )
 
-# Each sweep knob's flag dest, which is also its config-file key, and
-# its ExperimentConfig field.
+# Each sweep knob's flag dest, which is also its config-file key: its
+# ExperimentConfig field and its flag's type and other argparse keywords.
 _FIELDS = {
-    "seed": "seed", "trials": "trials", "subframes": "subframes",
-    "prbs": "num_prbs", "rate": "stream_rate_bps", "cells": "num_cells",
-    "radius": "radius_m", "users_per_cell": "users_per_cell",
+    "seed": ("seed", int, dict(help="base RNG seed (default 0)")),
+    "trials": ("trials", int, dict(
+        help="independent user placements per point (default 20)")),
+    "subframes": ("subframes", int, dict(
+        help="fading draws per placement (default 100)")),
+    "prbs": ("num_prbs", int, dict(help="PRBs per cell (default 4)")),
+    "rate": ("stream_rate_bps", float, dict(
+        help="multicast stream rate in bps")),
+    "cells": ("num_cells", int, dict(choices=(1, 7, 19),
+                                     help="number of cells (default 7)")),
+    "radius": ("radius_m", float, dict(
+        help="fixed cell radius in meters (default 300)")),
+    "users_per_cell": ("users_per_cell", int, dict(
+        help="fixed users per cell (default 175)")),
 }
-_CONFIG_KEYS = {*_FIELDS, "deterministic_fading", "values", "out"}
 
 
-def _load_config_file(path: str) -> dict:
+def _knobs(axis: str) -> dict:
+    """The knobs of the command that sweeps ``axis``: all but its own."""
+    varied, _, _ = SWEEP_AXES[axis]
+    return {key: knob for key, knob in _FIELDS.items() if knob[0] != varied}
+
+
+def _load_config_file(path: str, axis: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -77,11 +95,12 @@ def _load_config_file(path: str) -> dict:
                              ) from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    known = {*_knobs(axis), "deterministic_fading", "values", "out"}
+    unknown = set(data) - known
     if unknown:
         raise ValueError(
             f"unknown config keys {sorted(unknown)}; "
-            f"known keys: {sorted(_CONFIG_KEYS)}"
+            f"known keys: {sorted(known)}"
         )
     nulls = sorted(key for key, value in data.items() if value is None)
     if nulls:
@@ -96,10 +115,10 @@ def _resolve(args, axis: str) -> tuple[ExperimentConfig, str | None,
 
     Returns (config, out path, sweep values or None for the default).
     """
-    cfg = _load_config_file(args.config) if args.config else {}
+    cfg = _load_config_file(args.config, axis) if args.config else {}
     fields = {}
-    for key, field in _FIELDS.items():
-        value = getattr(args, key, None)
+    for key, (field, kind, _) in _knobs(axis).items():
+        value = getattr(args, key)
         if value is None:
             value = cfg.get(key)
         if value is None and key == "seed" and "MCMS_SEED" in os.environ:
@@ -111,8 +130,7 @@ def _resolve(args, axis: str) -> tuple[ExperimentConfig, str | None,
         if value is None:
             continue
         # ExperimentConfig checks radius and rate itself.
-        fields[field] = (value if key in ("radius", "rate")
-                         else whole_number(value, key))
+        fields[field] = value if kind is float else whole_number(value, key)
 
     deterministic = cfg.get("deterministic_fading", False)
     if not isinstance(deterministic, bool):
@@ -135,22 +153,8 @@ def _add_sweep_flags(p: argparse.ArgumentParser, axis: str) -> None:
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--values",
                    help="comma-separated sweep values (default: built-in grid)")
-    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    p.add_argument("--trials", type=int,
-                   help="independent user placements per point (default 20)")
-    p.add_argument("--subframes", type=int,
-                   help="fading draws per placement (default 100)")
-    p.add_argument("--prbs", type=int, help="PRBs per cell (default 4)")
-    p.add_argument("--rate", type=float,
-                   help="multicast stream rate in bps")
-    p.add_argument("--cells", type=int, choices=(1, 7, 19),
-                   help="number of cells (default 7)")
-    if axis == "users":
-        p.add_argument("--radius", type=float,
-                       help="fixed cell radius in meters (default 300)")
-    else:
-        p.add_argument("--users-per-cell", type=int, dest="users_per_cell",
-                       help="fixed users per cell (default 175)")
+    for key, (_, kind, flag) in _knobs(axis).items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, **flag)
     p.add_argument("--exact", action="store_true",
                    help="also report the optimum, certified by bounds or "
                         "enumerated (adds EXACT column)")
@@ -187,12 +191,12 @@ def _parse_values(values, axis: str, name: str = "--values"):
         raise ValueError(f"{name} is empty")
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"{name} must be finite numbers: {values!r}")
-    if axis == "users":
-        if not all(v.is_integer() for v in vals):
-            raise ValueError(
-                f"{name} on the users axis must be whole numbers: {values!r}")
-        vals = [int(v) for v in vals]
-    return vals
+    _, _, convert = SWEEP_AXES[axis]
+    try:
+        return [convert(v) for v in vals]
+    except ValueError:  # a fraction on the users axis
+        raise ValueError(f"{name} on the {axis} axis must be whole numbers: "
+                         f"{values!r}") from None
 
 
 def _cmd_sweep(args, axis: str) -> int:
@@ -316,15 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep-users",
-                       help="sweep users per cell, write mean unserved CSV")
-    _add_sweep_flags(p, "users")
-    p.set_defaults(func=lambda a: _cmd_sweep(a, "users"))
-
-    p = sub.add_parser("sweep-radius",
-                       help="sweep cell radius, write mean unserved CSV")
-    _add_sweep_flags(p, "radius")
-    p.set_defaults(func=lambda a: _cmd_sweep(a, "radius"))
+    for axis, what in (("users", "users per cell"), ("radius", "cell radius")):
+        p = sub.add_parser(f"sweep-{axis}",
+                           help=f"sweep {what}, write mean unserved CSV")
+        _add_sweep_flags(p, axis)
+        p.set_defaults(func=lambda a, axis=axis: _cmd_sweep(a, axis))
 
     p = sub.add_parser("solve", help="solve one instance JSON file")
     p.add_argument("instance", help="path to instance JSON")

@@ -61,8 +61,14 @@ from .kernel import BASE_COLUMNS, COLUMNS, unserved_counts
 # perfbench/tracing.py, which rebinds this module's names of the layers
 # below, finds all of them.
 
-DEFAULT_USER_SWEEP = (100, 125, 150, 175, 200, 225, 250)
-DEFAULT_RADIUS_SWEEP = (200, 250, 300, 350, 400)
+# The one table of sweep axes: each axis's ExperimentConfig field, which
+# its sweep varies while it holds every other knob, its default values,
+# and how a swept value becomes that field's.
+SWEEP_AXES = {
+    "users": ("users_per_cell", (100, 125, 150, 175, 200, 225, 250),
+              lambda value: whole_number(value, "users_per_cell")),
+    "radius": ("radius_m", (200, 250, 300, 350, 400), float),
+}
 
 
 @dataclass(frozen=True)
@@ -260,15 +266,6 @@ class _FadingSeeds:
         return [_SubframeSeed(row) for row in words]
 
 
-def _point_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "users":
-        return dataclasses.replace(
-            config, users_per_cell=whole_number(value, "users_per_cell"))
-    if axis == "radius":
-        return dataclasses.replace(config, radius_m=float(value))
-    raise ValueError(f"axis must be 'users' or 'radius', got {axis!r}")
-
-
 def run_sweep(
     config: ExperimentConfig,
     axis: str,
@@ -276,20 +273,20 @@ def run_sweep(
     with_exact: bool = False,
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
-    """Run the Monte Carlo sweep along ``axis``.
+    """Run the Monte Carlo sweep along ``axis``, a key of `SWEEP_AXES`.
 
-    ``values`` must be strictly increasing and defaults to
-    DEFAULT_USER_SWEEP or DEFAULT_RADIUS_SWEEP.  The columns are SC and
-    MC, and with ``with_exact`` EXACT too, the optimum of every sub-frame
-    (`mcms.kernel.COLUMNS`); then it raises EnumerationBudgetError
-    before the first sample unless num_prbs ** num_cells stays within
-    EXACT_BUDGET.  Every placement
+    ``values`` must be strictly increasing and defaults to the axis's
+    defaults.  The columns are SC and MC, and with ``with_exact`` EXACT
+    too, the optimum of every sub-frame (`mcms.kernel.COLUMNS`); then it
+    raises EnumerationBudgetError before the first sample unless
+    num_prbs ** num_cells stays within EXACT_BUDGET.  Every placement
     of every point goes through one run of the kernel, `unserved_counts`,
     and its counts are copied into the result's `counts`.
     """
-    if values is None:
-        values = DEFAULT_USER_SWEEP if axis == "users" else DEFAULT_RADIUS_SWEEP
-    values = tuple(float(v) for v in values)
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be 'users' or 'radius', got {axis!r}")
+    varied, defaults, convert = SWEEP_AXES[axis]
+    values = tuple(float(v) for v in (defaults if values is None else values))
     if not values:
         raise ValueError("need at least one sweep value")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -297,7 +294,8 @@ def run_sweep(
     if with_exact and config.num_prbs ** config.num_cells > EXACT_BUDGET:
         raise EnumerationBudgetError(config.num_prbs ** config.num_cells,
                                      EXACT_BUDGET)
-    point_configs = [_point_config(config, axis, value) for value in values]
+    point_configs = [dataclasses.replace(config, **{varied: convert(value)})
+                     for value in values]
 
     def placements():
         for pi, pc in enumerate(point_configs):

@@ -41,9 +41,10 @@ from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
 # whole batch: one budget for all cells would give 19-cell batches of a
 # few sub-frames, each batch paying for 19 steps.
 _BATCH_CELL_BYTES = 16 << 10
-# Byte budget of the thresholds (mean SNR and gain bounds, 24 B a link)
-# of the placements one batch opens, at least one: a batch of placements
-# of a few sub-frames each would otherwise keep all of theirs alive.
+# Byte budget of the thresholds (gain bounds, 16 B a link, and the
+# scenario), counted at 24 B a link, of the placements one batch opens,
+# at least one: a batch of placements of a few sub-frames each would
+# otherwise keep all of theirs alive.
 _BATCH_OPEN_BYTES = 1 << 20
 # Byte budget of one thread's fading gains: a sub-frame is drawn a slab
 # of whole cells at a time, at least one cell.
@@ -149,18 +150,21 @@ BASE_COLUMNS = COLUMNS[:2]
 
 
 class _Placement:
-    """One placement as the kernel sees it: the per-link thresholds, the
-    fading seeds of its sub-frames and their unserved counts, one row per
-    column."""
+    """One placement as the kernel sees it: its scenario, the per-link
+    thresholds, the fading seeds of its sub-frames and their unserved
+    counts, one row per column."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
                  params: ChannelParams, stream: StreamSpec, num_prbs: int,
                  num_columns: int):
         self.subframes = len(fading_seeds)
         self.seeds = fading_seeds
-        self.snr = mean_snr(scenario, params)
-        num_cells, self.num_users = self.snr.shape
-        self.lo, self.hi = _gain_bounds(self.snr, params, stream)
+        # Kept for its mean SNRs, which a draw computes again on the rare
+        # guard-band hit (`_draw`) rather than hold 8 B a link here.
+        self.scenario = scenario
+        snr = mean_snr(scenario, params)
+        num_cells, self.num_users = snr.shape
+        self.lo, self.hi = _gain_bounds(snr, params, stream)
         self.owners = primary_words(scenario.primary_cell, num_cells)
         self.word_shape = (num_cells, num_prbs, -(-self.num_users // 64))
         self.slab = max(1, min(num_cells, _SLAB_BYTES
@@ -251,9 +255,9 @@ def _draw(place: _Placement, seed, out: np.ndarray, buffers,
         np.greater_equal(slab, place.lo[cells], out=band)
         if np.count_nonzero(band) != np.count_nonzero(covers):
             c, j, u = np.nonzero(band & ~covers)
+            snr = mean_snr(place.scenario, params)[first + c, u]
             covers[c, j, u] = shannon_rate_bps(
-                place.snr[first + c, u] * slab[c, j, u], params.bandwidth_hz
-            ) >= stream.rate_bps
+                snr * slab[c, j, u], params.bandwidth_hz) >= stream.rate_bps
         out[cells] = np.packbits(bits, axis=-1,
                                  bitorder="little").view(np.uint64)
 
@@ -279,8 +283,8 @@ def unserved_counts(
     placement, seed): it opens each batch as it starts on the one before
     it.  It computes a placement's thresholds when its first sub-frame
     joins a batch, reads ``fading_seeds[start:stop]`` once per segment
-    as it queues a batch, and drops the thresholds of the placements a
-    batch ends once that batch is drawn.  A batch of n sub-frames gets
+    as it queues a batch, and drops the placements' thresholds and
+    scenarios once their last batch is drawn.  A batch of n sub-frames gets
     min(_WORKERS - 1, n - 1) helper tasks on a thread pool of this
     call's own, started when first needed.  Helpers only take rows, draw
     and pack them until the queue is empty; so does the calling thread,
@@ -362,7 +366,7 @@ def unserved_counts(
                 future.result()
             for place, start, stop in segments:
                 if stop == place.subframes:
-                    place.snr = place.lo = place.hi = None
+                    place.scenario = place.lo = place.hi = None
             num_users = segments[0][0].num_users
             owners = np.repeat(np.stack([place.owners
                                          for place, _, _ in segments]),

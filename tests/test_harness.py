@@ -1,5 +1,6 @@
 """Experiment-harness and CLI tests."""
 
+import ast
 import concurrent.futures
 import dataclasses
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mcms.cli as cli
 import mcms.harness as harness
 from mcms import (
     ChannelParams,
@@ -657,6 +659,45 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
                "--config", str(cfg)])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+    # The swept knob takes its values only from --values or values: a
+    # config that sets it too is an error, not a fixed knob that the
+    # .meta.json records and the sweep ignores.
+    for command, doc in (("sweep-radius", {"radius": 250, "values": "300"}),
+                         ("sweep-users", {"users_per_cell": 5,
+                                          "values": "20"})):
+        key = next(iter(doc))
+        out = tmp_path / f"{key}.csv"
+        cfg.write_text(json.dumps(doc))
+        rc = main([command, "--out", str(out), "--trials", "1",
+                   "--subframes", "1", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"unknown config keys ['{key}']" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("command, knob", [("sweep-users", "radius"),
+                                           ("sweep-radius", "users_per_cell")])
+def test_cli_sweep_config_keys_are_its_own_knob_flags(tmp_path, capsys,
+                                                      command, knob):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sded": 1}))
+    assert main([command, "--config", str(cfg)]) == 2
+    known = ast.literal_eval(
+        capsys.readouterr().err.split("known keys: ")[1].strip())
+    knobs = {"seed", "trials", "subframes", "prbs", "rate", "cells", knob}
+    assert known == sorted(knobs | {"values", "out", "deterministic_fading"})
+    parser = cli._build_parser()
+    for key in ("seed", "trials", "subframes", "prbs", "rate", "cells",
+                "radius", "users_per_cell"):
+        try:
+            parser.parse_args([command, "--" + key.replace("_", "-"), "1"])
+        except SystemExit:  # no such flag
+            assert key not in known
+        else:
+            assert key in known
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -18,6 +18,7 @@ from mcms import (
 )
 from mcms.coverage import InstanceError
 from mcms.scenario import (
+    _HEX_AXES,
     hex_centers,
     in_hexagon,
     mean_snr,
@@ -103,6 +104,23 @@ def test_in_hexagon_boundaries():
     # vectorized form with an offset center
     pts = np.array([[500.0, 0.0], [500.0 + 2 * r, 0.0]])
     assert list(in_hexagon(pts, (500.0, 0.0), r)) == [True, False]
+
+
+def test_in_hexagon_equals_the_all_reduce_over_the_three_axes():
+    r = 200.0
+    apothem = SQRT3 / 2.0 * r
+    rng = np.random.default_rng(11)
+    edge = [(apothem, 0.0), (-apothem, 0.0), (0.0, apothem),
+            (np.nextafter(apothem, np.inf), 0.0)]
+    nan = [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan)]
+    for pts in (rng.uniform(-1.2 * r, 1.2 * r, size=(6, 50, 2)),
+                np.array(edge + nan), np.array(edge[0])):
+        old = np.all(np.abs(pts @ _HEX_AXES.T) <= apothem, axis=-1)
+        new = in_hexagon(pts, (0.0, 0.0), r)
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert np.array_equal(new, old)
+    assert list(in_hexagon(np.array(edge + nan), (0.0, 0.0), r)) == [
+        True, True, True, False, False, False, False]
 
 
 def test_generate_scenario_empty_system():

@@ -5,9 +5,6 @@ Subcommands:
 * ``sweep-users``   Monte Carlo sweep over users per cell, CSV out.
 * ``sweep-radius``  Monte Carlo sweep over cell radius, CSV out.
 * ``solve``         run the solvers on one instance JSON file.
-* ``oracle-check``  audit the greedy against the exact optimum on
-  random instances, holding it to ``greedy_bound`` (half the optimum),
-  and report ratio statistics.
 
 Option precedence for experiment knobs: command-line flag, then the
 --config JSON file (keys: the command's own flags, underscores for
@@ -16,16 +13,17 @@ built-in defaults.  A count that is not a whole number, more than 2**32
 sub-frames, a radius or rate that is not a finite positive number, a
 radius whose layout overflows the float range, a non-boolean
 ``deterministic_fading``, a config value that is JSON null (the error
-names its keys), a negative ``solve --budget`` or an out-of-range
-``oracle-check`` argument is an error with exit code 2, never coerced; so is an ``--out``, ``<out>.meta.json`` or ``--dump-raw``
-path that is a directory or whose directory does not exist, and a
-``--dump-raw`` path that names the CSV or its ``.meta.json`` sidecar,
-before any sampling.  A sweep or instance too large to allocate, and a
-config or instance file that is not valid JSON, are errors with exit
-code 2 too; the latter name the file.  Sweep values come from
-``--values`` as comma-separated numbers, or from the config file's
-``values`` as such a string or a JSON list of numbers, and only from
-there: the swept knob has no flag, so its config key is unknown.
+names its keys) or a negative ``solve --budget`` is an error with exit
+code 2, never coerced; so is an ``--out``, ``<out>.meta.json`` or
+``--dump-raw`` path that is a directory or whose directory does not
+exist, and a ``--dump-raw`` path that names the CSV or its
+``.meta.json`` sidecar, before any sampling.  A sweep or instance too
+large to allocate, and a config or instance file that is not valid
+JSON, are errors with exit code 2 too; the latter name the file.  Sweep
+values come from ``--values`` as comma-separated numbers, or from the
+config file's ``values`` as such a string or a JSON list of numbers,
+and only from there: the swept knob has no flag, so its config key is
+unknown.
 """
 
 from __future__ import annotations
@@ -37,14 +35,11 @@ import numbers
 import os
 import sys
 
-import numpy as np
-
 from .coverage import whole_number
 from .harness import (
     SWEEP_AXES,
     ExperimentConfig,
     load_instance,
-    random_instance,
     run_sweep,
     write_csv,
     write_meta,
@@ -54,7 +49,6 @@ from .scenario import ChannelParams
 from .solvers import (
     EXACT_BUDGET,
     EnumerationBudgetError,
-    greedy_bound,
     solve_exact,
     solve_greedy,
     solve_sc_baseline,
@@ -264,55 +258,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
-    for flag, value, least in (("--trials", args.trials, 1),
-                               ("--seed", args.seed, 0),
-                               ("--users", args.users, 0),
-                               ("--cells", args.cells, 1),
-                               ("--prbs", args.prbs, 1)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
-    if not 0.0 <= args.density <= 1.0:  # also rejects nan
-        raise ValueError(
-            f"--density must be a number in [0, 1], got {args.density}")
-    ratios = []
-    violations = 0
-    for i in range(args.trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(args.seed, spawn_key=(i,))
-        )
-        instance = random_instance(
-            rng,
-            num_users=args.users,
-            num_cells=args.cells,
-            num_prbs=args.prbs,
-            density=args.density,
-        )
-        greedy = solve_greedy(instance)
-        try:
-            exact = solve_exact(instance)
-        except EnumerationBudgetError as exc:
-            raise ValueError(
-                f"oracle-check cannot run with {args.cells} cells and "
-                f"{args.prbs} PRBs: {exc}") from exc
-        ratio = (greedy.objective / exact.objective
-                 if exact.objective else 1.0)
-        ratios.append(ratio)
-        ok = (exact.objective >= greedy.objective
-              and greedy.objective >= greedy_bound(exact.objective))
-        if not ok:
-            violations += 1
-            print(f"trial {i}: VIOLATION greedy={greedy.objective} "
-                  f"exact={exact.objective} "
-                  f"bound={greedy_bound(exact.objective)}")
-        elif args.verbose:
-            print(f"trial {i}: greedy={greedy.objective} "
-                  f"exact={exact.objective} ratio={ratio:.4f}")
-    print(f"oracle-check: trials={args.trials} violations={violations} "
-          f"min_ratio={min(ratios):.4f} mean_ratio={np.mean(ratios):.4f}")
-    return 1 if violations else 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcms",
@@ -333,18 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=EXACT_BUDGET,
                    help="max allocations the exact solver may enumerate")
     p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("oracle-check",
-                       help="compare greedy vs brute force on random instances")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--users", type=int, default=30)
-    p.add_argument("--cells", type=int, default=4)
-    p.add_argument("--prbs", type=int, default=3)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--verbose", action="store_true",
-                   help="print every trial, not only violations")
-    p.set_defaults(func=_cmd_oracle_check)
     return parser
 
 

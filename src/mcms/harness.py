@@ -446,17 +446,3 @@ def load_instance(path) -> CoverageInstance:
             raise InstanceError(
                 f"instance file {path} is not valid JSON: {exc}") from exc
     return instance_from_dict(data)
-
-
-def random_instance(
-    rng,
-    num_users: int = 30,
-    num_cells: int = 4,
-    num_prbs: int = 3,
-    density: float = 0.3,
-) -> CoverageInstance:
-    """Random coverage instance; membership entries are i.i.d. Bernoulli."""
-    rng = np.random.default_rng(rng)
-    membership = rng.random((num_cells, num_prbs, num_users)) < density
-    primary = rng.integers(0, num_cells, size=num_users)
-    return CoverageInstance.from_membership(membership, primary)

@@ -151,8 +151,9 @@ BASE_COLUMNS = COLUMNS[:2]
 
 class _Placement:
     """One placement as the kernel sees it: its scenario, the per-link
-    thresholds, the fading seeds of its sub-frames and their unserved
-    counts, one row per column."""
+    thresholds, the mean SNRs if some link's thresholds are not finite,
+    the fading seeds of its sub-frames and their unserved counts, one
+    row per column."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
                  params: ChannelParams, stream: StreamSpec, num_prbs: int,
@@ -165,6 +166,9 @@ class _Placement:
         snr = mean_snr(scenario, params)
         num_cells, self.num_users = snr.shape
         self.lo, self.hi = _gain_bounds(snr, params, stream)
+        # A link whose bounds are not finite puts every gain in the band,
+        # so every sub-frame would compute the mean SNRs again: keep them.
+        self.snr = snr if np.isinf(self.hi).any() else None
         self.owners = primary_words(scenario.primary_cell, num_cells)
         self.word_shape = (num_cells, num_prbs, -(-self.num_users // 64))
         self.slab = max(1, min(num_cells, _SLAB_BYTES
@@ -255,7 +259,8 @@ def _draw(place: _Placement, seed, out: np.ndarray, buffers,
         np.greater_equal(slab, place.lo[cells], out=band)
         if np.count_nonzero(band) != np.count_nonzero(covers):
             c, j, u = np.nonzero(band & ~covers)
-            snr = mean_snr(place.scenario, params)[first + c, u]
+            snr = (place.snr if place.snr is not None
+                   else mean_snr(place.scenario, params))[first + c, u]
             covers[c, j, u] = shannon_rate_bps(
                 snr * slab[c, j, u], params.bandwidth_hz) >= stream.rate_bps
         out[cells] = np.packbits(bits, axis=-1,
@@ -278,25 +283,25 @@ def unserved_counts(
     would draw from its seed (`_draw`).
 
     The calling thread owns all of the kernel's state.  It cuts batches
-    (`_batches`), two open at once, the batch it solves and the next one,
-    each with its own uint64 words and a queue of its rows (row,
+    (`_batches`), two open at once, the batch it solves and the next
+    one, each with its own uint64 words and a queue of its rows (row,
     placement, seed): it opens each batch as it starts on the one before
     it.  It computes a placement's thresholds when its first sub-frame
     joins a batch, reads ``fading_seeds[start:stop]`` once per segment
-    as it queues a batch, and drops the placements' thresholds and
-    scenarios once their last batch is drawn.  A batch of n sub-frames gets
-    min(_WORKERS - 1, n - 1) helper tasks on a thread pool of this
-    call's own, started when first needed.  Helpers only take rows, draw
-    and pack them until the queue is empty; so does the calling thread,
-    which then draws from the next batch until the helpers of the batch
-    it solves are done, raises a helper's error, and solves that batch
-    with the batch solvers of ``columns``, entries of `COLUMNS`, in its
-    order.  A sub-frame's counts depend on its seed alone, not on the
-    batch size, the number of threads or which thread draws it.  When
-    the stream ends, fails or the generator is closed, the queues of
-    both open batches are emptied and the pool is shut down: tasks not
-    yet started are cancelled, and a running helper stops after its
-    current sub-frame.
+    as it queues a batch, and drops the placements' thresholds,
+    scenarios and kept mean SNRs once their last batch is drawn.  A
+    batch of n sub-frames gets min(_WORKERS - 1, n - 1) helper tasks on
+    a thread pool of this call's own, started when first needed.
+    Helpers only take rows, draw and pack them until the queue is empty;
+    so does the calling thread, which then draws from the next batch
+    until the helpers of the batch it solves are done, raises a helper's
+    error, and solves that batch with the batch solvers of ``columns``,
+    entries of `COLUMNS`, in its order.  A sub-frame's counts depend on
+    its seed alone, not on the batch size, the number of threads or
+    which thread draws it.  When the stream ends, fails or the generator
+    is closed, the queues of both open batches are emptied and the pool
+    is shut down: tasks not yet started are cancelled, and a running
+    helper stops after its current sub-frame.
 
     Yields, per placement and in order, once its last sub-frame is
     solved, its unserved counts: an int64 array [columns, sub-frames],
@@ -366,7 +371,7 @@ def unserved_counts(
                 future.result()
             for place, start, stop in segments:
                 if stop == place.subframes:
-                    place.scenario = place.lo = place.hi = None
+                    place.scenario = place.lo = place.hi = place.snr = None
             num_users = segments[0][0].num_users
             owners = np.repeat(np.stack([place.owners
                                          for place, _, _ in segments]),

@@ -24,6 +24,20 @@ def make_gap_instance() -> CoverageInstance:
     )
 
 
+def random_instance(
+    rng,
+    num_users: int = 30,
+    num_cells: int = 4,
+    num_prbs: int = 3,
+    density: float = 0.3,
+) -> CoverageInstance:
+    """Random coverage instance; membership entries are i.i.d. Bernoulli."""
+    rng = np.random.default_rng(rng)
+    membership = rng.random((num_cells, num_prbs, num_users)) < density
+    primary = rng.integers(0, num_cells, size=num_users)
+    return CoverageInstance.from_membership(membership, primary)
+
+
 def coverage_sets(instance: CoverageInstance):
     """Per cell, per PRB, the frozenset of user ids the PRB covers, read
     from the membership tensor."""

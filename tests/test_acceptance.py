@@ -23,9 +23,8 @@ from mcms import (
     solve_exact,
     solve_greedy,
 )
-from mcms.harness import random_instance
 
-from conftest import make_gap_instance
+from conftest import make_gap_instance, random_instance
 
 
 def test_greedy_approximation_bound_holds_everywhere():

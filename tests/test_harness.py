@@ -39,9 +39,9 @@ from mcms import (
     write_raw_csv,
 )
 from mcms.cli import main
-from mcms.harness import random_instance
 
-from conftest import assert_same_sweep, coverage_sets, run_subframe
+from conftest import (assert_same_sweep, coverage_sets, random_instance,
+                      run_subframe)
 
 TINY = ExperimentConfig(trials=2, subframes=4, users_per_cell=20, seed=3)
 
@@ -432,7 +432,6 @@ def test_cli_solve_checks_primary_cells_before_allocating(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     (["solve", "GAP", "--budget", "-1"], "--budget"),
-    (["oracle-check", "--trials", "1", "--seed", "-1"], "--seed"),
 ])
 def test_cli_rejects_negative_budget_and_seed(tmp_path, capsys, command,
                                               flag):
@@ -964,52 +963,23 @@ def test_cli_deterministic_fading_flag(tmp_path):
     assert meta["config"]["channel"]["fading"] == "none"
 
 
-def test_cli_oracle_check_reports_ratio(capsys):
-    rc = main(["oracle-check", "--trials", "25", "--seed", "11"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "violations=0" in out
-    assert "min_ratio=" in out
-
-
-def test_cli_oracle_check_holds_greedy_to_half_of_optimum(capsys):
-    # These random instances include greedy = opt / 2 cases, which the
-    # (1 - 1/e) bound wrongly reported as violations.
-    rc = main(["oracle-check", "--trials", "2000", "--users", "6",
-               "--cells", "3", "--prbs", "2", "--density", "0.3"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "violations=0 min_ratio=0.5000" in out
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--trials", "0"], "--trials must be >= 1"),
-    (["--users", "-1"], "--users must be >= 0"),
-    (["--cells", "0"], "--cells must be >= 1"),
-    (["--prbs", "0"], "--prbs must be >= 1"),
-    (["--density", "1.5"], "--density must be a number in [0, 1]"),
-    (["--density", "-0.1"], "--density must be a number in [0, 1]"),
-    (["--density", "nan"], "--density must be a number in [0, 1]"),
-    (["--cells", "12", "--prbs", "4"],
-     "oracle-check cannot run with 12 cells and 4 PRBs"),
-])
-def test_cli_oracle_check_rejects_bad_arguments(capsys, flags, message):
-    rc = main(["oracle-check"] + flags)
-    assert rc == 2
-    assert message in capsys.readouterr().err
-
-
-def test_cli_oracle_check_accepts_edge_arguments(capsys):
-    rc = main(["oracle-check", "--trials", "1", "--users", "0",
-               "--density", "1"])
-    assert rc == 0
-    assert "violations=0" in capsys.readouterr().out
+def test_cli_has_three_commands_and_no_oracle_check(capsys):
+    # The greedy's approximation audit lives in the tests
+    # (test_greedy_approximation_bound_holds_everywhere), not the CLI.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'oracle-check'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    commands = re.search(r"\{(.*?)\}", capsys.readouterr().out).group(1)
+    assert commands.split(",") == ["sweep-users", "sweep-radius", "solve"]
 
 
 @pytest.mark.parametrize("argv", [
     ["sweep-users", "--values", "10000000000000000", "--trials", "1",
      "--subframes", "1", "--out", "{tmp}/x.csv"],
-    ["oracle-check", "--users", "10000000000000000", "--trials", "1"],
 ])
 def test_cli_reports_an_allocation_failure(tmp_path, capsys, argv):
     # 10^16 users ask for some 900 PiB, beyond any 57-bit address space,

@@ -54,12 +54,12 @@ from mcms import (
     solve_sc_baseline,
 )
 from mcms.coverage import pack_users, served
-from mcms.harness import random_instance
 from mcms.scenario import mean_snr
 from mcms.solvers import (exact_search, greedy_batch, primary_words,
                           sc_batch, swap_batch)
 
-from conftest import assert_same_sweep, helpers_alive, run_subframe
+from conftest import (assert_same_sweep, helpers_alive, random_instance,
+                      run_subframe)
 
 # With one cell and one PRB every link decides whether its user is
 # served, so a single misjudged link changes the unserved counts.
@@ -224,6 +224,70 @@ def test_kernel_matches_pipeline_without_fading():
         stream = StreamSpec(rate_bps=rate)
         assert (run_subframe(scenario, params, stream, 0)
                 == pipeline_counts(scenario, params, stream, 0, 4))
+
+
+@contextlib.contextmanager
+def counted_mean_snr():
+    """Count the kernel's mean_snr calls inside: yields the list that
+    gets one entry per call, from any thread."""
+    calls = []
+    real = kernel.mean_snr
+
+    def spy(*args):
+        calls.append(threading.current_thread().name)
+        return real(*args)
+
+    with mock.patch.object(kernel, "mean_snr", spy):
+        yield calls
+
+
+def test_placement_with_non_finite_bounds_computes_its_mean_snr_once():
+    # At a radius of 1e100 every mean SNR underflows to 0, so every
+    # link's gain bounds are infinite and every gain falls in the guard
+    # band: the kernel keeps such a placement's mean SNRs rather than
+    # compute them again on each of its sub-frames.
+    config = ExperimentConfig(trials=2, subframes=20, users_per_cell=5,
+                              radius_m=1e100, seed=4)
+    with counted_mean_snr() as calls:
+        result = run_sweep(config, "users", values=(5,))
+    assert len(calls) == config.trials
+    stream = StreamSpec(rate_bps=config.stream_rate_bps)
+    for trial, t in np.ndindex(config.trials, config.subframes):
+        scenario, fading = sweep_sample(config, trial, t)
+        want = pipeline_counts(scenario, config.channel, stream,
+                               np.random.default_rng(fading),
+                               config.num_prbs)
+        sc, mc = result.counts[0, :, trial, t]
+        assert (mc, sc) == want
+
+
+def test_kept_mean_snr_decides_links_on_the_threshold():
+    # Cell 1 stands 1e100 m from cell 0, so every cross link has SNR 0
+    # and infinite bounds while each cell serves its own users.  Stream
+    # rates equal to realized rates of the first sub-frame put finite
+    # links on the threshold, and the kept mean SNRs decide them.
+    near = generate_scenario(1, 300.0, 30, 6)
+    scenario = Scenario(
+        radius=300.0, cell_centers=[[0.0, 0.0], [1e100, 0.0]],
+        user_positions=np.vstack([near.user_positions,
+                                  [[1e100, 50.0], [1e100, -120.0]]]),
+        primary_cell=[0] * 30 + [1, 1])
+    params, num_prbs = ChannelParams(), 2
+    fadings = [np.random.SeedSequence(7, spawn_key=(t,)) for t in range(6)]
+    rates = sample_rates(scenario, params, np.random.default_rng(fadings[0]),
+                         num_prbs).ravel()
+    rates = np.sort(rates[rates > 0])
+    for rate in rates[::len(rates) // 5]:
+        stream = StreamSpec(rate_bps=float(rate))
+        with counted_mean_snr() as calls:
+            sc, mc = next(kernel.unserved_counts([(scenario, fadings)],
+                                                 params, stream, num_prbs))
+        assert len(calls) == 1
+        want = [pipeline_counts(scenario, params, stream,
+                                np.random.default_rng(fading), num_prbs)
+                for fading in fadings]
+        assert list(zip(mc.tolist(), sc.tolist())) == want
+        assert min(mc) < scenario.num_users
 
 
 def forced_batches(config, users):

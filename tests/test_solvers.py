@@ -22,10 +22,9 @@ from mcms import (
     solve_greedy,
     solve_sc_baseline,
 )
-from mcms.harness import random_instance
 from mcms.solvers import exact_search
 
-from conftest import coverage_sets
+from conftest import coverage_sets, random_instance
 
 
 def reference_exact(inst):

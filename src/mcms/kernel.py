@@ -16,12 +16,14 @@ the batches, reads the fading seeds, frees and solves.
 `COLUMNS` is the one table of a sweep's columns, SC, MC and EXACT: each
 a name, a batch solver and a description.  Every count array and every
 file a sweep writes follows its order.  Results depend on neither the
-batch size, the slab size nor the number of threads.
+batch size, the slab size, the number of threads nor the shapes a thread
+drew before.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -221,14 +223,50 @@ def _batches(placements: Iterable[tuple[Scenario, Sequence]], num_prbs: int,
         yield segments
 
 
-def _buffers(place: _Placement, fading: str):
-    """One drawing thread's buffers for a slab of ``place``: fading gains
-    (all 1 without fading), the band mask, and coverage bits padded to
-    whole words with zeros."""
-    shape = (place.slab, place.word_shape[1], place.num_users)
-    gains = np.empty(shape) if fading == "rayleigh" else np.ones(shape)
-    padded = shape[:2] + (place.word_shape[2] * 64,)
-    return gains, np.empty(shape, dtype=bool), np.zeros(padded, dtype=bool)
+def _allocate_buffers(gains: int, bits: int):
+    """Flat buffers of one drawing thread: ``gains`` fading gains, as many
+    band-mask flags and ``bits`` coverage bits."""
+    return (np.empty(gains), np.empty(gains, dtype=bool),
+            np.empty(bits, dtype=bool))
+
+
+class _DrawBuffers:
+    """One drawing thread's buffers for a whole kernel call: fading gains,
+    the band mask and coverage bits padded to whole words.
+
+    They are allocated on the thread's first draw, with room for
+    _SLAB_BYTES of gains or a placement's one cell if that is larger,
+    and grow only when a later placement needs more.  Each slab shape
+    takes C-contiguous prefix views of them; when the shape or the
+    fading changes the padding bits are zeroed and, without fading, the
+    gains set to 1, values that no draw writes.
+    """
+
+    def __init__(self):
+        # Empty until the first draw.
+        self.flat = (np.empty(0),) * 3
+        self.views = self.key = None
+
+    def of(self, place: _Placement, fading: str):
+        """The buffers ``(gains, band, padded)`` of a slab of ``place``."""
+        shape = (place.slab, place.word_shape[1], place.num_users)
+        if (shape, fading) != self.key:
+            padded = shape[:2] + (place.word_shape[2] * 64,)
+            sizes = math.prod(shape), math.prod(padded)
+            held = len(self.flat[0]), len(self.flat[2])
+            if sizes[0] > held[0] or sizes[1] > held[1]:
+                room = _SLAB_BYTES // 8
+                self.flat = _allocate_buffers(max(sizes[0], held[0], room),
+                                              max(sizes[1], held[1], room))
+            gains, band, bits = self.flat
+            self.views = (gains[:sizes[0]].reshape(shape),
+                          band[:sizes[0]].reshape(shape),
+                          bits[:sizes[1]].reshape(padded))
+            self.views[2][..., place.num_users:] = False
+            if fading != "rayleigh":
+                self.views[0].fill(1.0)
+            self.key = shape, fading
+        return self.views
 
 
 def _gain_slabs(rng, gains: np.ndarray, num_cells: int):
@@ -311,8 +349,9 @@ def unserved_counts(
 
     if num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
-    # Thread id -> its _buffers, kept while placements of one shape
-    # follow: fresh ones for each placement page-fault more.
+    # Thread id -> its _DrawBuffers: one set per drawing thread for the
+    # whole call, sized by the slab budget, of which every placement
+    # takes views; fresh ones per shape page-fault more.
     buffers = {}
     pool = None
 
@@ -325,10 +364,10 @@ def unserved_counts(
             except queue.Empty:
                 return
             mine = buffers.get(key)
-            if mine is None or mine[0].shape != (place.slab, num_prbs,
-                                                 place.num_users):
-                mine = buffers[key] = _buffers(place, params.fading)
-            _draw(place, seed, words[row], mine, params, stream)
+            if mine is None:
+                mine = buffers[key] = _DrawBuffers()
+            _draw(place, seed, words[row], mine.of(place, params.fading),
+                  params, stream)
 
     def open_place(scenario, seeds):
         return _Placement(scenario, seeds, params, stream, num_prbs,

@@ -12,13 +12,15 @@ that a sweep runs in a child forked after a sweep, that a helper's error
 unharmed, that a batch solver's error reaches the caller while the next
 batch is drawn and opens no later batch, that closing the kernel stops
 its helpers after their current sub-frame and leaves none alive, that
-helpers never read fading seeds, and that fading seeds are built as
-they are drawn, and hold the packed solvers to the boolean-tensor and
-big-int solvers they replaced (SC also with one owner set per row), the
-1-swap local search to its local optimum, and the EXACT column,
-certified by its bounds or enumerated, to the optimum, leaving the SC
-and MC results it starts from as they are, and check that adding EXACT
-leaves the other columns unchanged.
+helpers never read fading seeds, that fading seeds are built as they
+are drawn, and that a drawing thread allocates its buffers once and
+reuses them across shapes without leaking into the words, and hold
+the packed solvers to the boolean-tensor and big-int solvers they
+replaced (SC also with one owner set per row), the 1-swap local search
+to its local optimum, and the EXACT column, certified by its bounds or
+enumerated, to the optimum, leaving the SC and MC results it starts
+from as they are, and check that adding EXACT leaves the other columns
+unchanged.
 """
 
 import contextlib
@@ -898,7 +900,8 @@ def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
     with mock.patch.object(kernel, "_SLAB_BYTES", budget):
         place = kernel._Placement(scenario, [seed], ChannelParams(),
                                   StreamSpec(), prbs, len(kernel.COLUMNS))
-        gains = kernel._buffers(place, "rayleigh")[0]
+        gains = kernel._DrawBuffers().of(place, "rayleigh")[0]
+    assert gains.shape == (place.slab, prbs, scenario.num_users)
     if one_cell:
         assert place.slab == 1
     drawn = np.full((cells, prbs, scenario.num_users), np.nan)
@@ -911,6 +914,66 @@ def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
     whole = np.empty_like(drawn)
     np.random.default_rng(seed).standard_exponential(out=whole)
     assert drawn.tobytes() == whole.tobytes()
+
+
+@contextlib.contextmanager
+def counted_buffer_allocations():
+    """Count the kernel's draw-buffer allocations inside: yields the list
+    that gets the name of the allocating thread, once per call."""
+    calls = []
+    real = kernel._allocate_buffers
+
+    def spy(*args):
+        calls.append(threading.current_thread().name)
+        return real(*args)
+
+    with mock.patch.object(kernel, "_allocate_buffers", spy):
+        yield calls
+
+
+def test_reused_draw_buffers_never_leak_into_the_words():
+    # One thread's buffers serve 7-cell placements of 250, then 100 users
+    # per cell (the larger shape's bits lie where the smaller one's
+    # padding is), a 19-cell placement, and one without fading after
+    # fading gains: each word must be the one fresh arrays give.
+    cases = [(7, 250, "rayleigh"), (7, 100, "rayleigh"),
+             (19, 175, "rayleigh"), (7, 100, "none")]
+    mine = kernel._DrawBuffers()
+    stream = StreamSpec()
+    with counted_buffer_allocations() as calls:
+        for seed, (cells, users, fading) in enumerate(cases):
+            params = ChannelParams(fading=fading)
+            scenario = generate_scenario(cells, 300.0, users, seed)
+            seeds = [np.random.SeedSequence(seed, spawn_key=(t,))
+                     for t in range(3)]
+            place = kernel._Placement(scenario, seeds, params, stream, 4,
+                                      len(kernel.COLUMNS))
+            shape = (place.slab, 4, scenario.num_users)
+            padded = (place.slab, 4, place.word_shape[2] * 64)
+            for fading_seed in seeds:
+                fresh = (np.empty(shape) if fading == "rayleigh"
+                         else np.ones(shape),
+                         np.empty(shape, dtype=bool),
+                         np.zeros(padded, dtype=bool))
+                want = np.empty(place.word_shape, dtype=np.uint64)
+                got = np.empty_like(want)
+                kernel._draw(place, fading_seed, want, fresh, params, stream)
+                kernel._draw(place, fading_seed, got,
+                             mine.of(place, fading), params, stream)
+                assert np.array_equal(got, want), (cells, users, fading)
+                assert np.count_nonzero(want), (cells, users, fading)
+    # Every shape fits the slab budget: all four reused one allocation.
+    assert len(calls) == 1
+
+
+def test_users_sweep_allocates_draw_buffers_once_per_thread():
+    config = ExperimentConfig(trials=1, subframes=6, seed=3)
+    with worker_threads(2), counted_buffer_allocations() as calls:
+        result = run_sweep(config, "users")
+    assert result.counts.shape == (7, 2, 1, 6)
+    # The caller and its helper each allocate at their first draw, once.
+    assert "MainThread" in calls
+    assert len(calls) == len(set(calls)) <= 2
 
 
 @pytest.mark.parametrize("cells", [7, 19])

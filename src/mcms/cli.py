@@ -6,36 +6,28 @@ Subcommands:
 * ``sweep-radius``  Monte Carlo sweep over cell radius, CSV out.
 * ``solve``         run the solvers on one instance JSON file.
 
-Option precedence for experiment knobs: command-line flag, then the
---config JSON file (keys: the command's own flags, underscores for
-dashes), then the MCMS_SEED environment variable (seed only), then
-built-in defaults.  A count that is not a whole number, more than 2**32
-sub-frames, a radius or rate that is not a finite positive number, a
-radius whose layout overflows the float range, a non-boolean
-``deterministic_fading``, a config value that is JSON null (the error
-names its keys) or a negative ``solve --budget`` is an error with exit
-code 2, never coerced; so is an ``--out``, ``<out>.meta.json`` or
-``--dump-raw`` path that is a directory or whose directory does not
-exist, and a ``--dump-raw`` path that names the CSV or its
-``.meta.json`` sidecar, before any sampling.  A sweep or instance too
-large to allocate, and a config or instance file that is not valid
-JSON, are errors with exit code 2 too; the latter name the file.  Sweep
-values come from ``--values`` as comma-separated numbers, or from the
-config file's ``values`` as such a string or a JSON list of numbers,
-and only from there: the swept knob has no flag, so its config key is
-unknown.
+Each experiment knob comes from its flag, or else from the
+``ExperimentConfig`` default.  A count that is not a whole number, more
+than 2**32 sub-frames, a negative seed, a radius or rate that is not a
+finite positive number, a radius whose layout overflows the float range
+or a negative ``solve --budget`` is an error with exit code 2, never
+coerced; so is an ``--out``, ``<out>.meta.json`` or ``--dump-raw`` path
+that is a directory or whose directory does not exist, and a
+``--dump-raw`` path that names the CSV or its ``.meta.json`` sidecar,
+before any sampling.  A sweep or instance too large to allocate, and an
+instance file that is not valid JSON, are errors with exit code 2 too;
+the latter names the file.  Sweep values come from ``--values`` as
+comma-separated numbers, and only from there: the swept knob has no
+flag.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import numbers
 import os
 import sys
 
-from .coverage import whole_number
 from .harness import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -54,8 +46,8 @@ from .solvers import (
     solve_sc_baseline,
 )
 
-# Each sweep knob's flag dest, which is also its config-file key: its
-# ExperimentConfig field and its flag's type and other argparse keywords.
+# Each sweep knob's flag dest: its ExperimentConfig field and its flag's
+# type and other argparse keywords.
 _FIELDS = {
     "seed": ("seed", int, dict(help="base RNG seed (default 0)")),
     "trials": ("trials", int, dict(
@@ -80,69 +72,6 @@ def _knobs(axis: str) -> dict:
     return {key: knob for key, knob in _FIELDS.items() if knob[0] != varied}
 
 
-def _load_config_file(path: str, axis: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"config file {path} is not valid JSON: {exc}"
-                             ) from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    known = {*_knobs(axis), "deterministic_fading", "values", "out"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(
-            f"unknown config keys {sorted(unknown)}; "
-            f"known keys: {sorted(known)}"
-        )
-    nulls = sorted(key for key, value in data.items() if value is None)
-    if nulls:
-        raise ValueError(f"config file {path} sets {nulls} to null; leave "
-                         f"a key out to take its default")
-    return data
-
-
-def _resolve(args, axis: str) -> tuple[ExperimentConfig, str | None,
-                                       list | None]:
-    """Merge flags, config file, environment and defaults.
-
-    Returns (config, out path, sweep values or None for the default).
-    """
-    cfg = _load_config_file(args.config, axis) if args.config else {}
-    fields = {}
-    for key, (field, kind, _) in _knobs(axis).items():
-        value = getattr(args, key)
-        if value is None:
-            value = cfg.get(key)
-        if value is None and key == "seed" and "MCMS_SEED" in os.environ:
-            env = os.environ["MCMS_SEED"]
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(f"MCMS_SEED must be an integer, got {env!r}")
-        if value is None:
-            continue
-        # ExperimentConfig checks radius and rate itself.
-        fields[field] = value if kind is float else whole_number(value, key)
-
-    deterministic = cfg.get("deterministic_fading", False)
-    if not isinstance(deterministic, bool):
-        raise ValueError("deterministic_fading must be true or false, "
-                         f"got {deterministic!r}")
-    if args.deterministic_fading or deterministic:
-        fields["channel"] = ChannelParams(fading="none")
-    config = ExperimentConfig(**fields)
-    out = args.out if args.out is not None else cfg.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ValueError(f"out must be a path string, got {out!r}")
-    if args.values is not None:
-        values = _parse_values(args.values, axis)
-    else:
-        values = _parse_values(cfg.get("values"), axis, "values")
-    return config, out, values
-
-
 def _add_sweep_flags(p: argparse.ArgumentParser, axis: str) -> None:
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--values",
@@ -156,47 +85,40 @@ def _add_sweep_flags(p: argparse.ArgumentParser, axis: str) -> None:
                    help="disable fading; use mean SNR only")
     p.add_argument("--dump-raw", metavar="PATH",
                    help="also write per-subframe samples to PATH")
-    p.add_argument("--config", help="JSON file with experiment knobs")
 
 
-def _parse_values(values, axis: str, name: str = "--values"):
-    """Sweep values from the flag's comma-separated string, or from the
-    config file's string or JSON list of numbers; errors name ``name``."""
+def _parse_values(values: str | None, axis: str):
+    """Sweep values from ``--values``, comma-separated numbers."""
     if values is None:
         return None
-    if isinstance(values, str):
-        try:
-            vals = [float(v) for v in values.split(",") if v.strip()]
-        except ValueError:
-            raise ValueError(
-                f"{name} must be comma-separated numbers: {values!r}")
-    elif isinstance(values, list):
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   for v in values):
-            raise ValueError(f"{name} must be a list of numbers: {values!r}")
-        try:
-            vals = [float(v) for v in values]
-        except OverflowError:  # a JSON integer beyond the float range
-            raise ValueError(f"{name} must be finite numbers: {values!r}")
-    else:
-        raise ValueError(f"{name} must be a list of numbers or a "
-                         f"comma-separated string: {values!r}")
+    try:
+        vals = [float(v) for v in values.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--values must be comma-separated numbers: {values!r}")
     if not vals:
-        raise ValueError(f"{name} is empty")
+        raise ValueError("--values is empty")
     if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"{name} must be finite numbers: {values!r}")
+        raise ValueError(f"--values must be finite numbers: {values!r}")
     _, _, convert = SWEEP_AXES[axis]
     try:
         return [convert(v) for v in vals]
     except ValueError:  # a fraction on the users axis
-        raise ValueError(f"{name} on the {axis} axis must be whole numbers: "
-                         f"{values!r}") from None
+        raise ValueError(f"--values on the {axis} axis must be whole "
+                         f"numbers: {values!r}") from None
 
 
 def _cmd_sweep(args, axis: str) -> int:
-    config, out, values = _resolve(args, axis)
+    fields = {field: getattr(args, key)
+              for key, (field, _, _) in _knobs(axis).items()
+              if getattr(args, key) is not None}
+    if args.deterministic_fading:
+        fields["channel"] = ChannelParams(fading="none")
+    config = ExperimentConfig(**fields)
+    values = _parse_values(args.values, axis)
+    out = args.out
     if out is None:
-        raise ValueError("--out is required (flag or config file)")
+        raise ValueError("--out is required")
     # Fail before sampling, not after a sweep that cannot be written.
     for flag, path in (("--out", out), ("--out", out + ".meta.json"),
                        ("--dump-raw", args.dump_raw)):

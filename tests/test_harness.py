@@ -1,6 +1,6 @@
 """Experiment-harness and CLI tests."""
 
-import ast
+import argparse
 import concurrent.futures
 import dataclasses
 import itertools
@@ -430,17 +430,19 @@ def test_cli_solve_checks_primary_cells_before_allocating(tmp_path, capsys):
     assert captured.err.startswith("error: primary_cell must assign every")
 
 
-@pytest.mark.parametrize("command, flag", [
+@pytest.mark.parametrize("command, name", [
     (["solve", "GAP", "--budget", "-1"], "--budget"),
+    (["sweep-users", "--seed", "-1", "--out", "OUT"], "seed"),
 ])
 def test_cli_rejects_negative_budget_and_seed(tmp_path, capsys, command,
-                                              flag):
-    argv = [_write_gap(tmp_path) if a == "GAP" else a for a in command]
-    rc = main(argv)
+                                              name):
+    paths = {"GAP": _write_gap(tmp_path), "OUT": str(tmp_path / "x.csv")}
+    rc = main([paths.get(a, a) for a in command])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err == f"error: {flag} must be >= 0, got -1\n"
+    assert captured.err == f"error: {name} must be >= 0, got -1\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_solve_accepts_integral_floats(tmp_path, capsys):
@@ -459,19 +461,15 @@ def test_cli_solve_missing_file_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", [b'{"seed": }', b"\xff{}"])
-@pytest.mark.parametrize("kind", ["config file", "instance file"])
+@pytest.mark.parametrize("kind", ["instance file"])
 def test_cli_malformed_json_names_its_file(tmp_path, capsys, kind, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    out = tmp_path / "x.csv"
-    argv = {"config file": ["sweep-users", "--out", str(out),
-                            "--config", str(path)],
-            "instance file": ["solve", str(path)]}[kind]
-    assert main(argv) == 2
+    assert main(["solve", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {kind} {path} is not valid JSON")
     assert "Traceback" not in captured.err
-    assert not out.exists()
+    assert captured.out == ""
 
 
 def test_cli_sweep_users_writes_csv_and_meta(tmp_path, capsys):
@@ -513,240 +511,61 @@ def test_cli_dump_raw_consistent_with_csv(tmp_path):
     assert float(mean_mc) == np.mean([int(r[4]) for r in rows])
 
 
-def test_cli_seed_precedence(tmp_path, monkeypatch):
-    base = ["sweep-users", "--values", "20", "--trials", "1",
-            "--subframes", "2"]
-    env_csv = tmp_path / "env.csv"
-    monkeypatch.setenv("MCMS_SEED", "7")
-    assert main(base + ["--out", str(env_csv)]) == 0
-    seed7_csv = tmp_path / "seed7.csv"
-    monkeypatch.delenv("MCMS_SEED")
-    assert main(base + ["--out", str(seed7_csv), "--seed", "7"]) == 0
-    # env seed took effect
-    assert env_csv.read_bytes() == seed7_csv.read_bytes()
-
-    # flag beats both config file and environment
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 3}))
-    monkeypatch.setenv("MCMS_SEED", "4")
-    flag_csv = tmp_path / "flag.csv"
-    assert main(base + ["--out", str(flag_csv), "--seed", "7",
-                        "--config", str(cfg)]) == 0
-    assert flag_csv.read_bytes() == seed7_csv.read_bytes()
-
-    # config file beats environment
-    cfg_csv = tmp_path / "cfg.csv"
-    cfg7 = tmp_path / "cfg7.json"
-    cfg7.write_text(json.dumps({"seed": 7}))
-    assert main(base + ["--out", str(cfg_csv), "--config", str(cfg7)]) == 0
-    assert cfg_csv.read_bytes() == seed7_csv.read_bytes()
-
-
-def test_cli_config_file_supplies_knobs(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "seed": 5, "trials": 1, "subframes": 2, "values": "20,30",
-        "out": str(tmp_path / "from_cfg.csv"),
-    }))
-    rc = main(["sweep-users", "--config", str(cfg)])
-    assert rc == 0
-    direct = tmp_path / "direct.csv"
-    assert main(["sweep-users", "--out", str(direct), "--values", "20,30",
-                 "--trials", "1", "--subframes", "2", "--seed", "5"]) == 0
-    assert (tmp_path / "from_cfg.csv").read_bytes() == direct.read_bytes()
-
-
-@pytest.mark.parametrize("command, key, value, field", [
-    ("sweep-users", "seed", 9, "seed"),
-    ("sweep-users", "trials", 2, "trials"),
-    ("sweep-users", "subframes", 3, "subframes"),
-    ("sweep-users", "prbs", 3, "num_prbs"),
-    ("sweep-users", "rate", 1.1e6, "stream_rate_bps"),
-    ("sweep-users", "cells", 1, "num_cells"),
-    ("sweep-users", "radius", 250.0, "radius_m"),
-    ("sweep-radius", "users_per_cell", 15, "users_per_cell"),
-])
-def test_cli_every_config_knob_does_what_its_flag_does(tmp_path, command,
-                                                       key, value, field):
-    # Both runs write the same CSV and .meta.json bytes, and the value
-    # lands in the knob's own ExperimentConfig field.
-    assert getattr(ExperimentConfig(), field) != value
-    base = [command, "--values", "20" if command == "sweep-users" else "250"]
-    for name, count in (("trials", "1"), ("subframes", "2")):
-        if name != key:
-            base += [f"--{name}", count]
-    flag_out = tmp_path / "flag" / "x.csv"
-    cfg_out = tmp_path / "cfg" / "x.csv"
-    flag_out.parent.mkdir()
-    cfg_out.parent.mkdir()
-    assert main(base + ["--out", str(flag_out),
-                        "--" + key.replace("_", "-"), str(value)]) == 0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    assert main(base + ["--out", str(cfg_out), "--config", str(cfg)]) == 0
-    for suffix in ("", ".meta.json"):
-        assert (Path(str(cfg_out) + suffix).read_bytes()
-                == Path(str(flag_out) + suffix).read_bytes())
-    meta = json.loads(Path(str(cfg_out) + ".meta.json").read_text())
-    assert meta["config"][field] == value
-
-
-@pytest.mark.parametrize("axis, values, flag", [
-    ("users", [20, 30], "20,30"),
-    ("users", [20.0, 30], "20,30"),
-    ("users", "20,30", "20,30"),
-    ("radius", [250, 300.5], "250,300.5"),
-])
-def test_cli_config_values_list_matches_the_flag(tmp_path, axis, values,
-                                                 flag):
-    extra = (["--users-per-cell", "10"] if axis == "radius" else [])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"values": values,
-                               "out": str(tmp_path / "from_cfg.csv")}))
-    base = [f"sweep-{axis}", "--trials", "1", "--subframes", "2", "--seed",
-            "5", *extra]
-    assert main(base + ["--config", str(cfg)]) == 0
-    direct = tmp_path / "direct.csv"
-    assert main(base + ["--out", str(direct), "--values", flag]) == 0
-    assert (tmp_path / "from_cfg.csv").read_bytes() == direct.read_bytes()
-
-
-@pytest.mark.parametrize("axis, values, message", [
-    ("users", [], "values is empty"),
-    ("users", "", "values is empty"),
-    ("users", [20.5, 30], "values on the users axis must be whole numbers"),
-    ("users", [20, True], "values must be a list of numbers"),
-    ("users", [20, "30"], "values must be a list of numbers"),
-    ("users", [20, None], "values must be a list of numbers"),
-    ("users", [20, [30]], "values must be a list of numbers"),
-    ("radius", [250, 1e400], "values must be finite numbers"),
-    ("users", [20, 10 ** 400], "values must be finite numbers"),
-    ("users", 20, "values must be a list of numbers or a comma-separated"),
-    ("users", {"a": 20}, "values must be a list of numbers or a comma-sep"),
-    ("users", "20,x", "values must be comma-separated numbers"),
-    ("users", [30, 20], "sweep values must be strictly increasing"),
-])
-def test_cli_rejects_bad_config_values_lists(tmp_path, capsys, axis, values,
-                                             message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"values": values,
-                               "out": str(tmp_path / "x.csv")}))
-    rc = main([f"sweep-{axis}", "--trials", "1", "--subframes", "1",
-               "--config", str(cfg)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert "--values" not in err  # the flag was not given
-    assert "Traceback" not in err
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_cli_values_flag_overrides_config_values(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"values": ["not", "used"]}))
-    out = tmp_path / "x.csv"
-    assert main(["sweep-users", "--out", str(out), "--values", "20",
-                 "--trials", "1", "--subframes", "1",
-                 "--config", str(cfg)]) == 0
-    assert out.read_text().splitlines()[1].startswith("20,")
-
-
-def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sded": 1}))
-    rc = main(["sweep-users", "--out", str(tmp_path / "x.csv"),
-               "--config", str(cfg)])
-    assert rc == 2
-    assert "unknown config keys" in capsys.readouterr().err
-    # The swept knob takes its values only from --values or values: a
-    # config that sets it too is an error, not a fixed knob that the
-    # .meta.json records and the sweep ignores.
-    for command, doc in (("sweep-radius", {"radius": 250, "values": "300"}),
-                         ("sweep-users", {"users_per_cell": 5,
-                                          "values": "20"})):
-        key = next(iter(doc))
-        out = tmp_path / f"{key}.csv"
-        cfg.write_text(json.dumps(doc))
-        rc = main([command, "--out", str(out), "--trials", "1",
-                   "--subframes", "1", "--config", str(cfg)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"unknown config keys ['{key}']" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-        assert not Path(str(out) + ".meta.json").exists()
-
-
 @pytest.mark.parametrize("command, knob", [("sweep-users", "radius"),
                                            ("sweep-radius", "users_per_cell")])
-def test_cli_sweep_config_keys_are_its_own_knob_flags(tmp_path, capsys,
-                                                      command, knob):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sded": 1}))
-    assert main([command, "--config", str(cfg)]) == 2
-    known = ast.literal_eval(
-        capsys.readouterr().err.split("known keys: ")[1].strip())
+def test_cli_knobs_come_only_from_their_flags(tmp_path, capsys, monkeypatch,
+                                              command, knob):
+    # A sweep command's knob flags are its seven knobs: the swept knob has
+    # no flag, and each flag sets its own ExperimentConfig field.
+    (commands,) = [action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {flag for action in commands.choices[command]._actions
+             for flag in action.option_strings}
     knobs = {"seed", "trials", "subframes", "prbs", "rate", "cells", knob}
-    assert known == sorted(knobs | {"values", "out", "deterministic_fading"})
-    parser = cli._build_parser()
-    for key in ("seed", "trials", "subframes", "prbs", "rate", "cells",
-                "radius", "users_per_cell"):
-        try:
-            parser.parse_args([command, "--" + key.replace("_", "-"), "1"])
-        except SystemExit:  # no such flag
-            assert key not in known
-        else:
-            assert key in known
+    assert set(cli._knobs(command.removeprefix("sweep-"))) == knobs
+    assert flags - {"-h", "--help", "--out", "--values", "--exact",
+                    "--deterministic-fading", "--dump-raw"} == {
+        "--" + key.replace("_", "-") for key in knobs}
+    base = [command, "--values", "20" if command == "sweep-users" else "250"]
+    for key, value in (("seed", 9), ("trials", 2), ("subframes", 3),
+                       ("prbs", 3), ("rate", 1.1e6), ("cells", 1),
+                       ("radius", 250.0), ("users_per_cell", 15)):
+        if key not in knobs:
+            continue
+        field = cli._FIELDS[key][0]
+        assert getattr(ExperimentConfig(), field) != value
+        counts = [arg for name in ("trials", "subframes") if name != key
+                  for arg in (f"--{name}", "1")]
+        out = tmp_path / f"{key}.csv"
+        assert main(base + counts + ["--out", str(out),
+                                     "--" + key.replace("_", "-"),
+                                     str(value)]) == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["config"][field] == value
 
-
-@pytest.mark.parametrize("doc, message", [
-    ({"cells": 7.5}, "cells must be a whole number"),
-    ({"seed": 1.5}, "seed must be a whole number"),
-    ({"seed": -1}, "seed must be >= 0"),
-    ({"trials": True}, "trials must be a whole number"),
-    ({"trials": "1"}, "trials must be a whole number"),
-    ({"trials": 1.5}, "trials must be a whole number"),
-    ({"prbs": False}, "prbs must be a whole number"),
-    ({"rate": "fast"}, "stream_rate_bps must be a finite number"),
-    ({"radius": True}, "radius_m must be a finite number"),
-    ({"deterministic_fading": "false"}, "deterministic_fading must be true"),
-    ({"deterministic_fading": 0}, "deterministic_fading must be true"),
-    ({"out": 5}, "out must be a path string"),
-    # JSON integers beyond the float range.
-    ({"radius": 10**400}, "radius_m must be a finite number"),
-    ({"rate": 10**400}, "stream_rate_bps must be a finite number"),
-    # A null is an error, not the default, nor the MCMS_SEED seed.
-    ({"trials": None}, "sets ['trials'] to null"),
-    ({"values": None}, "sets ['values'] to null"),
-    ({"radius": None}, "sets ['radius'] to null"),
-    ({"out": None}, "sets ['out'] to null"),
-    ({"seed": None}, "sets ['seed'] to null"),
-])
-def test_cli_rejects_bad_config_values(tmp_path, capsys, monkeypatch, doc,
-                                       message):
-    monkeypatch.setenv("MCMS_SEED", "3")
+    # No config file: --config is an unknown flag and nothing is written.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"values": "20", "out": str(tmp_path / "x.csv"),
-                               **doc}))
-    rc = main(["sweep-users", "--config", str(cfg)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "x.csv").exists()
+    cfg.write_text(json.dumps({"seed": 7}))
+    out = tmp_path / "cfg" / "x.csv"
+    out.parent.mkdir()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--out", str(out), "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
 
-
-def test_cli_config_accepts_integral_floats_and_json_booleans(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cells": 7.0, "trials": 1.0, "subframes": 2,
-                               "deterministic_fading": True}))
-    out = tmp_path / "x.csv"
-    assert main(["sweep-users", "--out", str(out), "--values", "20",
-                 "--config", str(cfg)]) == 0
-    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
-    assert meta["config"]["num_cells"] == 7
-    assert meta["config"]["trials"] == 1
-    assert meta["config"]["channel"]["fading"] == "none"
+    # No seed from the environment: MCMS_SEED changes no byte.
+    small = base + ["--trials", "1", "--subframes", "2", "--out"]
+    monkeypatch.setenv("MCMS_SEED", "7")
+    assert main(small + [str(tmp_path / "env.csv")]) == 0
+    monkeypatch.delenv("MCMS_SEED")
+    assert main(small + [str(tmp_path / "plain.csv")]) == 0
+    for suffix in ("", ".meta.json"):
+        assert ((tmp_path / f"env.csv{suffix}").read_bytes()
+                == (tmp_path / f"plain.csv{suffix}").read_bytes())
+    meta = json.loads((tmp_path / "plain.csv.meta.json").read_text())
+    assert meta["config"]["seed"] == 0
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -768,6 +587,10 @@ def test_cli_config_accepts_integral_floats_and_json_booleans(tmp_path):
      "radius 1e+308 is too large for a 1-cell"),
     (["sweep-radius", "--values", "1e308"],
      "radius 1e+308 is too large for a 7-cell"),
+    (["--values", " , "], "--values is empty"),
+    (["--values", "20,inf"], "--values must be finite numbers"),
+    (["--values", "20,x"], "--values must be comma-separated numbers"),
+    (["--values", "30,20"], "sweep values must be strictly increasing"),
 ])
 def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
     out = tmp_path / "x.csv"
@@ -857,24 +680,21 @@ def test_reading_every_fading_seed_holds_one_block():
     assert peak < 50_000 * 32 // 4, peak
 
 
-@pytest.mark.parametrize("flags, config, message", [
-    (["--out", "{missing}/x.csv"], None, "--out"),
-    (["--out", "{tmp}"], None, "--out"),
-    (["--out", "{tmp}/x.csv", "--dump-raw", "{missing}/raw.csv"], None,
+@pytest.mark.parametrize("flags, message", [
+    (["--out", "{missing}/x.csv"], "--out"),
+    (["--out", "{tmp}"], "--out"),
+    (["--out", "{tmp}/x.csv", "--dump-raw", "{missing}/raw.csv"],
      "--dump-raw"),
-    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}"], None, "--dump-raw"),
-    ([], {"out": "{missing}/x.csv"}, "--out"),
+    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}"], "--dump-raw"),
     # --dump-raw must not overwrite the CSV or its sidecar.
-    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}/./x.csv"], None,
+    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}/./x.csv"], "--dump-raw"),
+    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}/x.csv.meta.json"],
      "--dump-raw"),
-    (["--out", "{tmp}/x.csv", "--dump-raw", "{tmp}/x.csv.meta.json"], None,
-     "--dump-raw"),
-    (["--dump-raw", "{tmp}/x.csv"], {"out": "{tmp}/x.csv"}, "--dump-raw"),
     # The CSV's .meta.json sidecar must be writable too.
-    (["--out", "{taken}/x.csv"], None, "--out"),
+    (["--out", "{taken}/x.csv"], "--out"),
 ])
 def test_cli_rejects_unwritable_outputs_before_sampling(
-        tmp_path, capsys, monkeypatch, flags, config, message):
+        tmp_path, capsys, monkeypatch, flags, message):
     def no_sampling(*args, **kwargs):
         raise AssertionError("the kernel was entered")
 
@@ -886,17 +706,11 @@ def test_cli_rejects_unwritable_outputs_before_sampling(
              "taken": str(taken)}
     argv = ["sweep-users", "--trials", "2", "--subframes", "50"]
     argv += [flag.format(**paths) for flag in flags]
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {k: v.format(**paths) for k, v in config.items()}))
-        argv += ["--config", str(cfg)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message} ")
-    # No file but the config: neither the CSV nor any sidecar.
-    assert set(tmp_path.rglob("*")) <= {tmp_path / "cfg.json", taken,
-                                        taken / "x.csv.meta.json"}
+    # Neither the CSV nor any sidecar.
+    assert set(tmp_path.rglob("*")) <= {taken, taken / "x.csv.meta.json"}
 
 
 def test_cli_requires_out(capsys):
@@ -977,15 +791,19 @@ def test_cli_has_three_commands_and_no_oracle_check(capsys):
     assert commands.split(",") == ["sweep-users", "sweep-radius", "solve"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep-users", "--values", "10000000000000000", "--trials", "1",
-     "--subframes", "1", "--out", "{tmp}/x.csv"],
-])
-def test_cli_reports_an_allocation_failure(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
     # 10^16 users ask for some 900 PiB, beyond any 57-bit address space,
     # so the first allocation fails at once on every machine.
-    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
-    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    (["--values", "10000000000000000", "--trials", "1"],
+     "Unable to allocate "),
+    # 10^20 trials exceed numpy's largest array dimension, 2**63 - 1.
+    (["--values", "20", "--trials", "100000000000000000000"],
+     "Maximum allowed dimension exceeded"),
+], ids=["users", "trials"])
+def test_cli_reports_an_allocation_failure(tmp_path, capsys, argv, message):
+    assert main(["sweep-users", *argv, "--subframes", "1",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,11 +1,12 @@
 """The README's code runs as written, and the results it states hold."""
 
+import argparse
 import re
 from pathlib import Path
 
 import mcms
 from mcms import solve_exact, solve_greedy, write_csv
-from mcms.cli import main
+from mcms.cli import _build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
     encoding="utf-8")
@@ -50,3 +51,15 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from mcms import *", namespace)  # AttributeError on a stale name
     assert set(mcms.__all__) <= set(namespace)
+
+
+def test_cli_section_names_only_live_flags():
+    # A flag that a command no longer has cannot stay in the README.
+    section = README.split("\n## CLI\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (commands,) = [action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {flag for parser in commands.choices.values()
+             for action in parser._actions for flag in action.option_strings}
+    assert "--out" in named
+    assert named <= flags, sorted(named - flags)

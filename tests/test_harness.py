@@ -511,12 +511,28 @@ def test_cli_dump_raw_consistent_with_csv(tmp_path):
     assert float(mean_mc) == np.mean([int(r[4]) for r in rows])
 
 
+def test_cli_seed_precedence(tmp_path):
+    # The seed comes from --seed, or else is ExperimentConfig's 0.
+    base = ["sweep-users", "--values", "20", "--trials", "1", "--subframes",
+            "2", "--out"]
+    default, zero, seven = (tmp_path / f"{name}.csv"
+                            for name in ("default", "zero", "seven"))
+    assert main(base + [str(default)]) == 0
+    assert main(base + [str(zero), "--seed", "0"]) == 0
+    assert main(base + [str(seven), "--seed", "7"]) == 0
+    for suffix in ("", ".meta.json"):
+        assert (Path(str(default) + suffix).read_bytes()
+                == Path(str(zero) + suffix).read_bytes())
+    assert seven.read_bytes() != default.read_bytes()
+    meta = json.loads(Path(str(seven) + ".meta.json").read_text())
+    assert meta["config"]["seed"] == 7
+
+
 @pytest.mark.parametrize("command, knob", [("sweep-users", "radius"),
                                            ("sweep-radius", "users_per_cell")])
-def test_cli_knobs_come_only_from_their_flags(tmp_path, capsys, monkeypatch,
-                                              command, knob):
+def test_cli_sweep_config_keys_are_its_own_knob_flags(command, knob):
     # A sweep command's knob flags are its seven knobs: the swept knob has
-    # no flag, and each flag sets its own ExperimentConfig field.
+    # no flag.
     (commands,) = [action for action in cli._build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
     flags = {flag for action in commands.choices[command]._actions
@@ -526,29 +542,105 @@ def test_cli_knobs_come_only_from_their_flags(tmp_path, capsys, monkeypatch,
     assert flags - {"-h", "--help", "--out", "--values", "--exact",
                     "--deterministic-fading", "--dump-raw"} == {
         "--" + key.replace("_", "-") for key in knobs}
-    base = [command, "--values", "20" if command == "sweep-users" else "250"]
-    for key, value in (("seed", 9), ("trials", 2), ("subframes", 3),
-                       ("prbs", 3), ("rate", 1.1e6), ("cells", 1),
-                       ("radius", 250.0), ("users_per_cell", 15)):
-        if key not in knobs:
-            continue
-        field = cli._FIELDS[key][0]
-        assert getattr(ExperimentConfig(), field) != value
-        counts = [arg for name in ("trials", "subframes") if name != key
-                  for arg in (f"--{name}", "1")]
-        out = tmp_path / f"{key}.csv"
-        assert main(base + counts + ["--out", str(out),
-                                     "--" + key.replace("_", "-"),
-                                     str(value)]) == 0
-        meta = json.loads(Path(str(out) + ".meta.json").read_text())
-        assert meta["config"][field] == value
 
+
+@pytest.mark.parametrize("command, key, value, field", [
+    ("sweep-users", "seed", 9, "seed"),
+    ("sweep-users", "trials", 2, "trials"),
+    ("sweep-users", "subframes", 3, "subframes"),
+    ("sweep-users", "prbs", 3, "num_prbs"),
+    ("sweep-users", "rate", 1.1e6, "stream_rate_bps"),
+    ("sweep-users", "cells", 1, "num_cells"),
+    ("sweep-users", "radius", 250.0, "radius_m"),
+    ("sweep-radius", "users_per_cell", 15, "users_per_cell"),
+])
+def test_cli_every_config_knob_does_what_its_flag_does(tmp_path, command,
+                                                       key, value, field):
+    # The flag sets its own ExperimentConfig field: the CLI writes the same
+    # CSV and .meta.json bytes as run_sweep given that field.
+    assert cli._FIELDS[key][0] == field
+    assert getattr(ExperimentConfig(), field) != value
+    axis = command.removeprefix("sweep-")
+    point = 20 if axis == "users" else 250
+    fields = {"trials": 1, "subframes": 2, field: value}
+    flag_out = tmp_path / "flag.csv"
+    argv = [command, "--values", str(point), "--out", str(flag_out),
+            "--" + key.replace("_", "-"), str(value)]
+    for name in ("trials", "subframes"):
+        if name != key:
+            argv += [f"--{name}", str(fields[name])]
+    assert main(argv) == 0
+    config_out = tmp_path / "config.csv"
+    result = run_sweep(ExperimentConfig(**fields), axis, values=[point])
+    write_csv(result, config_out)
+    write_meta(result, config_out)
+    for suffix in ("", ".meta.json"):
+        assert (Path(str(config_out) + suffix).read_bytes()
+                == Path(str(flag_out) + suffix).read_bytes())
+    meta = json.loads(Path(str(flag_out) + ".meta.json").read_text())
+    assert meta["config"][field] == value
+
+
+@pytest.mark.parametrize("axis, values, flag", [
+    ("users", [20, 30], "20,30"),
+    ("users", [20.0, 30], "20,30"),
+    ("users", [20, 30], "20.0,30"),
+    ("radius", [250, 300.5], "250,300.5"),
+])
+def test_cli_config_values_list_matches_the_flag(tmp_path, axis, values,
+                                                 flag):
+    # run_sweep given the values list writes the bytes that --values does.
+    fields = {"users_per_cell": 10} if axis == "radius" else {}
+    config = ExperimentConfig(trials=1, subframes=2, seed=5, **fields)
+    from_list = tmp_path / "from_list.csv"
+    result = run_sweep(config, axis, values=values)
+    write_csv(result, from_list)
+    write_meta(result, from_list)
+    direct = tmp_path / "direct.csv"
+    extra = ["--users-per-cell", "10"] if axis == "radius" else []
+    assert main([f"sweep-{axis}", "--trials", "1", "--subframes", "2",
+                 "--seed", "5", *extra, "--out", str(direct),
+                 "--values", flag]) == 0
+    for suffix in ("", ".meta.json"):
+        assert (Path(str(from_list) + suffix).read_bytes()
+                == Path(str(direct) + suffix).read_bytes())
+
+
+def test_cli_values_flag_overrides_config_values(tmp_path):
+    # --values replaces the axis's default values.
+    assert 20 not in harness.SWEEP_AXES["users"][1]
+    out = tmp_path / "x.csv"
+    assert main(["sweep-users", "--out", str(out), "--values", "20",
+                 "--trials", "1", "--subframes", "1"]) == 0
+    assert [line.split(",")[0]
+            for line in out.read_text().splitlines()[1:]] == ["20"]
+
+
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
+    # A knob that is not one of the command's is an unknown flag, the
+    # swept knob too: it takes its values only from --values.
+    for command, flag in (("sweep-users", "--sded"),
+                          ("sweep-users", "--users-per-cell"),
+                          ("sweep-radius", "--radius")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "x.csv"), "--trials",
+                  "1", "--subframes", "1", flag, "5"])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {flag} 5"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep-users", "sweep-radius"])
+def test_cli_knobs_come_only_from_their_flags(tmp_path, capsys, monkeypatch,
+                                              command):
+    base = [command, "--values", "20" if command == "sweep-users" else "250",
+            "--trials", "1", "--subframes", "2"]
     # No config file: --config is an unknown flag and nothing is written.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 7}))
     out = tmp_path / "cfg" / "x.csv"
     out.parent.mkdir()
-    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(base + ["--out", str(out), "--config", str(cfg)])
     assert exc.value.code == 2
@@ -556,11 +648,10 @@ def test_cli_knobs_come_only_from_their_flags(tmp_path, capsys, monkeypatch,
     assert list(out.parent.iterdir()) == []
 
     # No seed from the environment: MCMS_SEED changes no byte.
-    small = base + ["--trials", "1", "--subframes", "2", "--out"]
     monkeypatch.setenv("MCMS_SEED", "7")
-    assert main(small + [str(tmp_path / "env.csv")]) == 0
+    assert main(base + ["--out", str(tmp_path / "env.csv")]) == 0
     monkeypatch.delenv("MCMS_SEED")
-    assert main(small + [str(tmp_path / "plain.csv")]) == 0
+    assert main(base + ["--out", str(tmp_path / "plain.csv")]) == 0
     for suffix in ("", ".meta.json"):
         assert ((tmp_path / f"env.csv{suffix}").read_bytes()
                 == (tmp_path / f"plain.csv{suffix}").read_bytes())
@@ -587,10 +678,6 @@ def test_cli_knobs_come_only_from_their_flags(tmp_path, capsys, monkeypatch,
      "radius 1e+308 is too large for a 1-cell"),
     (["sweep-radius", "--values", "1e308"],
      "radius 1e+308 is too large for a 7-cell"),
-    (["--values", " , "], "--values is empty"),
-    (["--values", "20,inf"], "--values must be finite numbers"),
-    (["--values", "20,x"], "--values must be comma-separated numbers"),
-    (["--values", "30,20"], "sweep values must be strictly increasing"),
 ])
 def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
     out = tmp_path / "x.csv"
@@ -602,6 +689,30 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("users", " , ", "values is empty"),
+    ("users", "", "values is empty"),
+    ("users", [20.5, 30], "values on the users axis must be whole numbers"),
+    # A value beyond the float range.
+    ("radius", [250, 10 ** 400], "values must be finite numbers"),
+    ("users", "20,inf", "values must be finite numbers"),
+    ("users", "20,x", "values must be comma-separated numbers"),
+    ("users", [30, 20], "sweep values must be strictly increasing"),
+])
+def test_cli_rejects_bad_config_values_lists(tmp_path, capsys, axis, values,
+                                             message):
+    # A list of sweep values goes to --values comma-joined, text as it is.
+    if not isinstance(values, str):
+        values = ",".join(str(value) for value in values)
+    rc = main([f"sweep-{axis}", "--trials", "1", "--subframes", "1",
+               "--out", str(tmp_path / "x.csv"), "--values", values])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_fading_seeds_are_bounded_to_the_placement():
@@ -692,7 +803,10 @@ def test_reading_every_fading_seed_holds_one_block():
      "--dump-raw"),
     # The CSV's .meta.json sidecar must be writable too.
     (["--out", "{taken}/x.csv"], "--out"),
-])
+], ids=[  # the names the cases had when the table held --config cases
+    "flags0-None---out", "flags1-None---out", "flags2-None---dump-raw",
+    "flags3-None---dump-raw", "flags5-None---dump-raw",
+    "flags6-None---dump-raw", "flags8-None---out"])
 def test_cli_rejects_unwritable_outputs_before_sampling(
         tmp_path, capsys, monkeypatch, flags, message):
     def no_sampling(*args, **kwargs):
@@ -799,7 +913,7 @@ def test_cli_has_three_commands_and_no_oracle_check(capsys):
     # 10^20 trials exceed numpy's largest array dimension, 2**63 - 1.
     (["--values", "20", "--trials", "100000000000000000000"],
      "Maximum allowed dimension exceeded"),
-], ids=["users", "trials"])
+], ids=["argv0", "argv1"])
 def test_cli_reports_an_allocation_failure(tmp_path, capsys, argv, message):
     assert main(["sweep-users", *argv, "--subframes", "1",
                  "--out", str(tmp_path / "x.csv")]) == 2

@@ -3,15 +3,16 @@
 `unserved_counts` runs every sample of `mcms.harness.run_sweep`: it
 takes the whole sweep as one stream of placements and yields each
 placement's unserved counts in order, one row per column.  Per
-placement it computes the mean SNR of every link and a fading-gain
-threshold; per sub-frame it draws the gains, a slab of whole cells at a
-time, and compares them with the threshold, computing the rate only
-within a narrow guard band of it, so coverage is exactly that of
-`sample_rates` followed by `derive_instance`.  Sub-frames are drawn in
-batches under a fixed byte budget, by the calling thread and helpers of
-a pool of the call's own, two batches open at once: the batch it solves
-and the next one.  Helpers only draw, and the calling thread alone cuts
-the batches, reads the fading seeds, frees and solves.
+placement it computes every link's fading-gain threshold from its
+squared distance (`inverse_mean_snr`); per sub-frame it draws the gains,
+a slab of whole cells at a time, and compares them with the threshold,
+computing the rate only within a narrow guard band of it, so coverage
+is exactly that of `sample_rates` followed by `derive_instance`.
+Sub-frames are drawn in batches under a fixed byte budget, by the
+calling thread and helpers of a pool of the call's own, two batches open
+at once: the batch it solves and the next one.  Helpers only draw, and
+the calling thread alone cuts the batches, reads the fading seeds, frees
+and solves.
 
 `COLUMNS` is the one table of a sweep's columns, SC, MC and EXACT: each
 a name, a batch solver and a description.  Every count array and every
@@ -31,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import (ChannelParams, Scenario, StreamSpec, mean_snr,
-                       shannon_rate_bps)
+from .scenario import (ChannelParams, Scenario, StreamSpec, inverse_mean_snr,
+                       mean_snr, shannon_rate_bps)
 from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
                       swap_batch)
 
@@ -43,10 +44,10 @@ from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
 # whole batch: one budget for all cells would give 19-cell batches of a
 # few sub-frames, each batch paying for 19 steps.
 _BATCH_CELL_BYTES = 16 << 10
-# Byte budget of the thresholds (gain bounds, 16 B a link, and the
-# scenario), counted at 24 B a link, of the placements one batch opens,
-# at least one: a batch of placements of a few sub-frames each would
-# otherwise keep all of theirs alive.
+# Byte budget of the thresholds of the placements one batch opens, at
+# least one, counted at 24 B a link: 16 B of gain bounds, plus the mean
+# SNR of a placement with out-of-range links.  A batch of placements of a
+# few sub-frames each would otherwise keep all of theirs alive.
 _BATCH_OPEN_BYTES = 1 << 20
 # Byte budget of one thread's fading gains: a sub-frame is drawn a slab
 # of whole cells at a time, at least one cell.
@@ -68,34 +69,6 @@ def _batch_subframes(num_prbs: int, num_users: int) -> int:
     """Most sub-frames of a batch under _BATCH_CELL_BYTES, at least one."""
     per_cell = num_prbs * -(-num_users // 64) * 8
     return max(1, _BATCH_CELL_BYTES // max(per_cell, 1))
-
-
-def _gain_bounds(snr: np.ndarray, params: ChannelParams,
-                 stream: StreamSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Fading-gain bounds [cells, 1, users] of the decode rule.
-
-    A link decodes when its rate ``shannon_rate_bps(snr * gain, B)``
-    reaches the stream rate R, that is when ``snr * gain`` reaches
-    ``x = expm1(R / B * ln 2)``, or the gain reaches ``g* = x / snr``.
-    Rounding makes the two rules differ near the threshold, by a
-    relative error in ``1 + snr * gain`` of about (R / B * ln 2 + 4)
-    units in the last place: below 2e-13 while x is finite.  So a gain
-    of at least ``hi`` decodes, a gain below ``lo`` does not, and gains
-    in between, ``g*`` give or take _GUARD * (1 + x) / snr, get their
-    rate computed.  The band is relative to 1 + x, not to x: at low
-    SNR, ``1 + snr * gain`` keeps few bits of ``snr * gain``.  Links
-    whose bounds are not finite (the threshold overflows, or a zero
-    SNR) have every gain in between.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
-        half = _GUARD * (1.0 + x)
-        lo = (x - half) / snr
-        hi = (x + half) / snr
-    exact = ~(np.isfinite(lo) & np.isfinite(hi))
-    lo[exact] = -np.inf
-    hi[exact] = np.inf
-    return lo[:, None, :], hi[:, None, :]
 
 
 def _exact_batch(words: np.ndarray, owners: np.ndarray,
@@ -152,10 +125,20 @@ BASE_COLUMNS = COLUMNS[:2]
 
 
 class _Placement:
-    """One placement as the kernel sees it: its scenario, the per-link
-    thresholds, the mean SNRs if some link's thresholds are not finite,
-    the fading seeds of its sub-frames and their unserved counts, one
-    row per column."""
+    """One placement as the kernel sees it: its scenario, each link's gain
+    bounds ``lo`` and ``hi`` (16 B), its mean SNRs (8 B a link) only if
+    a link is out of range, its sub-frames' fading seeds and unserved
+    counts, one row per column.
+
+    A link decodes when ``shannon_rate_bps(snr * gain, B)`` reaches the
+    stream rate R: when ``snr * gain`` reaches ``x = expm1(R / B * ln
+    2)``, or the gain ``g* = x / snr``.  The rules' rounding differs by
+    about (R / B * ln 2 + 4) ulps of ``1 + snr * gain``, 1 / snr from
+    `inverse_mean_snr` by 1e-11 at most, so a gain of at least ``hi``
+    decodes, one below ``lo`` does not, and those within _GUARD * (1 +
+    x) / snr of g* (relative to 1 + x: at low SNR, 1 + snr * gain keeps
+    few bits of snr * gain) get their rate from `mean_snr`, as do all
+    gains of links out of range or whose threshold overflows."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
                  params: ChannelParams, stream: StreamSpec, num_prbs: int,
@@ -165,12 +148,20 @@ class _Placement:
         # Kept for its mean SNRs, which a draw computes again on the rare
         # guard-band hit (`_draw`) rather than hold 8 B a link here.
         self.scenario = scenario
-        snr = mean_snr(scenario, params)
-        num_cells, self.num_users = snr.shape
-        self.lo, self.hi = _gain_bounds(snr, params, stream)
-        # A link whose bounds are not finite puts every gain in the band,
-        # so every sub-frame would compute the mean SNRs again: keep them.
-        self.snr = snr if np.isinf(self.hi).any() else None
+        inv = inverse_mean_snr(scenario, params)
+        num_cells, self.num_users = inv.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
+            half = _GUARD * (1.0 + x)
+            lo, hi = inv * (x - half), np.multiply(inv, x + half, out=inv)
+        # lo and hi are NaN at the same links and hi >= 0: a bound that is
+        # not finite shows in lo's minimum or hi's maximum.
+        self.snr = None
+        if not np.isfinite([lo.min(initial=0.0), hi.max(initial=0.0)]).all():
+            band = ~(np.isfinite(lo) & np.isfinite(hi))
+            lo[band], hi[band] = -np.inf, np.inf
+            self.snr = mean_snr(scenario, params)  # for every gain of those
+        self.lo, self.hi = lo[:, None, :], hi[:, None, :]
         self.owners = primary_words(scenario.primary_cell, num_cells)
         self.word_shape = (num_cells, num_prbs, -(-self.num_users // 64))
         self.slab = max(1, min(num_cells, _SLAB_BYTES

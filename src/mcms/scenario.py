@@ -17,12 +17,12 @@ reaches the stream rate; `sample_rates` draws one sub-frame's rates as
 a [cells, prbs, users] array, and `derive_instance` turns it plus a
 stream rate into a coverage problem.
 
-`mean_snr` is the one place the link budget lives.  `sample_rates` uses
-it per call; the Monte Carlo kernel in `mcms.kernel` uses it once per
-placement, then decides each link by comparing the fading gain with the
-gain threshold ``expm1(R / B * ln 2) / snr``, computing the rate only
-for gains within a narrow guard band of it.  Both give the same
-coverage.
+The link budget lives here alone: `mean_snr`, which `sample_rates` uses,
+and `inverse_mean_snr`, the same budget from squared distances in the
+log domain.  The Monte Carlo kernel (`mcms.kernel`) takes the latter
+per placement for its gain thresholds ``expm1(R / B * ln 2) / snr`` and
+the former for the rates of gains in a narrow guard band around them,
+which holds the rounding of both.  Both give the same coverage.
 """
 
 from __future__ import annotations
@@ -212,34 +212,20 @@ class Scenario:
         return self.user_positions.shape[0]
 
 
-def _sample_in_hex(n: int, radius: float, uniform) -> np.ndarray:
-    # Rejection sampling from the bounding box; acceptance ratio is 3/4.
-    # ``uniform(rows)`` draws that many points in the box.
-    out = np.empty((n, 2))
-    filled = 0
-    while filled < n:
-        need = n - filled
-        pts = uniform(max(2 * need, 16))
-        pts = pts[in_hexagon(pts, (0.0, 0.0), radius)][:need]
-        out[filled:filled + len(pts)] = pts
-        filled += len(pts)
-    return out
-
-
 def _sample_cells(num_cells: int, n: int, radius: float,
                   rng: np.random.Generator) -> np.ndarray:
     """``n`` points uniform in the hexagon of circumradius ``radius``
     around the origin, for each cell in turn: [cells, n, 2].
 
-    Each cell runs `_sample_in_hex` on one stream of points uniform in
-    the bounding box, whose first round draws max(2n, 16) points.  The
-    first rounds of all cells are drawn as one block and tested at once;
-    each cell whose round accepts at least n points takes its first n.
-    From the first cell that falls short, the cells run the rounds one
-    by one, taking the block's later points as the start of the stream
-    and drawing more only when those run out.  Every cell therefore gets
-    the points, and ``rng`` ends in the state, of the cells' rounds
-    drawn one after another.
+    Each cell takes rounds of rejection sampling (acceptance 3/4) of
+    max(2 * need, 16) points from one stream uniform in the bounding box
+    while it needs more.  All cells' first rounds are drawn as one block
+    and tested at once; each cell whose round accepts n points takes its
+    first n.  From the first cell that falls short, cells run the rounds
+    one by one, the stream starting with the block's later points.  So
+    every cell gets the points, and ``rng`` ends in the state, of the
+    cells' rounds drawn one after another.  A point is low + (high -
+    low) * u from doubles u of ``rng.random``, as ``rng.uniform`` draws.
     """
     out = np.empty((num_cells, n, 2))
     if n == 0:
@@ -247,12 +233,15 @@ def _sample_cells(num_cells: int, n: int, radius: float,
     half_w = _SQRT3 / 2.0 * radius
 
     def uniform(rows):
-        return rng.uniform((-half_w, -radius), (half_w, radius),
-                           size=(rows, 2))
+        pts = rng.random((rows, 2))
+        for column, half in ((pts[:, 0], half_w), (pts[:, 1], radius)):
+            column *= half - -half
+            column += -half
+        return pts
 
     first = max(2 * n, 16)
     block = uniform(num_cells * first)
-    inside = in_hexagon(block, (0.0, 0.0), radius).reshape(num_cells, first)
+    inside = in_hexagon(block, 0.0, radius).reshape(num_cells, first)
     rank = np.cumsum(inside, axis=1)
     full = rank[:, -1] >= n
     short = num_cells if full.all() else int(np.argmin(full))
@@ -267,7 +256,12 @@ def _sample_cells(num_cells: int, n: int, radius: float,
             [pts, uniform(rows - len(pts))])
 
     for c in range(short, num_cells):
-        out[c] = _sample_in_hex(n, radius, stream)
+        filled = 0
+        while filled < n:
+            pts = stream(max(2 * (n - filled), 16))
+            pts = pts[in_hexagon(pts, 0.0, radius)][:n - filled]
+            out[c, filled:filled + len(pts)] = pts
+            filled += len(pts)
     return out
 
 
@@ -339,6 +333,36 @@ def mean_snr(scenario: Scenario, params: ChannelParams) -> np.ndarray:
     if not np.all(np.isfinite(snr)):
         raise ValueError("mean SNR must be finite")
     return snr
+
+
+def inverse_mean_snr(scenario: Scenario, params: ChannelParams) -> np.ndarray:
+    """1 / `mean_snr` [cells, users] by one log and one exp: K * max(d**2,
+    min_distance**2) ** (slope / 20), ln K = ln 10 / 10 * (const +
+    noise_power - tx_power - 3 * slope).  Within ~1e-14 of `mean_snr`'s
+    at the defaults, 1e-11 at worst; NaN where that is not promised: an
+    SNR that may lie beyond 2**±1020 (`mean_snr` may be subnormal, 0 or
+    infinite), and every link if the terms' magnitudes sum to 1e4 dB or
+    min_distance**2 is below 2**-1000, where rounding costs more."""
+    users, cells = scenario.user_positions, scenario.cell_centers
+    slope, floor = params.pathloss_slope_db, params.min_distance_m
+    floor *= floor  # inf, not OverflowError, beyond the float range
+    terms = (params.pathloss_const_db, params.noise_power_dbm,
+             -params.tx_power_dbm, -3.0 * slope)
+    if not (sum(map(abs, terms)) < 1e4 and floor >= 2.0 ** -1000):
+        return np.full((len(cells), len(users)), np.nan)
+    inv = np.subtract(users[None, :, 0], cells[:, None, 0])
+    dy = np.subtract(users[None, :, 1], cells[:, None, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv *= inv
+        dy *= dy
+        inv += dy
+        np.log(np.maximum(inv, floor, out=inv), out=inv)
+        inv *= slope / 20.0
+        inv += sum(terms) * (math.log(10.0) / 10.0)
+        limit = 1020 * math.log(2.0)  # ln 2**1020
+        if not -limit <= inv.min(initial=0.0) <= inv.max(initial=0.0) <= limit:
+            inv[~(np.abs(inv) <= limit)] = np.nan
+    return np.exp(inv, out=inv)
 
 
 def sample_rates(

@@ -168,7 +168,8 @@ def solve_greedy(instance: CoverageInstance) -> SolveResult:
 
 
 # Byte budget of each temporary of the exact search: the table of tail
-# unions and, for each head PRB tuple, that table ORed with its union.
+# unions and, for each block of head PRB tuples, that table ORed with
+# their unions.
 _EXACT_BYTES = 64 << 10
 
 
@@ -215,31 +216,37 @@ def exact_search(member: np.ndarray) -> tuple[tuple[int, ...], int]:
     as a constant; a user in no set is never served and is dropped.  The
     contested users are packed into uint64 words and every union of one
     set per cell is enumerated with word-wise ORs and popcounted.  The
-    last cells form one table of unions (`_tail_cells`); the other
-    cells' PRB tuples are taken one at a time in lexicographic order,
-    and each tuple's union is ORed with all of the table, so no
+    last cells, all but the first at most, form one table of unions
+    (`_tail_cells`); the other cells' PRB tuples go in lexicographic
+    order in blocks that differ only in the last PRB, as many as fit
+    _EXACT_BYTES ORed with the table (a divisor of N, at least 1), and
+    each block's unions are ORed with the whole table at once, so no
     temporary outgrows _EXACT_BYTES by more than one row.  The first
-    maximum wins, within the table by ``argmax`` and across tuples by a
-    strict ``>``, which keeps the lexicographically smallest tuple.
+    maximum wins, within a block by ``argmax``, across blocks by a
+    strict ``>``: the lexicographically smallest tuple.
     """
     num_cells, num_prbs, _ = member.shape
     always = member.all(axis=1).any(axis=0)
     words = pack_users(member[:, :, member.any(axis=(0, 1)) & ~always])
     if words.shape[2] == 0:  # no contested user: one all-zero word
         words = np.zeros((num_cells, num_prbs, 1), dtype=np.uint64)
-    head_cells = num_cells - _tail_cells(num_cells, num_prbs, words.shape[2])
+    head_cells = max(1, num_cells - _tail_cells(*words.shape))
     tail = _unions(words[head_cells:])
-    zero = np.zeros(words.shape[2], dtype=np.uint64)
+    block = max(d for d in range(1, num_prbs + 1) if num_prbs % d == 0
+                and (d == 1 or d * tail.nbytes <= _EXACT_BYTES))
     best, best_index = -1, 0
-    for index, head in enumerate(
-            itertools.product(range(num_prbs), repeat=head_cells)):
-        union = zero
+    for index, head in enumerate(itertools.product(range(num_prbs),
+                                                   repeat=head_cells - 1)):
+        unions = words[head_cells - 1].T  # word-major, as the table
         for cell, prb in enumerate(head):
-            union = union | words[cell, prb]
-        counts = _count_words(union[:, None] | tail)
-        i = int(counts.argmax())
-        if counts[i] > best:  # strict: the earlier tuple keeps a tie
-            best, best_index = int(counts[i]), index * tail.shape[1] + i
+            unions = unions | words[cell, prb, :, None]
+        for first in range(0, num_prbs, block):
+            counts = _count_words(unions[:, first:first + block, None]
+                                  | tail[:, None, :])
+            i = int(counts.argmax())
+            if counts.flat[i] > best:  # strict: the earlier tuple keeps a tie
+                best = int(counts.flat[i])
+                best_index = (index * num_prbs + first) * tail.shape[1] + i
     chosen = np.unravel_index(best_index, (num_prbs,) * num_cells)
     return tuple(int(j) for j in chosen), int(np.count_nonzero(always)) + best
 

@@ -4,9 +4,11 @@ The kernel decides coverage by comparing fading gains with a per-link
 threshold and solves sub-frames in packed batches.  These tests hold it
 to `sample_rates -> derive_instance -> solve_greedy/solve_sc_baseline`
 where the two rules are hardest to keep apart (stream rates equal to
-realized link rates), for every batch size, slab size and number of
-drawing threads, hold placements batched together to the same
-placements one batch each and batches to their one cutting rule, check
+realized link rates, subnormal mean SNRs), for every batch size, slab
+size and number of drawing threads, hold its log-domain gain bounds
+within a quarter of the guard band of the canonical thresholds, hold
+placements batched together to the same placements one batch each and
+batches to their one cutting rule, check
 that a sweep runs in a child forked after a sweep, that a helper's error
 (also one drawing ahead) reaches the caller and leaves the next sweep
 unharmed, that a batch solver's error reaches the caller while the next
@@ -76,7 +78,12 @@ BOUNDARY_CONFIGS = (
     ExperimentConfig(num_cells=1, users_per_cell=60, num_prbs=1,
                      trials=2, subframes=3, seed=22,
                      channel=ChannelParams(tx_power_dbm=-150.0)),
+    # The longest links of the benchmark's 19-cell layout: the exponent
+    # of the log-domain inverse SNR, and so its rounding, is largest.
+    ExperimentConfig(num_cells=19, radius_m=400.0, users_per_cell=4,
+                     num_prbs=4, trials=2, subframes=3, seed=23),
 )
+BOUNDARY_IDS = ["1cell_1prb", "7cells_4prbs", "low_snr", "19cells_400m"]
 
 
 def pipeline_counts(scenario, params, stream, rng, num_prbs):
@@ -175,15 +182,13 @@ def check_sweep_at_realized_rates(boundary, with_subframe=True):
                 assert got == want, rate
 
 
-@pytest.mark.parametrize("boundary", BOUNDARY_CONFIGS,
-                         ids=["1cell_1prb", "7cells_4prbs", "low_snr"])
+@pytest.mark.parametrize("boundary", BOUNDARY_CONFIGS, ids=BOUNDARY_IDS)
 def test_kernel_matches_pipeline_at_realized_rates(boundary):
     check_sweep_at_realized_rates(boundary)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("boundary", BOUNDARY_CONFIGS,
-                         ids=["1cell_1prb", "7cells_4prbs", "low_snr"])
+@pytest.mark.parametrize("boundary", BOUNDARY_CONFIGS, ids=BOUNDARY_IDS)
 def test_kernel_matches_pipeline_in_worker_threads(boundary, workers):
     with worker_threads(workers):
         check_sweep_at_realized_rates(boundary, with_subframe=False)
@@ -261,6 +266,94 @@ def test_placement_with_non_finite_bounds_computes_its_mean_snr_once():
                                config.num_prbs)
         sc, mc = result.counts[0, :, trial, t]
         assert (mc, sc) == want
+
+
+def test_placement_in_range_opens_without_mean_snr():
+    # Every link of a 7-cell, 300 m placement is in range: its bounds
+    # come from the log-domain inverse SNR alone, all finite.
+    scenario = generate_scenario(7, 300.0, 175, 3)
+    with counted_mean_snr() as calls:
+        place = kernel._Placement(scenario, [0], ChannelParams(),
+                                  StreamSpec(), 4, 2)
+    assert calls == [] and place.snr is None
+    assert np.isfinite(place.lo).all() and np.isfinite(place.hi).all()
+
+
+def test_kernel_matches_pipeline_where_mean_snrs_are_subnormal():
+    # At a radius of 1e86 mean SNRs are subnormal, some of them not zero,
+    # where 1 / snr loses bits: those links go to the band, and the
+    # placement keeps its mean SNRs, computed once, to decide them.
+    config = ExperimentConfig(trials=2, subframes=5, users_per_cell=5,
+                              radius_m=1e86, seed=4)
+    snr = mean_snr(sweep_sample(config, 0, 0)[0], config.channel)
+    assert ((snr > 0) & (snr < np.finfo(float).tiny)).any()
+    with counted_mean_snr() as calls:
+        result = run_sweep(config, "users", values=(5,))
+    assert len(calls) == config.trials
+    stream = StreamSpec(rate_bps=config.stream_rate_bps)
+    for trial, t in np.ndindex(config.trials, config.subframes):
+        scenario, fading = sweep_sample(config, trial, t)
+        want = pipeline_counts(scenario, config.channel, stream,
+                               np.random.default_rng(fading),
+                               config.num_prbs)
+        sc, mc = result.counts[0, :, trial, t]
+        assert (mc, sc) == want
+
+
+def test_kernel_raises_where_the_mean_snr_overflows():
+    # A mean SNR beyond the float range is out of range for the inverse
+    # too, so the placement computes mean_snr, which refuses it.
+    config = ExperimentConfig(trials=1, subframes=2, users_per_cell=3,
+                              channel=ChannelParams(tx_power_dbm=3200.0))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="mean SNR must be finite"):
+        run_sweep(config, "users", values=(3,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.sampled_from([1, 7, 19]),
+    seed=st.integers(0, 2**32 - 1),
+    log_radius=st.floats(-3.0, 150.0),
+    log_min_distance=st.floats(-200.0, 200.0),
+    log_rate=st.floats(-3.0, 10.0),
+    tx=st.floats(-3000.0, 3000.0),
+    const=st.floats(-500.0, 500.0),
+    slope=st.floats(-50.0, 500.0),
+    figure=st.floats(-100.0, 100.0),
+)
+def test_gain_bounds_bracket_the_canonical_thresholds(
+        cells, seed, log_radius, log_min_distance, log_rate, tx, const,
+        slope, figure):
+    # Each bound from the log-domain inverse SNR lies within a quarter of
+    # the guard band of (x -/+ half) / mean_snr, or its link is in the
+    # band, and then its placement keeps the canonical mean SNRs.
+    params = ChannelParams(tx_power_dbm=tx, pathloss_const_db=const,
+                           pathloss_slope_db=slope, noise_figure_db=figure,
+                           min_distance_m=10.0 ** log_min_distance)
+    scenario = generate_scenario(cells, 10.0 ** log_radius, 3, seed)
+    stream = StreamSpec(rate_bps=10.0 ** log_rate)
+    with np.errstate(over="ignore"):
+        try:
+            snr = mean_snr(scenario, params)
+        except ValueError:
+            with pytest.raises(ValueError, match="mean SNR must be finite"):
+                kernel._Placement(scenario, [0], params, stream, 1, 2)
+            return
+        place = kernel._Placement(scenario, [0], params, stream, 1, 2)
+    lo, hi = place.lo[:, 0], place.hi[:, 0]
+    band = np.isneginf(lo) & np.isposinf(hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
+        half = kernel._GUARD * (1.0 + x)
+        # The bound times snr against x -/+ half, where no quotient
+        # overflows.
+        assert (band | (np.abs(lo * snr - (x - half)) <= half / 4)).all()
+        assert (band | (np.abs(hi * snr - (x + half)) <= half / 4)).all()
+    if band.any():
+        assert np.array_equal(place.snr, snr)
+    else:
+        assert place.snr is None
 
 
 def test_kept_mean_snr_decides_links_on_the_threshold():
@@ -1323,8 +1416,8 @@ def test_exact_search_matches_bigint_oracle(batch, cap):
 
 def test_exact_search_builds_head_unions_one_tuple_at_a_time():
     # 7 cells of 4 PRBs and 512 contested users (8 words).  A 512 B
-    # budget leaves one tail cell and ORs each of the 4^6 head unions
-    # with it in turn; all of them at once would take 256 KiB.
+    # budget leaves one tail cell and ORs the 4^6 head unions with it two
+    # at a time; all of them at once would take 256 KiB.
     rng = np.random.default_rng(3)
     users = np.arange(512)
     member = rng.random((7, 4, 512)) < 0.2
@@ -1339,6 +1432,40 @@ def test_exact_search_builds_head_unions_one_tuple_at_a_time():
             tracemalloc.stop()
     assert peak < 64 << 10, peak
     inst = CoverageInstance.from_membership(member, np.zeros(512, int))
+    assert found == bigint_exact(inst)
+
+
+@pytest.mark.parametrize("cells, prbs, users, cap, counts", [
+    # 10 PRBs, one word: a table of 3 cells (8,000 B) and blocks of 5, the
+    # largest divisor of 10 of which that many ORed tables fit 64 KiB.
+    (5, 10, 60, None, 10**2 // 5),
+    # 4 PRBs, 8 words: one tail cell (256 B) and blocks of 2 under 512 B.
+    (7, 4, 512, 512, 4**6 // 2),
+    # 4 PRBs, 8 words: a table of 5 cells (64 KiB) and blocks of 1.
+    (7, 4, 512, None, 4**2),
+])
+def test_exact_search_ors_blocks_of_head_tuples(cells, prbs, users, cap,
+                                                counts):
+    # Every head PRB tuple, in blocks that fit the byte budget: one count
+    # per block, ceil(head tuples / block) in all.
+    rng = np.random.default_rng(8)
+    ids = np.arange(users)
+    member = rng.random((cells, prbs, users)) < 0.2
+    member[:, ids % prbs, ids] = False  # no cell covers a user always
+    member[ids % cells, (ids + 1) % prbs, ids] = True  # every one contested
+    calls = []
+    real_count = solvers._count_words
+
+    def counted(unions):
+        calls.append(unions.shape)
+        return real_count(unions)
+
+    with mock.patch.object(solvers, "_EXACT_BYTES",
+                           cap or solvers._EXACT_BYTES), \
+            mock.patch.object(solvers, "_count_words", counted):
+        found = exact_search(member)
+    assert len(calls) == counts, len(calls)
+    inst = CoverageInstance.from_membership(member, np.zeros(users, int))
     assert found == bigint_exact(inst)
 
 

@@ -19,6 +19,7 @@ from mcms import (
 from mcms.coverage import InstanceError
 from mcms.scenario import (
     _HEX_AXES,
+    _sample_cells,
     hex_centers,
     in_hexagon,
     mean_snr,
@@ -162,25 +163,30 @@ def test_generate_scenario_accepts_generator_or_seed():
     assert np.array_equal(a.user_positions, b.user_positions)
 
 
-def per_cell_positions(num_cells, radius, n, rng):
-    """User positions as cell after cell of rejection sampling, each
-    drawing its own rounds from ``rng``: the sampler `generate_scenario`
-    replaced, kept as its oracle."""
+def per_cell_points(num_cells, radius, n, rng):
+    """Points [cells, n, 2] around the origin as cell after cell of
+    rejection sampling, each drawing its own rounds from ``rng`` with
+    ``rng.uniform``: the sampler `generate_scenario` replaced, kept as
+    its oracle."""
     half_w = SQRT3 / 2.0 * radius
-    centers = hex_centers(num_cells, radius)
-    positions = np.empty((num_cells * n, 2))
+    out = np.empty((num_cells, n, 2))
     for c in range(num_cells):
-        out = np.empty((n, 2))
         filled = 0
         while filled < n:
             need = n - filled
             pts = rng.uniform((-half_w, -radius), (half_w, radius),
                               size=(max(2 * need, 16), 2))
             pts = pts[in_hexagon(pts, (0.0, 0.0), radius)][:need]
-            out[filled:filled + len(pts)] = pts
+            out[c, filled:filled + len(pts)] = pts
             filled += len(pts)
-        positions[c * n:(c + 1) * n] = out + centers[c]
-    return positions
+    return out
+
+
+def per_cell_positions(num_cells, radius, n, rng):
+    """User positions of `per_cell_points`, cell after cell."""
+    centers = hex_centers(num_cells, radius)
+    points = per_cell_points(num_cells, radius, n, rng)
+    return (points + centers[:, None, :]).reshape(-1, 2)
 
 
 def falls_short(num_cells, radius, n, seed):
@@ -224,6 +230,25 @@ def test_generate_scenario_draws_as_the_per_cell_sampler_when_cells_fall_short()
     assert len(seeds) >= 10
     for seed in seeds:
         check_same_draws(19, 300.0, 8, seed)
+
+
+@pytest.mark.parametrize("radius", [300.0, 1e-3, 7.0 / 3.0, 1e150])
+def test_sample_cells_draws_what_numpy_uniform_draws(radius):
+    # _sample_cells scales doubles of rng.random in place, as numpy's
+    # uniform computes low + (high - low) * u: its points and the
+    # generator's final state must be those of rng.uniform rounds, bit
+    # for bit, also when a cell falls short and the rounds go one by one.
+    short = [s for s in range(400) if falls_short(19, radius, 8, s)][:4]
+    assert len(short) == 4
+    for num_cells, n, seeds in ((7, 175, range(4)), (19, 8, short)):
+        for seed in seeds:
+            assert falls_short(num_cells, radius, n, seed) == (n == 8)
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = _sample_cells(num_cells, n, radius, got_rng)
+            want = per_cell_points(num_cells, radius, n, want_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("users", [2.5, True, np.float64(0.5), "3", None])

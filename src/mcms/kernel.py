@@ -45,7 +45,7 @@ from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
 # few sub-frames, each batch paying for 19 steps.
 _BATCH_CELL_BYTES = 16 << 10
 # Byte budget of the thresholds of the placements one batch opens, at
-# least one, counted at 24 B a link: 16 B of gain bounds, plus the mean
+# least one, counted at 16 B a link: its 8 B gain bound, plus the mean
 # SNR of a placement with out-of-range links.  A batch of placements of a
 # few sub-frames each would otherwise keep all of theirs alive.
 _BATCH_OPEN_BYTES = 1 << 20
@@ -125,20 +125,23 @@ BASE_COLUMNS = COLUMNS[:2]
 
 
 class _Placement:
-    """One placement as the kernel sees it: its scenario, each link's gain
-    bounds ``lo`` and ``hi`` (16 B), its mean SNRs (8 B a link) only if
-    a link is out of range, its sub-frames' fading seeds and unserved
-    counts, one row per column.
+    """One placement as the kernel sees it: its scenario, each link's
+    upper gain bound ``hi`` (8 B a link), one ``ratio`` of the lower
+    bound to it, its mean SNRs (8 B a link) only if a link is out of
+    range, its sub-frames' fading seeds and unserved counts, one row per
+    column.
 
     A link decodes when ``shannon_rate_bps(snr * gain, B)`` reaches the
     stream rate R: when ``snr * gain`` reaches ``x = expm1(R / B * ln
     2)``, or the gain ``g* = x / snr``.  The rules' rounding differs by
     about (R / B * ln 2 + 4) ulps of ``1 + snr * gain``, 1 / snr from
     `inverse_mean_snr` by 1e-11 at most, so a gain of at least ``hi``
-    decodes, one below ``lo`` does not, and those within _GUARD * (1 +
-    x) / snr of g* (relative to 1 + x: at low SNR, 1 + snr * gain keeps
-    few bits of snr * gain) get their rate from `mean_snr`, as do all
-    gains of links out of range or whose threshold overflows."""
+    decodes, one below ``hi * ratio`` does not, and those within _GUARD
+    * (1 + x) / snr of g* (relative to 1 + x: at low SNR, 1 + snr * gain
+    keeps few bits of snr * gain) get their rate from `mean_snr`, as do
+    all gains of links out of range or whose threshold overflows, whose
+    ``hi`` is NaN.  ``hi * ratio`` lies within a few ulps of (x - half)
+    times `inverse_mean_snr`, far inside the band."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
                  params: ChannelParams, stream: StreamSpec, num_prbs: int,
@@ -153,15 +156,15 @@ class _Placement:
         with np.errstate(over="ignore", invalid="ignore"):
             x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
             half = _GUARD * (1.0 + x)
-            lo, hi = inv * (x - half), np.multiply(inv, x + half, out=inv)
-        # lo and hi are NaN at the same links and hi >= 0: a bound that is
-        # not finite shows in lo's minimum or hi's maximum.
+            # In [-1, 1) while x is finite: no lower bound overflows.
+            self.ratio = (x - half) / (x + half)
+            hi = np.multiply(inv, x + half, out=inv)
+        # hi >= 0 or NaN: a bound that is not finite shows in its maximum.
         self.snr = None
-        if not np.isfinite([lo.min(initial=0.0), hi.max(initial=0.0)]).all():
-            band = ~(np.isfinite(lo) & np.isfinite(hi))
-            lo[band], hi[band] = -np.inf, np.inf
+        if not np.isfinite(hi.max(initial=0.0)):
+            hi[~np.isfinite(hi)] = np.nan
             self.snr = mean_snr(scenario, params)  # for every gain of those
-        self.lo, self.hi = lo[:, None, :], hi[:, None, :]
+        self.hi = hi[:, None, :]
         self.owners = primary_words(scenario.primary_cell, num_cells)
         self.word_shape = (num_cells, num_prbs, -(-self.num_users // 64))
         self.slab = max(1, min(num_cells, _SLAB_BYTES
@@ -192,7 +195,7 @@ def _batches(placements: Iterable[tuple[Scenario, Sequence]], num_prbs: int,
         if place is None:
             shape = ahead[0].num_cells, ahead[0].num_users
         cap = _batch_subframes(num_prbs, shape[1])
-        most = max(1, _BATCH_OPEN_BYTES // max(24 * shape[0] * shape[1], 1))
+        most = max(1, _BATCH_OPEN_BYTES // max(16 * shape[0] * shape[1], 1))
         segments, size, opened = [], 0, 0
         while size < cap:
             if place is None:
@@ -214,16 +217,17 @@ def _batches(placements: Iterable[tuple[Scenario, Sequence]], num_prbs: int,
         yield segments
 
 
-def _allocate_buffers(gains: int, bits: int):
+def _allocate_buffers(gains: int, bits: int, bounds: int):
     """Flat buffers of one drawing thread: ``gains`` fading gains, as many
-    band-mask flags and ``bits`` coverage bits."""
+    below-bound flags, ``bits`` coverage bits, ``bounds`` lower bounds."""
     return (np.empty(gains), np.empty(gains, dtype=bool),
-            np.empty(bits, dtype=bool))
+            np.empty(bits, dtype=bool), np.empty(bounds))
 
 
 class _DrawBuffers:
     """One drawing thread's buffers for a whole kernel call: fading gains,
-    the band mask and coverage bits padded to whole words.
+    the below-bound mask, coverage bits padded to whole words and the
+    lower gain bounds of a slab's links.
 
     They are allocated on the thread's first draw, with room for
     _SLAB_BYTES of gains or a placement's one cell if that is larger,
@@ -235,24 +239,27 @@ class _DrawBuffers:
 
     def __init__(self):
         # Empty until the first draw.
-        self.flat = (np.empty(0),) * 3
+        self.flat = (np.empty(0),) * 4
         self.views = self.key = None
 
     def of(self, place: _Placement, fading: str):
-        """The buffers ``(gains, band, padded)`` of a slab of ``place``."""
+        """Buffers ``(gains, below, padded, lower)`` of a slab of ``place``."""
         shape = (place.slab, place.word_shape[1], place.num_users)
         if (shape, fading) != self.key:
             padded = shape[:2] + (place.word_shape[2] * 64,)
-            sizes = math.prod(shape), math.prod(padded)
-            held = len(self.flat[0]), len(self.flat[2])
-            if sizes[0] > held[0] or sizes[1] > held[1]:
-                room = _SLAB_BYTES // 8
-                self.flat = _allocate_buffers(max(sizes[0], held[0], room),
-                                              max(sizes[1], held[1], room))
-            gains, band, bits = self.flat
+            lower = (place.slab, 1, place.num_users)
+            sizes = math.prod(shape), math.prod(padded), math.prod(lower)
+            held = len(self.flat[0]), len(self.flat[2]), len(self.flat[3])
+            if any(size > have for size, have in zip(sizes, held)):
+                # One PRB count a call: bounds get room for the gains' links.
+                most = _SLAB_BYTES // 8
+                room = most, most, most // shape[1]
+                self.flat = _allocate_buffers(*map(max, sizes, held, room))
+            gains, below, bits, bounds = self.flat
             self.views = (gains[:sizes[0]].reshape(shape),
-                          band[:sizes[0]].reshape(shape),
-                          bits[:sizes[1]].reshape(padded))
+                          below[:sizes[0]].reshape(shape),
+                          bits[:sizes[1]].reshape(padded),
+                          bounds[:sizes[2]].reshape(lower))
             self.views[2][..., place.num_users:] = False
             if fading != "rayleigh":
                 self.views[0].fill(1.0)
@@ -276,18 +283,20 @@ def _draw(place: _Placement, seed, out: np.ndarray, buffers,
           params: ChannelParams, stream: StreamSpec) -> None:
     """Draw a sub-frame of a placement from its fading seed, threshold its
     gains and pack its coverage into ``out`` [cells, prbs, words]."""
-    gains, maybe, padded = buffers
+    gains, under, padded, lower = buffers
     num_users = place.num_users
     rng = np.random.default_rng(seed) if params.fading == "rayleigh" else None
     for first, slab in _gain_slabs(rng, gains, len(out)):
         cells = slice(first, first + len(slab))
         bits = padded[:len(slab)]
         covers = bits[:, :, :num_users]
-        band = maybe[:len(slab)]
+        below = under[:len(slab)]
+        lo = np.multiply(place.hi[cells], place.ratio, out=lower[:len(slab)])
         np.greater_equal(slab, place.hi[cells], out=covers)
-        np.greater_equal(slab, place.lo[cells], out=band)
-        if np.count_nonzero(band) != np.count_nonzero(covers):
-            c, j, u = np.nonzero(band & ~covers)
+        np.less(slab, lo, out=below)
+        # Gains in neither set, all those of a NaN bound, are in the band.
+        if np.count_nonzero(below) + np.count_nonzero(covers) != slab.size:
+            c, j, u = np.nonzero(~(below | covers))
             snr = (place.snr if place.snr is not None
                    else mean_snr(place.scenario, params))[first + c, u]
             covers[c, j, u] = shannon_rate_bps(
@@ -401,7 +410,7 @@ def unserved_counts(
                 future.result()
             for place, start, stop in segments:
                 if stop == place.subframes:
-                    place.scenario = place.lo = place.hi = place.snr = None
+                    place.scenario = place.hi = place.snr = None
             num_users = segments[0][0].num_users
             owners = np.repeat(np.stack([place.owners
                                          for place, _, _ in segments]),

@@ -161,7 +161,8 @@ def in_hexagon(points, center, radius: float) -> np.ndarray:
     p = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
     apothem = _SQRT3 / 2.0 * radius
     # Three column compares: np.all over the last axis takes twice as long.
-    d = np.abs(p @ _HEX_AXES.T)
+    d = p @ _HEX_AXES.T
+    np.abs(d, out=d)
     return ((d[..., 0] <= apothem) & (d[..., 1] <= apothem)
             & (d[..., 2] <= apothem))
 
@@ -351,11 +352,14 @@ def inverse_mean_snr(scenario: Scenario, params: ChannelParams) -> np.ndarray:
     if not (sum(map(abs, terms)) < 1e4 and floor >= 2.0 ** -1000):
         return np.full((len(cells), len(users)), np.nan)
     inv = np.subtract(users[None, :, 0], cells[:, None, 0])
-    dy = np.subtract(users[None, :, 1], cells[:, None, 1])
+    dy = np.empty(len(users))
     with np.errstate(over="ignore", invalid="ignore"):
         inv *= inv
-        dy *= dy
-        inv += dy
+        # The y term a cell row at a time: one [cells, users] array.
+        for row, y in zip(inv, cells[:, 1]):
+            np.subtract(users[:, 1], y, out=dy)
+            dy *= dy
+            row += dy
         np.log(np.maximum(inv, floor, out=inv), out=inv)
         inv *= slope / 20.0
         inv += sum(terms) * (math.log(10.0) / 10.0)

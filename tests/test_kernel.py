@@ -276,7 +276,30 @@ def test_placement_in_range_opens_without_mean_snr():
         place = kernel._Placement(scenario, [0], ChannelParams(),
                                   StreamSpec(), 4, 2)
     assert calls == [] and place.snr is None
-    assert np.isfinite(place.lo).all() and np.isfinite(place.hi).all()
+    assert np.isfinite(place.hi).all() and 0.0 < place.ratio < 1.0
+
+
+def test_a_placement_holds_one_gain_bound_per_link():
+    # A 19 x 175 placement holds one float64 bound a link and no lower
+    # bound, and opening it peaks near one [cells, users] float64 array:
+    # the distances' y term is added a cell row at a time.
+    scenario = generate_scenario(19, 400.0, 175, 1)
+    one = scenario.num_cells * scenario.num_users * 8
+    tracemalloc.start()
+    try:
+        place = kernel._Placement(scenario, [0], ChannelParams(),
+                                  StreamSpec(), 4, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(place, "lo") and place.snr is None
+    assert place.hi.dtype == np.float64
+    assert place.hi.shape == (scenario.num_cells, 1, scenario.num_users)
+    assert [name for name, value in vars(place).items()
+            if isinstance(value, np.ndarray) and value.nbytes >= one // 4
+            ] == ["hi"]
+    assert held <= 1.1 * one, held
+    assert peak <= 1.3 * one, peak
 
 
 def test_kernel_matches_pipeline_where_mean_snrs_are_subnormal():
@@ -341,9 +364,19 @@ def test_gain_bounds_bracket_the_canonical_thresholds(
                 kernel._Placement(scenario, [0], params, stream, 1, 2)
             return
         place = kernel._Placement(scenario, [0], params, stream, 1, 2)
-    lo, hi = place.lo[:, 0], place.hi[:, 0]
-    band = np.isneginf(lo) & np.isposinf(hi)
+    assert_bounds_bracket_the_thresholds(place, snr, params, stream)
+
+
+def assert_bounds_bracket_the_thresholds(place, snr, params, stream):
+    """Each bound of ``place``, ``hi`` and the lower ``hi * ratio`` that
+    `_draw` derives, lies within a quarter of the guard band of (x -/+
+    half) / snr, or ``hi`` is NaN, and then the placement keeps the
+    canonical mean SNRs ``snr``."""
+    hi = place.hi[:, 0]
+    band = np.isnan(hi)
+    assert (band | np.isfinite(hi)).all()
     with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.multiply(hi, place.ratio)
         x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
         half = kernel._GUARD * (1.0 + x)
         # The bound times snr against x -/+ half, where no quotient
@@ -354,6 +387,54 @@ def test_gain_bounds_bracket_the_canonical_thresholds(
         assert np.array_equal(place.snr, snr)
     else:
         assert place.snr is None
+
+
+# Stream rates at both ends of the range, with the config fields that
+# make each case bite: x = expm1(R / B * ln 2) below the band's
+# half-width, so the lower bound is at most 0 and every gain short of hi
+# takes the rate rule, at mean SNRs that put x / snr among the gains;
+# and within 1 % of ExperimentConfig's ceiling B * max_exp, over links
+# of up to some 10 km, where the longest links' hi overflows to NaN.
+EXTREME_RATES = [
+    (1e-4, {"channel": ChannelParams(tx_power_dbm=-105.0)}),
+    (0.995 * 180e3 * sys.float_info.max_exp, {"radius_m": 3000.0}),
+]
+
+
+@pytest.mark.parametrize("rate, fields", EXTREME_RATES,
+                         ids=["below_the_band", "near_the_ceiling"])
+def test_gain_bounds_at_extreme_rates(rate, fields):
+    config = ExperimentConfig(num_cells=7, users_per_cell=20, num_prbs=2,
+                              trials=1, subframes=4, seed=8,
+                              stream_rate_bps=rate, **fields)
+    params, stream = config.channel, StreamSpec(rate_bps=rate)
+    scenario = sweep_sample(config, 0, 0)[0]
+    snr = mean_snr(scenario, params)
+    place = kernel._Placement(scenario, [0], params, stream, 2, 2)
+    assert_bounds_bracket_the_thresholds(place, snr, params, stream)
+    if rate < 1:
+        assert place.ratio <= 0 and place.snr is None
+    else:
+        assert 0 < np.isnan(place.hi).mean() < 1
+    with counted_mean_snr() as calls:
+        result = run_sweep(config, "users", values=(20,))
+    for t in range(config.subframes):
+        scenario, fading = sweep_sample(config, 0, t)
+        want = pipeline_counts(scenario, params, stream,
+                               np.random.default_rng(fading), 2)
+        sc, mc = result.counts[0, :, 0, t]
+        assert (mc, sc) == want
+    if rate < 1:
+        # Every sub-frame has gains short of hi: they take the rate rule,
+        # which computes the mean SNRs of the placement that keeps none.
+        assert len(calls) == config.subframes
+        assert 0 < result.counts.min()
+        assert result.counts.max() < scenario.num_users
+    else:
+        # No finite SNR of these links reaches x: the placement keeps the
+        # mean SNRs of its NaN links, and nobody is served.
+        assert len(calls) == 1
+        assert (result.counts == scenario.num_users).all()
 
 
 def test_kept_mean_snr_decides_links_on_the_threshold():
@@ -547,7 +628,7 @@ def test_a_batch_opens_the_placements_its_byte_budget_allows():
     def open_place(scenario, seeds):
         return types.SimpleNamespace(subframes=len(seeds), seeds=seeds)
 
-    cost = 24 * scenario.num_cells * scenario.num_users
+    cost = 16 * scenario.num_cells * scenario.num_users
     batches, seen = [], []
     with mock.patch.object(kernel, "_BATCH_OPEN_BYTES", 5 * cost // 2):
         for segments in kernel._batches(pairs(), 4, open_place):
@@ -580,7 +661,7 @@ CUT_SHAPES = ((1, 3), (7, 20), (7, 70), (19, 5))
     stream=st.lists(st.tuples(st.sampled_from(CUT_SHAPES),
                               st.integers(1, 12)), min_size=1, max_size=12),
     cell_bytes=st.integers(1, 2 * 3 * 8 * 12),
-    open_bytes=st.integers(1, 24 * 7 * 70 * 4) | st.just(1 << 40),
+    open_bytes=st.integers(1, 16 * 7 * 70 * 4) | st.just(1 << 40),
 )
 def test_batches_follow_the_cutting_rule(stream, cell_bytes, open_bytes):
     # A stream of placements of mixed shapes and sub-frame counts, cut
@@ -618,7 +699,7 @@ def test_batches_follow_the_cutting_rule(stream, cell_bytes, open_bytes):
         assert len(shapes) == 1
         shape = shapes.pop()
         cap = caps[shape]
-        most = max(1, open_bytes // (24 * shape[0] * shape[1]))
+        most = max(1, open_bytes // (16 * shape[0] * shape[1]))
         size = sum(stop - start for _, start, stop in segments)
         opened = sum(start == 0 for _, start, _ in segments)
         assert all(stop > start for _, start, stop in segments)
@@ -1028,7 +1109,9 @@ def test_reused_draw_buffers_never_leak_into_the_words():
     # One thread's buffers serve 7-cell placements of 250, then 100 users
     # per cell (the larger shape's bits lie where the smaller one's
     # padding is), a 19-cell placement, and one without fading after
-    # fading gains: each word must be the one fresh arrays give.
+    # fading gains: each word must be the one fresh arrays give, and the
+    # lower-bound view, a prefix of its flat buffer whatever stale bounds
+    # that held, ends each draw with the last slab's hi * ratio.
     cases = [(7, 250, "rayleigh"), (7, 100, "rayleigh"),
              (19, 175, "rayleigh"), (7, 100, "none")]
     mine = kernel._DrawBuffers()
@@ -1047,14 +1130,21 @@ def test_reused_draw_buffers_never_leak_into_the_words():
                 fresh = (np.empty(shape) if fading == "rayleigh"
                          else np.ones(shape),
                          np.empty(shape, dtype=bool),
-                         np.zeros(padded, dtype=bool))
+                         np.zeros(padded, dtype=bool),
+                         np.empty((place.slab, 1, scenario.num_users)))
                 want = np.empty(place.word_shape, dtype=np.uint64)
                 got = np.empty_like(want)
                 kernel._draw(place, fading_seed, want, fresh, params, stream)
-                kernel._draw(place, fading_seed, got,
-                             mine.of(place, fading), params, stream)
+                views = mine.of(place, fading)
+                mine.flat[3].fill(np.inf)
+                kernel._draw(place, fading_seed, got, views, params, stream)
                 assert np.array_equal(got, want), (cells, users, fading)
                 assert np.count_nonzero(want), (cells, users, fading)
+                lower, last = views[3], range(0, cells, place.slab)[-1]
+                assert lower.shape == (place.slab, 1, scenario.num_users)
+                assert np.shares_memory(lower, mine.flat[3])
+                assert np.array_equal(lower[:cells - last],
+                                      place.hi[last:] * place.ratio)
     # Every shape fits the slab budget: all four reused one allocation.
     assert len(calls) == 1
 

@@ -168,8 +168,6 @@ def _cmd_solve(args) -> int:
     print(f"greedy={greedy.objective} alloc={_fmt_alloc(greedy.alloc)}")
     sc = solve_sc_baseline(instance)
     print(f"sc={sc.objective} alloc={_fmt_alloc(sc.alloc)}")
-    if args.skip_exact:
-        return 0
     try:
         exact = solve_exact(instance, budget=args.budget)
     except EnumerationBudgetError as exc:
@@ -195,8 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance JSON file")
     p.add_argument("instance", help="path to instance JSON")
-    p.add_argument("--skip-exact", action="store_true",
-                   help="report only greedy and SC results")
     p.add_argument("--budget", type=int, default=EXACT_BUDGET,
                    help="max allocations the exact solver may enumerate")
     p.set_defaults(func=_cmd_solve)

@@ -15,11 +15,6 @@ keys, so every sample is reproducible in isolation and results do not
 depend on execution order.  A placement's fading seeds, one per
 sub-frame, are built a slice of sub-frames at a time in one numpy pass
 (`_FadingSeeds`), word for word the states of those SeedSequences.
-
-Every sample goes through one Monte Carlo kernel,
-`mcms.kernel.unserved_counts`: `run_sweep` hands it all placements of
-all points as one stream and reads back each placement's unserved
-counts, one row per column of `mcms.kernel.COLUMNS`.
 """
 
 from __future__ import annotations

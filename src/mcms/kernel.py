@@ -1,29 +1,16 @@
 """The Monte Carlo kernel: unserved users of a stream of placements.
 
-`unserved_counts` runs every sample of `mcms.harness.run_sweep`: it
-takes the whole sweep as one stream of placements and yields each
-placement's unserved counts in order, one row per column.  Per
-placement it computes every link's fading-gain threshold from its
-squared distance (`inverse_mean_snr`); per sub-frame it draws the gains,
-a slab of whole cells at a time, and compares them with the threshold,
-computing the rate only within a narrow guard band of it, so coverage
-is exactly that of `sample_rates` followed by `derive_instance`.
-Sub-frames are drawn in batches under a fixed byte budget, by the
-calling thread and helpers of a pool of the call's own, two batches open
-at once: the batch it solves and the next one.  Helpers only draw, and
-the calling thread alone cuts the batches, reads the fading seeds, frees
-and solves.
-
-`COLUMNS` is the one table of a sweep's columns, SC, MC and EXACT: each
-a name, a batch solver and a description.  Every count array and every
-file a sweep writes follows its order.  Results depend on neither the
-batch size, the slab size, the number of threads nor the shapes a thread
-drew before.
+`unserved_counts` is the kernel that runs every sample of
+`mcms.harness.run_sweep`, and `COLUMNS` the one table of a sweep's
+columns.  `_Placement` holds a placement's gain bounds, `_batches` cuts
+the stream into batches of sub-frames, and `_draw` draws, thresholds
+and packs one sub-frame into a drawing thread's `_DrawBuffers`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import threading
@@ -49,8 +36,7 @@ _BATCH_CELL_BYTES = 16 << 10
 # SNR of a placement with out-of-range links.  A batch of placements of a
 # few sub-frames each would otherwise keep all of theirs alive.
 _BATCH_OPEN_BYTES = 1 << 20
-# Byte budget of one thread's fading gains: a sub-frame is drawn a slab
-# of whole cells at a time, at least one cell.
+# Byte budget of one thread's fading gains (`_DrawBuffers`, `_draw`).
 _SLAB_BYTES = 512 << 10
 # Half-width, relative to 1 + x, of the band around the SNR threshold x
 # inside which a link's rate is computed rather than decided by its gain.
@@ -184,36 +170,31 @@ def _batches(placements: Iterable[tuple[Scenario, Sequence]], num_prbs: int,
     early only where the shape changes, where the stream ends, or once
     it has opened the placements _BATCH_OPEN_BYTES allows, at least one:
     a run of L sub-frames takes ceil(L / `_batch_subframes`) batches
-    unless that cap ends some early.  The cutter reads one placement
-    beyond the batch it yields.
+    unless that cap ends some early.  A placement is read only when the
+    batch being cut needs it.
     """
-    pairs = iter(placements)
-    ahead = next(pairs, None)
-    # An opened placement whose sub-frames from start are not yet cut.
-    place, start = None, 0
-    while place is not None or ahead is not None:
-        if place is None:
-            shape = ahead[0].num_cells, ahead[0].num_users
+    segments, size, opened = [], 0, 0
+    for scenario, seeds in placements:
+        if segments and (opened == most or shape != (scenario.num_cells,
+                                                     scenario.num_users)):
+            yield segments
+            segments, size, opened = [], 0, 0
+        if len(seeds) < 1:
+            raise ValueError("a placement needs at least one sub-frame")
+        shape = scenario.num_cells, scenario.num_users
         cap = _batch_subframes(num_prbs, shape[1])
         most = max(1, _BATCH_OPEN_BYTES // max(16 * shape[0] * shape[1], 1))
-        segments, size, opened = [], 0, 0
-        while size < cap:
-            if place is None:
-                if (ahead is None or opened == most
-                        or (ahead[0].num_cells, ahead[0].num_users) != shape):
-                    break
-                if len(ahead[1]) < 1:
-                    raise ValueError("a placement needs at least one "
-                                     "sub-frame")
-                place, start = open_place(*ahead), 0
-                opened += 1
-                ahead = next(pairs, None)
+        place, start = open_place(scenario, seeds), 0
+        opened += 1
+        while start < place.subframes:
             stop = min(start + cap - size, place.subframes)
             segments.append((place, start, stop))
             size += stop - start
             start = stop
-            if stop == place.subframes:
-                place = None
+            if size == cap:
+                yield segments
+                segments, size, opened = [], 0, 0
+    if segments:
         yield segments
 
 
@@ -232,20 +213,19 @@ class _DrawBuffers:
     They are allocated on the thread's first draw, with room for
     _SLAB_BYTES of gains or a placement's one cell if that is larger,
     and grow only when a later placement needs more.  Each slab shape
-    takes C-contiguous prefix views of them; when the shape or the
-    fading changes the padding bits are zeroed and, without fading, the
-    gains set to 1, values that no draw writes.
+    takes C-contiguous prefix views of them; when the shape changes (a
+    call has one fading) the padding bits are zeroed and, without
+    fading, the gains set to 1, values that no draw writes.
     """
 
     def __init__(self):
-        # Empty until the first draw.
         self.flat = (np.empty(0),) * 4
         self.views = self.key = None
 
     def of(self, place: _Placement, fading: str):
         """Buffers ``(gains, below, padded, lower)`` of a slab of ``place``."""
         shape = (place.slab, place.word_shape[1], place.num_users)
-        if (shape, fading) != self.key:
+        if shape != self.key:
             padded = shape[:2] + (place.word_shape[2] * 64,)
             lower = (place.slab, 1, place.num_users)
             sizes = math.prod(shape), math.prod(padded), math.prod(lower)
@@ -263,33 +243,28 @@ class _DrawBuffers:
             self.views[2][..., place.num_users:] = False
             if fading != "rayleigh":
                 self.views[0].fill(1.0)
-            self.key = shape, fading
+            self.key = shape
         return self.views
-
-
-def _gain_slabs(rng, gains: np.ndarray, num_cells: int):
-    """Fill ``gains`` from ``rng`` a slab of whole cells at a time, in
-    cell order, yielding ``(first cell, slab)``; the values are those of
-    one ``standard_exponential`` fill of [cells, prbs, users].  With
-    ``rng`` None the gains keep their values."""
-    for first in range(0, num_cells, len(gains)):
-        slab = gains[:num_cells - first]
-        if rng is not None:
-            rng.standard_exponential(out=slab)
-        yield first, slab
 
 
 def _draw(place: _Placement, seed, out: np.ndarray, buffers,
           params: ChannelParams, stream: StreamSpec) -> None:
     """Draw a sub-frame of a placement from its fading seed, threshold its
-    gains and pack its coverage into ``out`` [cells, prbs, words]."""
+    gains and pack its coverage into ``out`` [cells, prbs, words]: that
+    of `sample_rates` from the same seed followed by `derive_instance`.
+
+    The gains are drawn a slab of whole cells at a time, in cell order,
+    so they are those of one ``standard_exponential`` fill of [cells,
+    prbs, users]; without fading they keep their values, 1."""
     gains, under, padded, lower = buffers
-    num_users = place.num_users
     rng = np.random.default_rng(seed) if params.fading == "rayleigh" else None
-    for first, slab in _gain_slabs(rng, gains, len(out)):
+    for first in range(0, len(out), len(gains)):
+        slab = gains[:len(out) - first]
+        if rng is not None:
+            rng.standard_exponential(out=slab)
         cells = slice(first, first + len(slab))
         bits = padded[:len(slab)]
-        covers = bits[:, :, :num_users]
+        covers = bits[:, :, :place.num_users]
         below = under[:len(slab)]
         lo = np.multiply(place.hi[cells], place.ratio, out=lower[:len(slab)])
         np.greater_equal(slab, place.hi[cells], out=covers)
@@ -312,60 +287,45 @@ def unserved_counts(
     num_prbs: int,
     columns: Sequence[Column] = BASE_COLUMNS,
 ) -> Iterator[np.ndarray]:
-    """The Monte Carlo kernel: unserved users of a stream of placements,
-    per sub-frame.
+    """Unserved users of a stream of placements, per sub-frame.
 
     ``placements`` yields ``(scenario, fading_seeds)`` pairs: one seed
-    per sub-frame, anything ``np.random.default_rng`` accepts, in a
-    sequence that slices.  A sub-frame's gains are those `sample_rates`
-    would draw from its seed (`_draw`).
-
-    The calling thread owns all of the kernel's state.  It cuts batches
-    (`_batches`), two open at once, the batch it solves and the next
-    one, each with its own uint64 words and a queue of its rows (row,
-    placement, seed): it opens each batch as it starts on the one before
-    it.  It computes a placement's thresholds when its first sub-frame
-    joins a batch, reads ``fading_seeds[start:stop]`` once per segment
-    as it queues a batch, and drops the placements' thresholds,
-    scenarios and kept mean SNRs once their last batch is drawn.  A
-    batch of n sub-frames gets min(_WORKERS - 1, n - 1) helper tasks on
-    a thread pool of this call's own, started when first needed.
-    Helpers only take rows, draw and pack them until the queue is empty;
-    so does the calling thread, which then draws from the next batch
-    until the helpers of the batch it solves are done, raises a helper's
-    error, and solves that batch with the batch solvers of ``columns``,
-    entries of `COLUMNS`, in its order.  A sub-frame's counts depend on
-    its seed alone, not on the batch size, the number of threads or
-    which thread draws it.  When the stream ends, fails or the generator
-    is closed, the queues of both open batches are emptied and the pool
-    is shut down: tasks not yet started are cancelled, and a running
-    helper stops after its current sub-frame.
+    per sub-frame (`_draw`), anything ``np.random.default_rng`` accepts,
+    in a sequence that slices.  Only the calling thread reads it, and
+    reads ``fading_seeds[start:stop]`` once per segment of a batch.
 
     Yields, per placement and in order, once its last sub-frame is
     solved, its unserved counts: an int64 array [columns, sub-frames],
-    one row per entry of ``columns``.
+    one row per entry of ``columns``, entries of `COLUMNS` solved in
+    their order.  A sub-frame's counts depend on its seed alone, not on the
+    batch or slab size, the number of threads, which thread draws it or
+    the shapes that thread drew before.
+
+    The calling thread cuts the batches (`_batches`) and draws, and so do
+    helpers on a thread pool of this call's own, one thread per CPU in
+    all, but helpers only draw.  Two batches are open at once: the
+    calling thread solves one while the helpers draw the next.  When the
+    stream ends, fails or the generator is closed, the queues of both
+    open batches are emptied and the pool is shut down: tasks not yet
+    started are cancelled, and a running helper stops after its current
+    sub-frame.
     """
     import queue  # not at module import: a run that never sweeps skips it
 
     if num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
-    # Thread id -> its _DrawBuffers: one set per drawing thread for the
-    # whole call, sized by the slab budget, of which every placement
-    # takes views; fresh ones per shape page-fault more.
+    # Thread id -> its _DrawBuffers; fresh buffers per shape page-fault more.
     buffers = {}
     pool = None
 
     def draw(words, todo, until=lambda: False) -> None:
         # Draws rows of one batch until its queue is empty or until().
-        key = threading.get_ident()
+        mine = buffers.setdefault(threading.get_ident(), _DrawBuffers())
         while not until():
             try:
                 row, place, seed = todo.get_nowait()
             except queue.Empty:
                 return
-            mine = buffers.get(key)
-            if mine is None:
-                mine = buffers[key] = _DrawBuffers()
             _draw(place, seed, words[row], mine.of(place, params.fading),
                   params, stream)
 
@@ -392,14 +352,12 @@ def unserved_counts(
             yield segments, words, todo, [pool.submit(draw, words, todo)
                                           for _ in range(helpers)]
 
-    upcoming = open_batches()
-    # The batch the calling thread solves and the next one, each
-    # (segments, words, row queue, helper futures).
+    # The batch the calling thread solves and the next one, opened as
+    # the calling thread starts on the one before it.
     current = ahead = None
     try:
-        ahead = next(upcoming, None)
-        while ahead is not None:
-            current, ahead = ahead, next(upcoming, None)
+        for current, ahead in itertools.pairwise(
+                itertools.chain(open_batches(), [None])):
             segments, words, todo, futures = current
             draw(words, todo)
             # A helper task still queued would find the queue empty.
@@ -408,31 +366,25 @@ def unserved_counts(
                 draw(*ahead[1:3], until=lambda: all(f.done() for f in busy))
             for future in busy:
                 future.result()
-            for place, start, stop in segments:
-                if stop == place.subframes:
-                    place.scenario = place.hi = place.snr = None
-            num_users = segments[0][0].num_users
-            owners = np.repeat(np.stack([place.owners
-                                         for place, _, _ in segments]),
-                               [stop - start for _, start, stop in segments],
-                               axis=0)
-            unserved = np.empty((len(columns), len(words)), dtype=np.int64)
+            owners = np.stack([place.owners for place, start, stop in segments
+                               for _ in range(start, stop)])
             earlier = {}
-            for i, column in enumerate(columns):
+            for column in columns:
                 earlier[column.name] = column.solve(words, owners, earlier)
-                unserved[i] = num_users - earlier[column.name][1]
+            unserved = segments[0][0].num_users - np.stack(
+                [served for _, served in earlier.values()], dtype=np.int64)
             row = 0
             for place, start, stop in segments:
-                place.counts[:, start:stop] = unserved[:, row:row + stop
-                                                       - start]
-                row += stop - start
+                row, first = row + stop - start, row
+                place.counts[:, start:stop] = unserved[:, first:row]
                 if stop == place.subframes:
+                    # Only its counts outlive its last batch.
+                    place.scenario = place.hi = place.snr = None
                     yield place.counts
     finally:
-        for batch in (current, ahead):
-            if batch is not None:
-                with contextlib.suppress(queue.Empty):
-                    while True:
-                        batch[2].get_nowait()
+        for _, _, todo, _ in filter(None, (current, ahead)):
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    todo.get_nowait()
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -19,10 +19,7 @@ stream rate into a coverage problem.
 
 The link budget lives here alone: `mean_snr`, which `sample_rates` uses,
 and `inverse_mean_snr`, the same budget from squared distances in the
-log domain.  The Monte Carlo kernel (`mcms.kernel`) takes the latter
-per placement for its gain thresholds ``expm1(R / B * ln 2) / snr`` and
-the former for the rates of gains in a narrow guard band around them,
-which holds the rounding of both.  Both give the same coverage.
+log domain; `mcms.kernel._Placement` tells how the kernel uses both.
 """
 
 from __future__ import annotations

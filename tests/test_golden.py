@@ -21,6 +21,9 @@ import pytest
 
 from mcms.cli import main
 
+# The golden bytes must be the same on every numpy allowed.
+pytestmark = pytest.mark.numpy_contract
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {

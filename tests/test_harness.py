@@ -378,11 +378,16 @@ def test_cli_solve_prints_all_three_solvers(tmp_path, capsys):
 
 
 def test_cli_solve_skip_exact(tmp_path, capsys):
-    rc = main(["solve", _write_gap(tmp_path), "--skip-exact"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "greedy=6" in out
-    assert "exact" not in out
+    # --budget 0 skips the exact solver; there is no --skip-exact.
+    path = _write_gap(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", path, "--skip-exact"])
+    assert exit_.value.code == 2
+    assert "--skip-exact" in capsys.readouterr().err
+    assert main(["solve", path, "--budget", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "greedy=6 alloc=1,0", "sc=4 alloc=0,0",
+        "exact=skipped (needs 4 evaluations, budget 0)"]
 
 
 def test_cli_solve_respects_budget(tmp_path, capsys):
@@ -715,6 +720,9 @@ def test_cli_rejects_bad_config_values_lists(tmp_path, capsys, axis, values,
     assert not (tmp_path / "x.csv").exists()
 
 
+# The fading seeds are numpy's SeedSequence algorithm computed in bulk:
+# they must equal SeedSequence's states on every numpy allowed.
+@pytest.mark.numpy_contract
 def test_fading_seeds_are_bounded_to_the_placement():
     seeds = harness._FadingSeeds(7, 1, 2, 3)
     # Iteration stops at the first IndexError; islice bounds the check.
@@ -728,6 +736,9 @@ def test_fading_seeds_are_bounded_to_the_placement():
     assert len(seeds[1:100]) == 2 and seeds[3:100] == []
 
 
+# The fading seeds are numpy's SeedSequence algorithm computed in bulk:
+# they must equal SeedSequence's states on every numpy allowed.
+@pytest.mark.numpy_contract
 @settings(max_examples=100, deadline=None)
 @given(
     # Seeds of 5 words outgrow the pool, keys from 2**32 take two words.

@@ -8,8 +8,9 @@ realized link rates, subnormal mean SNRs), for every batch size, slab
 size and number of drawing threads, hold its log-domain gain bounds
 within a quarter of the guard band of the canonical thresholds, hold
 placements batched together to the same placements one batch each and
-batches to their one cutting rule, check
-that a sweep runs in a child forked after a sweep, that a helper's error
+batches to their one cutting rule, check that the kernel reads a
+placement only when a batch needs it, that a sweep runs in a child
+forked after a sweep, that a helper's error
 (also one drawing ahead) reaches the caller and leaves the next sweep
 unharmed, that a batch solver's error reaches the caller while the next
 batch is drawn and opens no later batch, that closing the kernel stops
@@ -58,7 +59,7 @@ from mcms import (
     solve_sc_baseline,
 )
 from mcms.coverage import pack_users, served
-from mcms.scenario import mean_snr
+from mcms.scenario import mean_snr, shannon_rate_bps
 from mcms.solvers import (exact_search, greedy_batch, primary_words,
                           sc_batch, swap_batch)
 
@@ -333,6 +334,10 @@ def test_kernel_raises_where_the_mean_snr_overflows():
         run_sweep(config, "users", values=(3,))
 
 
+# The bounds come from numpy's log, exp and multiply, the canonical mean
+# SNR from its hypot, log10 and power, whose rounding may differ by
+# version: each bound must stay within a quarter of the guard band.
+@pytest.mark.numpy_contract
 @settings(max_examples=300, deadline=None)
 @given(
     cells=st.sampled_from([1, 7, 19]),
@@ -401,6 +406,9 @@ EXTREME_RATES = [
 ]
 
 
+# As the test above, at stream rates below the band and near the
+# ceiling, on every numpy allowed.
+@pytest.mark.numpy_contract
 @pytest.mark.parametrize("rate, fields", EXTREME_RATES,
                          ids=["below_the_band", "near_the_ceiling"])
 def test_gain_bounds_at_extreme_rates(rate, fields):
@@ -650,6 +658,29 @@ def test_a_batch_opens_the_placements_its_byte_budget_allows():
                for segments in kernel._batches(uneven, 4, open_place)]
     assert cut == [[(1, 0, 1)], [(4, 0, 3)], [(4, 3, 4), (1, 0, 1)],
                    [(1, 0, 1)]]
+
+
+def test_kernel_reads_placements_only_as_batches_need_them():
+    # Six placements of exactly one batch of sub-frames each: when the
+    # kernel yields a placement's counts it may have read only that
+    # placement and the next, the batch it solved and the one it opened.
+    scenario = generate_scenario(7, 300.0, 20, 5)
+    read, seen = [], []
+
+    def pairs():
+        for k in range(6):
+            read.append(k)
+            yield scenario, [np.random.SeedSequence(k, spawn_key=(t,))
+                             for t in range(3)]
+
+    with mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
+        assert kernel._batch_subframes(4, scenario.num_users) == 3
+        for counts in kernel.unserved_counts(pairs(), ChannelParams(),
+                                             StreamSpec(), 4):
+            assert counts.shape == (2, 3)
+            seen.append(len(read))
+    assert len(seen) == 6
+    assert all(reads <= min(k + 2, 6) for k, reads in enumerate(seen)), seen
 
 
 # Shapes (cells, users) of the placements the cutting rule is tested on.
@@ -960,6 +991,9 @@ class ReadsRecorded(list):
         return super().__getitem__(index)
 
 
+# numpy's bit generators must take the seeds of classes of our own that
+# the kernel's rows carry.
+@pytest.mark.numpy_contract
 def test_helpers_never_read_fading_seeds():
     # The calling thread reads each segment's seeds once, as it queues a
     # batch; helpers only use the seeds their rows carry.  Three
@@ -1060,6 +1094,9 @@ def test_sweep_builds_fading_seeds_as_it_draws():
     assert peak < 50_000 * 400 // 4, peak
 
 
+# Slab fills of the fading gains must continue numpy's generator stream
+# as one standard_exponential fill does, on every numpy allowed.
+@pytest.mark.numpy_contract
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1069,25 +1106,35 @@ def test_sweep_builds_fading_seeds_as_it_draws():
     one_cell=st.booleans(),
 )
 def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
+    # In one-cell slabs or in _SLAB_BYTES ones, _draw packs the words of
+    # one whole standard_exponential fill thresholded by the same bounds.
     scenario = generate_scenario(cells, 300.0, users, seed)
+    params, stream = ChannelParams(), StreamSpec()
     budget = prbs * scenario.num_users * 8 if one_cell else kernel._SLAB_BYTES
     with mock.patch.object(kernel, "_SLAB_BYTES", budget):
-        place = kernel._Placement(scenario, [seed], ChannelParams(),
-                                  StreamSpec(), prbs, len(kernel.COLUMNS))
-        gains = kernel._DrawBuffers().of(place, "rayleigh")[0]
+        place = kernel._Placement(scenario, [seed], params, stream, prbs,
+                                  len(kernel.COLUMNS))
+        buffers = kernel._DrawBuffers().of(place, "rayleigh")
+    gains = buffers[0]
     assert gains.shape == (place.slab, prbs, scenario.num_users)
     if one_cell:
         assert place.slab == 1
-    drawn = np.full((cells, prbs, scenario.num_users), np.nan)
-    firsts = []
-    for first, slab in kernel._gain_slabs(np.random.default_rng(seed),
-                                          gains, cells):
-        firsts.append(first)
-        drawn[first:first + len(slab)] = slab
-    assert firsts == list(range(0, cells, place.slab))
-    whole = np.empty_like(drawn)
+    got = np.empty(place.word_shape, dtype=np.uint64)
+    kernel._draw(place, seed, got, buffers, params, stream)
+    whole = np.empty((cells, prbs, scenario.num_users))
     np.random.default_rng(seed).standard_exponential(out=whole)
-    assert drawn.tobytes() == whole.tobytes()
+    # The gains left in the buffer are the last slab's.
+    last = range(0, cells, place.slab)[-1]
+    assert gains[:cells - last].tobytes() == whole[last:].tobytes()
+    covers = whole >= place.hi
+    band = ~covers & ~(whole < place.hi * place.ratio)
+    rates = shannon_rate_bps(mean_snr(scenario, params)[:, None, :] * whole,
+                             params.bandwidth_hz)
+    covers[band] = rates[band] >= stream.rate_bps
+    bits = np.zeros((cells, prbs, place.word_shape[2] * 64), dtype=bool)
+    bits[..., :scenario.num_users] = covers
+    want = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+    assert got.tobytes() == want.tobytes()
 
 
 @contextlib.contextmanager
@@ -1491,6 +1538,8 @@ def test_exact_search_splits_as_its_byte_budget_says(regime):
             assert (res.alloc, res.objective) == bigint_exact(inst)
 
 
+# Pins the exact search's unions on every numpy allowed.
+@pytest.mark.numpy_contract
 @settings(max_examples=150, deadline=None)
 @given(batch=instance_batches(),
        cap=st.sampled_from([1, 8, 16, 24, 40, 200, 4096, None]))
@@ -1504,6 +1553,9 @@ def test_exact_search_matches_bigint_oracle(batch, cap):
             assert (res.alloc, res.objective) == want
 
 
+# Pins the exact search's unions, with no head cell, on every numpy
+# allowed.
+@pytest.mark.numpy_contract
 def test_exact_search_builds_head_unions_one_tuple_at_a_time():
     # 7 cells of 4 PRBs and 512 contested users (8 words).  A 512 B
     # budget leaves one tail cell and ORs the 4^6 head unions with it two

@@ -210,6 +210,9 @@ def check_same_draws(num_cells, radius, n, seed):
     assert got_rng.random() == want_rng.random()
 
 
+# One uniform block of user positions must equal per-cell rounds of
+# numpy's generator on every numpy allowed.
+@pytest.mark.numpy_contract
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -222,6 +225,9 @@ def test_generate_scenario_draws_as_the_per_cell_sampler(seed, num_cells, n,
     check_same_draws(num_cells, radius, n, seed)
 
 
+# One uniform block of user positions must equal per-cell rounds of
+# numpy's generator on every numpy allowed.
+@pytest.mark.numpy_contract
 def test_generate_scenario_draws_as_the_per_cell_sampler_when_cells_fall_short():
     # With n = 8 a cell's first round of 16 points holds fewer than 8 in
     # the hexagon about 0.75 % of the time: the cells from the first such
@@ -232,6 +238,9 @@ def test_generate_scenario_draws_as_the_per_cell_sampler_when_cells_fall_short()
         check_same_draws(19, 300.0, 8, seed)
 
 
+# The points scale rng.random as numpy's uniform does, low + (high - low)
+# * u, which must hold on every numpy allowed.
+@pytest.mark.numpy_contract
 @pytest.mark.parametrize("radius", [300.0, 1e-3, 7.0 / 3.0, 1e150])
 def test_sample_cells_draws_what_numpy_uniform_draws(radius):
     # _sample_cells scales doubles of rng.random in place, as numpy's

@@ -259,6 +259,8 @@ def greedy_floor(opt, k):
     return math.ceil((1 - Fraction(k - 1, k) ** k) * opt)
 
 
+# The max-k-coverage claims must hold on every numpy allowed.
+@pytest.mark.numpy_contract
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), num_users=st.integers(4, 39),
        num_sets=st.integers(2, 6), k=st.integers(1, 5))
@@ -288,6 +290,8 @@ def tight_sets(k):
     return greedy + [set(block) for block in blocks]  # [G1, G2, G3, O1, O2, O3]
 
 
+# The max-k-coverage claims must hold on every numpy allowed.
+@pytest.mark.numpy_contract
 @pytest.mark.parametrize("k, num_users, greedy_served",
                          [(2, 8, 6), (3, 81, 57)])
 def test_greedy_is_tight_on_max_k_coverage(k, num_users, greedy_served):

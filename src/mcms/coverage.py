@@ -159,6 +159,13 @@ def pack_users(mask: np.ndarray) -> np.ndarray:
     return np.packbits(mask, axis=-1, bitorder="little").view(np.uint64)
 
 
+def unpack_users(words: np.ndarray) -> np.ndarray:
+    """The boolean [..., 64 * W] array that `pack_users` packs into the
+    uint64 ``words`` [..., W], padding bits included."""
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8),
+                         axis=-1, bitorder="little").view(bool)
+
+
 def whole_number(value, what: str) -> int:
     """``value`` as an int; InstanceError unless it is a whole number.
 

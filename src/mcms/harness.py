@@ -62,7 +62,8 @@ from .kernel import BASE_COLUMNS, COLUMNS, unserved_counts
 SWEEP_AXES = {
     "users": ("users_per_cell", (100, 125, 150, 175, 200, 225, 250),
               lambda value: whole_number(value, "users_per_cell")),
-    "radius": ("radius_m", (200, 250, 300, 350, 400), float),
+    "radius": ("radius_m", (200, 250, 300, 350, 400),
+               lambda value: finite_float(value, "radius_m", positive=True)),
 }
 
 
@@ -271,17 +272,21 @@ def run_sweep(
     """Run the Monte Carlo sweep along ``axis``, a key of `SWEEP_AXES`.
 
     ``values`` must be strictly increasing and defaults to the axis's
-    defaults.  The columns are SC and MC, and with ``with_exact`` EXACT
-    too, the optimum of every sub-frame (`mcms.kernel.COLUMNS`); then it
-    raises EnumerationBudgetError before the first sample unless
-    num_prbs ** num_cells stays within EXACT_BUDGET.  Every placement
-    of every point goes through one run of the kernel, `unserved_counts`,
-    and its counts are copied into the result's `counts`.
+    defaults; each must be what its `ExperimentConfig` field takes, a
+    whole number of users or a finite radius > 0 (ValueError, with no
+    coercion, if not).  The columns are SC and MC, and with
+    ``with_exact`` EXACT too, the optimum of every sub-frame
+    (`mcms.kernel.COLUMNS`); then it raises EnumerationBudgetError
+    before the first sample unless num_prbs ** num_cells stays within
+    EXACT_BUDGET.  Every placement of every point goes through one run
+    of the kernel, `unserved_counts`, and its counts are copied into the
+    result's `counts`.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be 'users' or 'radius', got {axis!r}")
     varied, defaults, convert = SWEEP_AXES[axis]
-    values = tuple(float(v) for v in (defaults if values is None else values))
+    swept = [convert(v) for v in (defaults if values is None else values)]
+    values = tuple(map(float, swept))
     if not values:
         raise ValueError("need at least one sweep value")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -289,8 +294,8 @@ def run_sweep(
     if with_exact and config.num_prbs ** config.num_cells > EXACT_BUDGET:
         raise EnumerationBudgetError(config.num_prbs ** config.num_cells,
                                      EXACT_BUDGET)
-    point_configs = [dataclasses.replace(config, **{varied: convert(value)})
-                     for value in values]
+    point_configs = [dataclasses.replace(config, **{varied: value})
+                     for value in swept]
 
     def placements():
         for pi, pc in enumerate(point_configs):

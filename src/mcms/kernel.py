@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .coverage import pack_users
 from .scenario import (ChannelParams, Scenario, StreamSpec, inverse_mean_snr,
                        mean_snr, shannon_rate_bps)
 from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
@@ -77,9 +78,7 @@ def _exact_batch(words: np.ndarray, owners: np.ndarray,
         chosen[short[better]] = found[better]
         lower[short[better]] = served[better]
     for row in np.flatnonzero(lower < upper):
-        # Padding bits are users no set covers, which the search drops.
-        chosen[row], lower[row] = exact_search(np.unpackbits(
-            words[row].view(np.uint8), axis=-1, bitorder="little").view(bool))
+        chosen[row], lower[row] = exact_search(words[row])
     return chosen, lower
 
 
@@ -198,13 +197,6 @@ def _batches(placements: Iterable[tuple[Scenario, Sequence]], num_prbs: int,
         yield segments
 
 
-def _allocate_buffers(gains: int, bits: int, bounds: int):
-    """Flat buffers of one drawing thread: ``gains`` fading gains, as many
-    below-bound flags, ``bits`` coverage bits, ``bounds`` lower bounds."""
-    return (np.empty(gains), np.empty(gains, dtype=bool),
-            np.empty(bits, dtype=bool), np.empty(bounds))
-
-
 class _DrawBuffers:
     """One drawing thread's buffers for a whole kernel call: fading gains,
     the below-bound mask, coverage bits padded to whole words and the
@@ -234,7 +226,9 @@ class _DrawBuffers:
                 # One PRB count a call: bounds get room for the gains' links.
                 most = _SLAB_BYTES // 8
                 room = most, most, most // shape[1]
-                self.flat = _allocate_buffers(*map(max, sizes, held, room))
+                links, bits, bounds = map(max, sizes, held, room)
+                self.flat = (np.empty(links), np.empty(links, dtype=bool),
+                             np.empty(bits, dtype=bool), np.empty(bounds))
             gains, below, bits, bounds = self.flat
             self.views = (gains[:sizes[0]].reshape(shape),
                           below[:sizes[0]].reshape(shape),
@@ -276,8 +270,7 @@ def _draw(place: _Placement, seed, out: np.ndarray, buffers,
                    else mean_snr(place.scenario, params))[first + c, u]
             covers[c, j, u] = shannon_rate_bps(
                 snr * slab[c, j, u], params.bandwidth_hz) >= stream.rate_bps
-        out[cells] = np.packbits(bits, axis=-1,
-                                 bitorder="little").view(np.uint64)
+        out[cells] = pack_users(bits)
 
 
 def unserved_counts(

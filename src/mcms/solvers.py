@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageInstance, pack_users
+from .coverage import CoverageInstance, pack_users, unpack_users
 
 # Most allocations (N^C) an exact search may enumerate unless told more.
 EXACT_BUDGET = 10_000_000
@@ -206,17 +206,19 @@ def _count_words(unions: np.ndarray) -> np.ndarray:
     return counts
 
 
-def exact_search(member: np.ndarray) -> tuple[tuple[int, ...], int]:
-    """Optimal allocation of one boolean coverage tensor [cells, prbs,
-    users]: the lexicographically smallest optimal PRB tuple and its
-    union coverage.
+def exact_search(words: np.ndarray) -> tuple[tuple[int, ...], int]:
+    """Optimal allocation of one instance's packed coverage, uint64
+    [cells, prbs, words] as `pack_users` packs it: the lexicographically
+    smallest optimal PRB tuple and its union coverage.  Raises
+    ValueError for any other dtype: a boolean tensor is not words.
 
     Only the contested users can change the answer.  A user covered by
-    every PRB of some cell is served by every allocation and is counted
-    as a constant; a user in no set is never served and is dropped.  The
-    contested users are packed into uint64 words and every union of one
-    set per cell is enumerated with word-wise ORs and popcounted.  The
-    last cells, all but the first at most, form one table of unions
+    every PRB of some cell (a word AND over PRBs, then an OR over cells)
+    is served by every allocation and is counted as a constant; a user
+    in no set is never served and is dropped.  The contested users are
+    packed again, without the others, and every union of one set per
+    cell is enumerated with word-wise ORs and popcounted.  The last
+    cells, all but the first at most, form one table of unions
     (`_tail_cells`); the other cells' PRB tuples go in lexicographic
     order in blocks that differ only in the last PRB, as many as fit
     _EXACT_BYTES ORed with the table (a divisor of N, at least 1), and
@@ -225,9 +227,12 @@ def exact_search(member: np.ndarray) -> tuple[tuple[int, ...], int]:
     maximum wins, within a block by ``argmax``, across blocks by a
     strict ``>``: the lexicographically smallest tuple.
     """
-    num_cells, num_prbs, _ = member.shape
-    always = member.all(axis=1).any(axis=0)
-    words = pack_users(member[:, :, member.any(axis=(0, 1)) & ~always])
+    if words.dtype != np.uint64:
+        raise ValueError(f"packed words are uint64, not {words.dtype}")
+    num_cells, num_prbs, _ = words.shape
+    always = np.bitwise_or.reduce(np.bitwise_and.reduce(words, axis=1))
+    contested = np.bitwise_or.reduce(words, axis=(0, 1)) & ~always
+    words = pack_users(unpack_users(words)[:, :, unpack_users(contested)])
     if words.shape[2] == 0:  # no contested user: one all-zero word
         words = np.zeros((num_cells, num_prbs, 1), dtype=np.uint64)
     head_cells = max(1, num_cells - _tail_cells(*words.shape))
@@ -248,7 +253,7 @@ def exact_search(member: np.ndarray) -> tuple[tuple[int, ...], int]:
                 best = int(counts.flat[i])
                 best_index = (index * num_prbs + first) * tail.shape[1] + i
     chosen = np.unravel_index(best_index, (num_prbs,) * num_cells)
-    return tuple(int(j) for j in chosen), int(np.count_nonzero(always)) + best
+    return tuple(int(j) for j in chosen), int(_popcount(always)) + best
 
 
 def solve_exact(
@@ -264,7 +269,7 @@ def solve_exact(
     total = instance.prbs_per_cell ** instance.num_cells
     if total > budget:
         raise EnumerationBudgetError(total, budget)
-    chosen, served = exact_search(instance.membership_matrix())
+    chosen, served = exact_search(pack_users(instance.membership_matrix()))
     return SolveResult(alloc=chosen, objective=served)
 
 

@@ -34,6 +34,8 @@ def test_minimal_instance_is_valid():
 def test_user_id_out_of_range_rejected():
     with pytest.raises(InstanceError, match="out of range"):
         CoverageInstance(2, [[{5}]], [0, 0])
+    with pytest.raises(InstanceError, match="num_users must be >= 0"):
+        CoverageInstance(-1, [[set()]], [])
 
 
 def test_ragged_collections_rejected():
@@ -54,6 +56,10 @@ def test_at_least_one_cell_and_prb():
         CoverageInstance(1, [], [0])
     with pytest.raises(InstanceError):
         CoverageInstance(1, [[]], [0])
+    for shape in ((0, 1, 2), (1, 0, 2)):
+        with pytest.raises(InstanceError, match="at least one cell"):
+            CoverageInstance.from_membership(np.zeros(shape, dtype=bool),
+                                             [0, 0])
 
 
 def test_collections_view_round_trips():

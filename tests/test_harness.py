@@ -186,6 +186,11 @@ def test_run_sweep_rejects_bad_values():
         run_sweep(TINY, "radius", values=(200, 200))
     with pytest.raises(ValueError, match="at least one"):
         run_sweep(TINY, "users", values=())
+    # A swept value is checked as its config field is, not coerced.
+    for axis, field in (("users", "users_per_cell"), ("radius", "radius_m")):
+        for value in (True, "300"):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                run_sweep(TINY, axis, values=(value,))
 
 
 def test_run_sweep_rejects_fractional_users_before_sampling(monkeypatch):
@@ -734,6 +739,14 @@ def test_fading_seeds_are_bounded_to_the_placement():
         with pytest.raises(IndexError):
             seeds[t]
     assert len(seeds[1:100]) == 2 and seeds[3:100] == []
+    with pytest.raises(ValueError, match="step 1"):
+        seeds[::2]
+    # A seed holds 4 uint64 words, 8 uint32 ones, and no other dtype.
+    with pytest.raises(ValueError, match="uint32 or uint64"):
+        listed[0].generate_state(4, np.int64)
+    for words, dtype in ((5, np.uint64), (9, np.uint32), (-1, np.uint64)):
+        with pytest.raises(ValueError, match="asked for"):
+            listed[0].generate_state(words, dtype)
 
 
 # The fading seeds are numpy's SeedSequence algorithm computed in bulk:

@@ -334,6 +334,18 @@ def test_kernel_raises_where_the_mean_snr_overflows():
         run_sweep(config, "users", values=(3,))
 
 
+def test_kernel_rejects_no_prbs_and_placements_without_subframes():
+    # The kernel refuses no PRBs as the one-sub-frame pipeline does.
+    scenario = generate_scenario(7, 300.0, 5, 0)
+    params, stream = ChannelParams(), StreamSpec()
+    with pytest.raises(ValueError, match="num_prbs must be >= 1"):
+        sample_rates(scenario, params, 0, num_prbs=0)
+    with pytest.raises(ValueError, match="num_prbs must be >= 1"):
+        next(kernel.unserved_counts([(scenario, [0])], params, stream, 0))
+    with pytest.raises(ValueError, match="at least one sub-frame"):
+        next(kernel.unserved_counts([(scenario, [])], params, stream, 4))
+
+
 # The bounds come from numpy's log, exp and multiply, the canonical mean
 # SNR from its hypot, log10 and power, whose rounding may differ by
 # version: each bound must stay within a quarter of the guard band.
@@ -1140,15 +1152,18 @@ def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
 @contextlib.contextmanager
 def counted_buffer_allocations():
     """Count the kernel's draw-buffer allocations inside: yields the list
-    that gets the name of the allocating thread, once per call."""
+    that gets the name of the allocating thread, once per allocation."""
     calls = []
-    real = kernel._allocate_buffers
+    real = kernel._DrawBuffers.of
 
-    def spy(*args):
-        calls.append(threading.current_thread().name)
-        return real(*args)
+    def spy(self, *args):
+        held = self.flat
+        views = real(self, *args)
+        if self.flat is not held:
+            calls.append(threading.current_thread().name)
+        return views
 
-    with mock.patch.object(kernel, "_allocate_buffers", spy):
+    with mock.patch.object(kernel._DrawBuffers, "of", spy):
         yield calls
 
 
@@ -1409,9 +1424,9 @@ def counted_searches():
     calls = []
     real_search = kernel.exact_search
 
-    def counted(member):
-        calls.append(member.shape)
-        return real_search(member)
+    def counted(words):
+        calls.append(words.shape)
+        return real_search(words)
 
     with mock.patch.object(kernel, "exact_search", counted):
         yield calls
@@ -1548,7 +1563,12 @@ def test_exact_search_matches_bigint_oracle(batch, cap):
                            cap or solvers._EXACT_BYTES):
         for inst in batch:
             want = bigint_exact(inst)
-            assert exact_search(inst.membership_matrix()) == want
+            member = inst.membership_matrix()
+            assert exact_search(pack_users(member)) == want
+            # A bool, or any dtype but uint64, is not read as words.
+            for other in (member, pack_users(member).astype(np.int64)):
+                with pytest.raises(ValueError, match="uint64"):
+                    exact_search(other)
             res = solve_exact(inst)
             assert (res.alloc, res.objective) == want
 
@@ -1564,11 +1584,12 @@ def test_exact_search_builds_head_unions_one_tuple_at_a_time():
     users = np.arange(512)
     member = rng.random((7, 4, 512)) < 0.2
     member[:, users % 4, users] = False  # no cell covers a user always
+    words = pack_users(member)
     with mock.patch.object(solvers, "_EXACT_BYTES", 512):
         assert solvers._tail_cells(7, 4, 8) == 1
         tracemalloc.start()
         try:
-            found = exact_search(member)
+            found = exact_search(words)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1605,7 +1626,7 @@ def test_exact_search_ors_blocks_of_head_tuples(cells, prbs, users, cap,
     with mock.patch.object(solvers, "_EXACT_BYTES",
                            cap or solvers._EXACT_BYTES), \
             mock.patch.object(solvers, "_count_words", counted):
-        found = exact_search(member)
+        found = exact_search(pack_users(member))
     assert len(calls) == counts, len(calls)
     inst = CoverageInstance.from_membership(member, np.zeros(users, int))
     assert found == bigint_exact(inst)

@@ -290,6 +290,13 @@ def test_scenario_rejects_user_outside_its_hexagon():
             user_positions=np.array([[10.0, 0.0]]),
             primary_cell=np.array([3]),
         )
+    fits = dict(radius=100.0, cell_centers=np.zeros((1, 2)),
+                user_positions=np.zeros((2, 2)), primary_cell=[0, 0])
+    for field, value in (("cell_centers", np.zeros(2)),
+                         ("user_positions", np.zeros((2, 3))),
+                         ("primary_cell", [0])):
+        with pytest.raises(ValueError, match=field):
+            Scenario(**{**fits, field: value})
 
 
 def test_pathloss_reference_values():

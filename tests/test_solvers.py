@@ -22,6 +22,7 @@ from mcms import (
     solve_greedy,
     solve_sc_baseline,
 )
+from mcms.coverage import pack_users
 from mcms.solvers import exact_search
 
 from conftest import coverage_sets, random_instance
@@ -270,7 +271,7 @@ def test_greedy_earns_one_minus_one_over_e_on_max_k_coverage(
             for _ in range(num_sets)]
     inst = max_k_coverage_instance(sets, num_users, k)
     opt = max_k_coverage(sets, k)
-    alloc, found = exact_search(inst.membership_matrix())
+    alloc, found = exact_search(pack_users(inst.membership_matrix()))
     assert found == opt == len(set().union(*(sets[j] for j in alloc)))
     assert solve_exact(inst).objective == opt
     greedy = solve_greedy(inst).objective

@@ -216,29 +216,24 @@ class _SubframeSeed:
     def __init__(self, words: np.ndarray):
         self.words = words
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
         # PCG64 asks for np.uint64 itself: the test by identity keeps
         # np.dtype off the path of every sub-frame.
-        if dtype is np.uint64 or np.dtype(dtype) == np.uint64:
-            words = self.words
-        elif np.dtype(dtype) == np.uint32:
-            # SeedSequence reads its uint32 words as little-endian uint64s.
-            words = self.words.astype("<u8").view("<u4").astype(np.uint32)
-        else:
-            raise ValueError("only support uint32 or uint64")
-        if not 0 <= n_words <= len(words):
-            raise ValueError(f"holds {len(words)} words of {words.dtype}, "
+        if dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+            raise ValueError("only support uint64")
+        if not 0 <= n_words <= len(self.words):
+            raise ValueError(f"holds {len(self.words)} words of uint64, "
                              f"asked for {n_words}")
-        return words[:n_words]
+        return self.words[:n_words]
 
 
 class _FadingSeeds:
     """The fading seeds of the sub-frames of placement (point, trial) of
-    a sweep, ``subframes <= MAX_SUBFRAMES`` of them: ``seeds[t]`` gives
-    the state of ``SeedSequence(seed, spawn_key=(point, trial, 1, t))``
-    and so the same PCG64 stream, and ``seeds[start:stop]`` a list of
-    those seeds, built in one `_child_states` pass from the terms the
-    placement's seeds share."""
+    a sweep, ``subframes <= MAX_SUBFRAMES`` of them, read only by slice:
+    in ``seeds[start:stop]`` the seed of sub-frame t holds the state of
+    ``SeedSequence(seed, spawn_key=(point, trial, 1, t))`` and so gives
+    the same PCG64 stream.  A slice is built in one `_child_states` pass
+    from the terms the placement's seeds share."""
 
     def __init__(self, seed: int, point: int, trial: int, subframes: int):
         self.subframes = subframes
@@ -247,12 +242,7 @@ class _FadingSeeds:
     def __len__(self) -> int:
         return self.subframes
 
-    def __getitem__(self, index):
-        if not isinstance(index, slice):
-            if not 0 <= index < self.subframes:
-                raise IndexError(f"sub-frame {index} out of range [0, "
-                                 f"{self.subframes})")
-            return self[index:index + 1][0]
+    def __getitem__(self, index: slice) -> list[_SubframeSeed]:
         start, stop, step = index.indices(self.subframes)
         if step != 1:
             raise ValueError("fading seeds are sliced with step 1")

@@ -37,6 +37,9 @@ from .coverage import CoverageInstance, whole_number
 # unserved per sub-frame (mean about 13 of 1225 under the defaults).
 DEFAULT_STREAM_RATE_BPS = 1.4e6
 
+# The layouts `hex_centers` builds: a center cell and 0, 1 or 2 rings.
+CELL_COUNTS = (1, 7, 19)
+
 _SQRT3 = math.sqrt(3.0)
 # Unit normals of a pointy-top hexagon's three edge-pair axes.
 _HEX_AXES = np.array([
@@ -120,7 +123,7 @@ def hex_centers(num_cells: int, radius: float) -> np.ndarray:
     Raises ValueError unless every coordinate of the layout, and every
     distance between a station and a user, is finite.
     """
-    if num_cells not in (1, 7, 19):
+    if num_cells not in CELL_COUNTS:
         raise ValueError(f"num_cells must be 1, 7 or 19, got {num_cells}")
     finite_float(radius, "radius", positive=True)
     spacing = _SQRT3 * radius

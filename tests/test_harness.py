@@ -3,7 +3,6 @@
 import argparse
 import concurrent.futures
 import dataclasses
-import itertools
 import json
 import re
 import subprocess
@@ -554,6 +553,31 @@ def test_cli_sweep_config_keys_are_its_own_knob_flags(command, knob):
         "--" + key.replace("_", "-") for key in knobs}
 
 
+@pytest.mark.parametrize("command", ["sweep-users", "sweep-radius"])
+def test_cli_help_shows_config_defaults_and_axis_grid(capsys, monkeypatch,
+                                                      command):
+    # The help states each knob's ExperimentConfig default and the axis's
+    # SWEEP_AXES grid, read from them, so it cannot drift from either.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # Each option's entry, its wrapped lines joined.
+    entries = {}
+    for entry in re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]:
+        flag, *words = entry.split()
+        entries[flag] = " ".join(words)
+    axis = command.removeprefix("sweep-")
+    grid = ",".join(map(str, harness.SWEEP_AXES[axis][1]))
+    assert entries["--values"].endswith(f"(default {grid})")
+    knobs = cli._knobs(axis)
+    assert len(knobs) == 7
+    for key, (field, _, _) in knobs.items():
+        default = getattr(ExperimentConfig(), field)
+        assert entries["--" + key.replace("_", "-")].endswith(
+            f"(default {default})")
+
+
 @pytest.mark.parametrize("command, key, value, field", [
     ("sweep-users", "seed", 9, "seed"),
     ("sweep-users", "trials", 2, "trials"),
@@ -702,18 +726,29 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
 
 
 @pytest.mark.parametrize("axis, values, message", [
-    ("users", " , ", "values is empty"),
-    ("users", "", "values is empty"),
-    ("users", [20.5, 30], "values on the users axis must be whole numbers"),
+    ("users", " , ", "need at least one sweep value"),
+    ("users", "", "need at least one sweep value"),
+    ("users", [20.5, 30], "users_per_cell must be a whole number, got 20.5"),
     # A value beyond the float range.
-    ("radius", [250, 10 ** 400], "values must be finite numbers"),
-    ("users", "20,inf", "values must be finite numbers"),
+    ("radius", [250, 10 ** 400], "radius_m must be a finite number > 0"),
+    ("users", "20,inf", "users_per_cell must be a whole number, got inf"),
     ("users", "20,x", "values must be comma-separated numbers"),
     ("users", [30, 20], "sweep values must be strictly increasing"),
-])
+    ("radius", "-5", "radius_m must be a finite number > 0, got -5.0"),
+    ("radius", "0", "radius_m must be a finite number > 0, got 0.0"),
+    ("radius", "nan", "radius_m must be a finite number > 0, got nan"),
+], ids=[  # the names the cases had when the CLI wrote these messages
+    "users- , -values is empty", "users--values is empty",
+    "users-values2-values on the users axis must be whole numbers",
+    "radius-values3-values must be finite numbers",
+    "users-20,inf-values must be finite numbers",
+    "users-20,x-values must be comma-separated numbers",
+    "users-values6-sweep values must be strictly increasing",
+    "radius--5", "radius-0", "radius-nan"])
 def test_cli_rejects_bad_config_values_lists(tmp_path, capsys, axis, values,
                                              message):
-    # A list of sweep values goes to --values comma-joined, text as it is.
+    # A list of sweep values goes to --values comma-joined, text as it is;
+    # run_sweep's error, naming the swept field, reaches stderr as it is.
     if not isinstance(values, str):
         values = ",".join(str(value) for value in values)
     rc = main([f"sweep-{axis}", "--trials", "1", "--subframes", "1",
@@ -722,7 +757,7 @@ def test_cli_rejects_bad_config_values_lists(tmp_path, capsys, axis, values,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
-    assert not (tmp_path / "x.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # The fading seeds are numpy's SeedSequence algorithm computed in bulk:
@@ -730,23 +765,21 @@ def test_cli_rejects_bad_config_values_lists(tmp_path, capsys, axis, values,
 @pytest.mark.numpy_contract
 def test_fading_seeds_are_bounded_to_the_placement():
     seeds = harness._FadingSeeds(7, 1, 2, 3)
-    # Iteration stops at the first IndexError; islice bounds the check.
-    listed = list(itertools.islice(seeds, 4))
+    # A slice stops at the last sub-frame.
+    listed = seeds[0:4]
     assert [s.generate_state(4, np.uint64).tolist() for s in listed] == [
         np.random.SeedSequence(7, spawn_key=(1, 2, 1, t)).generate_state(
             4, np.uint64).tolist() for t in range(3)]
-    for t in (3, -1, 100):
-        with pytest.raises(IndexError):
-            seeds[t]
     assert len(seeds[1:100]) == 2 and seeds[3:100] == []
     with pytest.raises(ValueError, match="step 1"):
         seeds[::2]
-    # A seed holds 4 uint64 words, 8 uint32 ones, and no other dtype.
-    with pytest.raises(ValueError, match="uint32 or uint64"):
-        listed[0].generate_state(4, np.int64)
-    for words, dtype in ((5, np.uint64), (9, np.uint32), (-1, np.uint64)):
+    # A seed holds 4 uint64 words, all PCG64 asks for, and no other dtype.
+    for dtype in (np.int64, np.uint32):
+        with pytest.raises(ValueError, match="only support uint64"):
+            listed[0].generate_state(4, dtype)
+    for words in (5, -1):
         with pytest.raises(ValueError, match="asked for"):
-            listed[0].generate_state(words, dtype)
+            listed[0].generate_state(words, np.uint64)
 
 
 # The fading seeds are numpy's SeedSequence algorithm computed in bulk:
@@ -778,22 +811,21 @@ def test_fading_seeds_equal_numpy_seed_sequences(seed, point, trial,
                                                            t))
             assert np.array_equal(seed_t.generate_state(4, np.uint64),
                                   want.generate_state(4, np.uint64))
-            assert np.array_equal(seed_t.generate_state(8),
-                                  want.generate_state(8))
             assert (np.random.default_rng(seed_t).standard_exponential(8)
                     .tobytes() == np.random.default_rng(want)
                     .standard_exponential(8).tobytes())
     # One sub-frame read alone is the same seed.
-    assert np.array_equal(seeds[anywhere].generate_state(4, np.uint64),
-                          seeds[anywhere:anywhere + 1][0].generate_state(
-                              4, np.uint64))
+    want = np.random.SeedSequence(seed, spawn_key=(point, trial, 1, anywhere))
+    assert np.array_equal(seeds[anywhere:anywhere + 1][0].generate_state(
+        4, np.uint64), want.generate_state(4, np.uint64))
 
 
 def test_fading_seeds_take_numpy_integers():
-    words = [s.generate_state(8).tolist()
-             for s in harness._FadingSeeds(7, 1, 2, 3)]
+    words = [s.generate_state(4, np.uint64).tolist()
+             for s in harness._FadingSeeds(7, 1, 2, 3)[:]]
     seeds = harness._FadingSeeds(np.uint64(7), np.int64(1), np.int32(2), 3)
-    assert [s.generate_state(8).tolist() for s in seeds] == words
+    assert [s.generate_state(4, np.uint64).tolist()
+            for s in seeds[:]] == words
     config = dataclasses.replace(TINY, seed=np.int64(TINY.seed))
     assert np.array_equal(run_sweep(config, "users", values=(20,)).counts,
                           run_sweep(TINY, "users", values=(20,)).counts)
@@ -872,12 +904,12 @@ def test_cli_rejects_fractional_users_values(tmp_path, capsys):
     rc = main(["sweep-users", "--out", str(tmp_path / "x.csv"),
                "--values", "100.2,100.7", "--trials", "1", "--subframes", "1"])
     assert rc == 2
-    assert "whole numbers" in capsys.readouterr().err
+    assert "whole number, got 100.2" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
     rc = main(["sweep-users", "--out", str(tmp_path / "x.csv"),
                "--values", "100,inf", "--trials", "1", "--subframes", "1"])
     assert rc == 2
-    assert "finite" in capsys.readouterr().err
+    assert "whole number, got inf" in capsys.readouterr().err
     # whole numbers written as floats are fine on the users axis, and
     # fractions are fine on the radius axis
     assert main(["sweep-users", "--out", str(tmp_path / "u.csv"),

@@ -25,7 +25,6 @@ from .solvers import (
 from .scenario import (
     ChannelParams,
     Scenario,
-    StreamSpec,
     derive_instance,
     generate_scenario,
     sample_rates,
@@ -52,7 +51,6 @@ __all__ = [
     "InstanceError",
     "Scenario",
     "SolveResult",
-    "StreamSpec",
     "SweepResult",
     "derive_instance",
     "generate_scenario",

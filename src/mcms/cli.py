@@ -86,11 +86,12 @@ def _add_sweep_flags(p: argparse.ArgumentParser, axis: str) -> None:
 
 
 def _parse_values(values: str | None) -> list[float] | None:
-    """Sweep values from ``--values``, comma-separated numbers."""
+    """Sweep values from ``--values``, comma-separated numbers: an empty
+    entry is not one."""
     if values is None:
         return None
     try:
-        return [float(v) for v in values.split(",") if v.strip()]
+        return [float(v) for v in values.split(",")]
     except ValueError:
         raise ValueError(
             f"--values must be comma-separated numbers: {values!r}")

@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coverage import pack_users
-from .scenario import (ChannelParams, Scenario, StreamSpec, inverse_mean_snr,
-                       mean_snr, shannon_rate_bps)
+from .scenario import (ChannelParams, Scenario, inverse_mean_snr, mean_snr,
+                       shannon_rate_bps)
 from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
                       swap_batch)
 
@@ -129,7 +129,7 @@ class _Placement:
     times `inverse_mean_snr`, far inside the band."""
 
     def __init__(self, scenario: Scenario, fading_seeds: Sequence,
-                 params: ChannelParams, stream: StreamSpec, num_prbs: int,
+                 params: ChannelParams, rate_bps: float, num_prbs: int,
                  num_columns: int):
         self.subframes = len(fading_seeds)
         self.seeds = fading_seeds
@@ -139,7 +139,7 @@ class _Placement:
         inv = inverse_mean_snr(scenario, params)
         num_cells, self.num_users = inv.shape
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
+            x = np.expm1(rate_bps / params.bandwidth_hz * np.log(2.0))
             half = _GUARD * (1.0 + x)
             # In [-1, 1) while x is finite: no lower bound overflows.
             self.ratio = (x - half) / (x + half)
@@ -205,16 +205,15 @@ class _DrawBuffers:
     They are allocated on the thread's first draw, with room for
     _SLAB_BYTES of gains or a placement's one cell if that is larger,
     and grow only when a later placement needs more.  Each slab shape
-    takes C-contiguous prefix views of them; when the shape changes (a
-    call has one fading) the padding bits are zeroed and, without
-    fading, the gains set to 1, values that no draw writes.
+    takes C-contiguous prefix views of them; when the shape changes the
+    padding bits are zeroed, which no draw writes.
     """
 
     def __init__(self):
         self.flat = (np.empty(0),) * 4
         self.views = self.key = None
 
-    def of(self, place: _Placement, fading: str):
+    def of(self, place: _Placement):
         """Buffers ``(gains, below, padded, lower)`` of a slab of ``place``."""
         shape = (place.slab, place.word_shape[1], place.num_users)
         if shape != self.key:
@@ -235,26 +234,26 @@ class _DrawBuffers:
                           bits[:sizes[1]].reshape(padded),
                           bounds[:sizes[2]].reshape(lower))
             self.views[2][..., place.num_users:] = False
-            if fading != "rayleigh":
-                self.views[0].fill(1.0)
             self.key = shape
         return self.views
 
 
 def _draw(place: _Placement, seed, out: np.ndarray, buffers,
-          params: ChannelParams, stream: StreamSpec) -> None:
+          params: ChannelParams, rate_bps: float) -> None:
     """Draw a sub-frame of a placement from its fading seed, threshold its
     gains and pack its coverage into ``out`` [cells, prbs, words]: that
     of `sample_rates` from the same seed followed by `derive_instance`.
 
     The gains are drawn a slab of whole cells at a time, in cell order,
     so they are those of one ``standard_exponential`` fill of [cells,
-    prbs, users]; without fading they keep their values, 1."""
+    prbs, users]; without fading they are all 1."""
     gains, under, padded, lower = buffers
     rng = np.random.default_rng(seed) if params.fading == "rayleigh" else None
     for first in range(0, len(out), len(gains)):
         slab = gains[:len(out) - first]
-        if rng is not None:
+        if rng is None:
+            slab.fill(1.0)
+        else:
             rng.standard_exponential(out=slab)
         cells = slice(first, first + len(slab))
         bits = padded[:len(slab)]
@@ -269,14 +268,14 @@ def _draw(place: _Placement, seed, out: np.ndarray, buffers,
             snr = (place.snr if place.snr is not None
                    else mean_snr(place.scenario, params))[first + c, u]
             covers[c, j, u] = shannon_rate_bps(
-                snr * slab[c, j, u], params.bandwidth_hz) >= stream.rate_bps
+                snr * slab[c, j, u], params.bandwidth_hz) >= rate_bps
         out[cells] = pack_users(bits)
 
 
 def unserved_counts(
     placements: Iterable[tuple[Scenario, Sequence]],
     params: ChannelParams,
-    stream: StreamSpec,
+    rate_bps: float,
     num_prbs: int,
     columns: Sequence[Column] = BASE_COLUMNS,
 ) -> Iterator[np.ndarray]:
@@ -319,11 +318,10 @@ def unserved_counts(
                 row, place, seed = todo.get_nowait()
             except queue.Empty:
                 return
-            _draw(place, seed, words[row], mine.of(place, params.fading),
-                  params, stream)
+            _draw(place, seed, words[row], mine.of(place), params, rate_bps)
 
     def open_place(scenario, seeds):
-        return _Placement(scenario, seeds, params, stream, num_prbs,
+        return _Placement(scenario, seeds, params, rate_bps, num_prbs,
                           len(columns))
 
     def open_batches():

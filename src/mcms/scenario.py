@@ -32,11 +32,6 @@ import numpy as np
 
 from .coverage import CoverageInstance, whole_number
 
-# Stream rate (bps) that puts a seven-cell, 300 m system in the regime
-# where single-connectivity leaves a small but visible share of users
-# unserved per sub-frame (mean about 13 of 1225 under the defaults).
-DEFAULT_STREAM_RATE_BPS = 1.4e6
-
 # The layouts `hex_centers` builds: a center cell and 0, 1 or 2 rings.
 CELL_COUNTS = (1, 7, 19)
 
@@ -373,7 +368,7 @@ def sample_rates(
     scenario: Scenario,
     params: ChannelParams,
     rng,
-    num_prbs: int = 4,
+    num_prbs: int,
 ) -> np.ndarray:
     """Draw the per-link rates of one sub-frame: ``rates[c, j, k]`` is
     the bps user k would get from cell c on PRB j.
@@ -397,26 +392,19 @@ def sample_rates(
     return shannon_rate_bps(snr[:, None, :] * gain, params.bandwidth_hz)
 
 
-@dataclass(frozen=True)
-class StreamSpec:
-    """The multicast stream: one rate every user needs to decode."""
-
-    rate_bps: float = DEFAULT_STREAM_RATE_BPS
-
-    def __post_init__(self):
-        finite_float(self.rate_bps, "rate_bps", positive=True)
-
-
 def derive_instance(
     scenario: Scenario,
     rates: np.ndarray,
-    stream: StreamSpec,
+    rate_bps: float,
 ) -> CoverageInstance:
-    """Coverage problem for one sub-frame: user k is in the coverage set
-    of (cell c, PRB j) exactly when rates[c, j, k] >= stream.rate_bps.
-    The decode-at-rate boundary is inclusive.  Raises ValueError unless
-    ``rates`` is a finite, non-negative [cells, prbs, users] array whose
-    cell and user counts are the scenario's."""
+    """Coverage problem for one sub-frame of a multicast stream of rate
+    ``rate_bps``, which every user needs to decode: user k is in the
+    coverage set of (cell c, PRB j) exactly when rates[c, j, k] >=
+    rate_bps.  The decode-at-rate boundary is inclusive.  Raises
+    ValueError unless ``rate_bps`` is a finite number > 0 and ``rates``
+    a finite, non-negative [cells, prbs, users] array whose cell and
+    user counts are the scenario's."""
+    rate_bps = finite_float(rate_bps, "rate_bps", positive=True)
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 3:
         raise ValueError(f"rates must be [cells, prbs, users], "
@@ -427,5 +415,5 @@ def derive_instance(
         raise ValueError(
             f"rates have {rates.shape[0]} cells and {rates.shape[2]} users, "
             f"scenario has {scenario.num_cells} and {scenario.num_users}")
-    membership = rates >= stream.rate_bps
+    membership = rates >= rate_bps
     return CoverageInstance.from_membership(membership, scenario.primary_cell)

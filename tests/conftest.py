@@ -46,10 +46,10 @@ def coverage_sets(instance: CoverageInstance):
                  for cell in instance.membership_matrix())
 
 
-def run_subframe(scenario, params, stream, rng, num_prbs=4):
+def run_subframe(scenario, params, rate_bps, rng, num_prbs=4):
     """Unserved (MC, SC) counts of one sub-frame drawn from ``rng``: the
     sweep kernel on a stream of one placement with one sub-frame."""
-    sc, mc = next(unserved_counts([(scenario, [rng])], params, stream,
+    sc, mc = next(unserved_counts([(scenario, [rng])], params, rate_bps,
                                   num_prbs))
     return int(mc[0]), int(sc[0])
 

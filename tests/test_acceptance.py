@@ -13,7 +13,6 @@ import numpy as np
 from mcms import (
     ChannelParams,
     ExperimentConfig,
-    StreamSpec,
     derive_instance,
     generate_scenario,
     greedy_bound,
@@ -145,10 +144,8 @@ def test_exact_objective_never_grows_with_stream_rate():
         rates = sample_rates(scenario, params,
                              np.random.default_rng((500, i, 1)), num_prbs=2)
         rate = float(np.random.default_rng((500, i, 2)).uniform(4e5, 2e6))
-        at_rate = solve_exact(derive_instance(scenario, rates,
-                                              StreamSpec(rate_bps=rate)))
-        doubled = solve_exact(derive_instance(scenario, rates,
-                                              StreamSpec(rate_bps=2 * rate)))
+        at_rate = solve_exact(derive_instance(scenario, rates, rate))
+        doubled = solve_exact(derive_instance(scenario, rates, 2 * rate))
         assert doubled.objective <= at_rate.objective
     print(f"\nPASS: doubling the stream rate never increased the exact "
           f"objective ({n}/{n} realizations)")

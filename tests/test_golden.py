@@ -6,7 +6,8 @@ Each case runs one ``mcms`` sweep command and compares its CSV, its
 files under ``tests/golden/``.  The cases cover both axes, 1, 7 and 19
 cells, deterministic fading, a single PRB and an EXACT column, and
 the EXACT case without --exact must give its files less the EXACT
-column.
+column.  Every row of the EXACT case's per-sample log is rebuilt from
+its seeds through the public one-instance path as well.
 
 The files pin the deterministic output contract, not a tolerance.  To
 record them again after a deliberate change to that contract, run
@@ -17,8 +18,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mcms import (ChannelParams, derive_instance, generate_scenario,
+                  sample_rates, solve_exact, solve_greedy, solve_sc_baseline)
 from mcms.cli import main
 
 # The golden bytes must be the same on every numpy allowed.
@@ -92,6 +96,35 @@ def test_users_exact_without_exact_is_its_sc_and_mc_columns(tmp_path):
     for point in meta["points"]:
         del point["mean_exact"], point["std_exact"]
     assert json.loads(Path(f"{out}.meta.json").read_text()) == meta
+
+
+def test_users_exact_rows_replay_through_the_one_instance_path():
+    # The README's seeding: sample (point, trial, t) draws its users from
+    # SeedSequence(seed, spawn_key=(point, trial, 0)) and its fading from
+    # spawn_key=(point, trial, 1, t).  sample_rates -> derive_instance
+    # and the three one-instance solvers must give each row's counts.
+    config = json.loads(
+        (GOLDEN / "users_exact.csv.meta.json").read_text())["config"]
+    assert config["channel"] == vars(ChannelParams())
+    lines = (GOLDEN / "users_exact.raw.csv").read_text().splitlines()
+    assert lines[0] == "users,trial,subframe,SC,MC,EXACT"
+    values = sorted({int(line.split(",")[0]) for line in lines[1:]})
+    for line in lines[1:]:
+        users, trial, t, *want = map(int, line.split(","))
+        point = values.index(users)
+        scenario = generate_scenario(
+            config["num_cells"], config["radius_m"], users,
+            np.random.default_rng(np.random.SeedSequence(
+                config["seed"], spawn_key=(point, trial, 0))))
+        rates = sample_rates(
+            scenario, ChannelParams(), np.random.default_rng(
+                np.random.SeedSequence(config["seed"],
+                                       spawn_key=(point, trial, 1, t))),
+            config["num_prbs"])
+        instance = derive_instance(scenario, rates, config["stream_rate_bps"])
+        got = [instance.num_users - solve(instance).objective
+               for solve in (solve_sc_baseline, solve_greedy, solve_exact)]
+        assert got == want, line
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from mcms import (
     EnumerationBudgetError,
     ExperimentConfig,
     InstanceError,
-    StreamSpec,
     SweepResult,
     generate_scenario,
     instance_from_dict,
@@ -133,9 +132,9 @@ def test_run_subframe_extremes():
     scenario = generate_scenario(7, 300.0, 10, 5)
     params = ChannelParams()
     m = scenario.num_users
-    mc, sc = run_subframe(scenario, params, StreamSpec(rate_bps=1e15), 5)
+    mc, sc = run_subframe(scenario, params, 1e15, 5)
     assert (mc, sc) == (m, m)
-    mc, sc = run_subframe(scenario, params, StreamSpec(rate_bps=1e-9), 5)
+    mc, sc = run_subframe(scenario, params, 1e-9, 5)
     assert (mc, sc) == (0, 0)
 
 
@@ -144,11 +143,11 @@ def test_run_subframe_matches_solver_objectives():
     # solver's own allocation
     scenario = generate_scenario(7, 300.0, 15, 9)
     params = ChannelParams()
-    stream = StreamSpec()
+    rate_bps = ExperimentConfig.stream_rate_bps
     rng = np.random.default_rng(9)
     rates = sample_rates(scenario, params, rng, num_prbs=4)
-    inst = derive_instance(scenario, rates, stream)
-    mc, sc = run_subframe(scenario, params, stream,
+    inst = derive_instance(scenario, rates, rate_bps)
+    mc, sc = run_subframe(scenario, params, rate_bps,
                           np.random.default_rng(9))
     m = inst.num_users
     g = solve_greedy(inst)
@@ -726,8 +725,8 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
 
 
 @pytest.mark.parametrize("axis, values, message", [
-    ("users", " , ", "need at least one sweep value"),
-    ("users", "", "need at least one sweep value"),
+    ("users", " , ", "values must be comma-separated numbers"),
+    ("users", "", "values must be comma-separated numbers"),
     ("users", [20.5, 30], "users_per_cell must be a whole number, got 20.5"),
     # A value beyond the float range.
     ("radius", [250, 10 ** 400], "radius_m must be a finite number > 0"),
@@ -737,6 +736,8 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
     ("radius", "-5", "radius_m must be a finite number > 0, got -5.0"),
     ("radius", "0", "radius_m must be a finite number > 0, got 0.0"),
     ("radius", "nan", "radius_m must be a finite number > 0, got nan"),
+    ("users", "100,,200", "values must be comma-separated numbers"),
+    ("users", "100,200,", "values must be comma-separated numbers"),
 ], ids=[  # the names the cases had when the CLI wrote these messages
     "users- , -values is empty", "users--values is empty",
     "users-values2-values on the users axis must be whole numbers",
@@ -744,7 +745,8 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys, flags, message):
     "users-20,inf-values must be finite numbers",
     "users-20,x-values must be comma-separated numbers",
     "users-values6-sweep values must be strictly increasing",
-    "radius--5", "radius-0", "radius-nan"])
+    "radius--5", "radius-0", "radius-nan", "users-100,,200",
+    "users-100,200,"])
 def test_cli_rejects_bad_config_values_lists(tmp_path, capsys, axis, values,
                                              message):
     # A list of sweep values goes to --values comma-joined, text as it is;

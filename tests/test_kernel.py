@@ -49,7 +49,6 @@ from mcms import (
     CoverageInstance,
     ExperimentConfig,
     Scenario,
-    StreamSpec,
     derive_instance,
     generate_scenario,
     run_sweep,
@@ -85,12 +84,14 @@ BOUNDARY_CONFIGS = (
                      num_prbs=4, trials=2, subframes=3, seed=23),
 )
 BOUNDARY_IDS = ["1cell_1prb", "7cells_4prbs", "low_snr", "19cells_400m"]
+# The default stream rate, for tests that any rate serves.
+RATE = ExperimentConfig.stream_rate_bps
 
 
-def pipeline_counts(scenario, params, stream, rng, num_prbs):
+def pipeline_counts(scenario, params, rate_bps, rng, num_prbs):
     """Unserved (MC, SC) of one sub-frame through the public pipeline."""
     rates = sample_rates(scenario, params, rng, num_prbs)
-    instance = derive_instance(scenario, rates, stream)
+    instance = derive_instance(scenario, rates, rate_bps)
     m = instance.num_users
     return (m - solve_greedy(instance).objective,
             m - solve_sc_baseline(instance).objective)
@@ -166,18 +167,17 @@ def started_helpers():
 def check_sweep_at_realized_rates(boundary, with_subframe=True):
     params = boundary.channel
     for rate in boundary_rates(boundary):
-        stream = StreamSpec(rate_bps=rate)
         config = dataclasses.replace(boundary, stream_rate_bps=rate)
         result = run_sweep(config, "users", values=(boundary.users_per_cell,))
         for trial, t in np.ndindex(config.trials, config.subframes):
             scenario, fading = sweep_sample(config, trial, t)
-            want = pipeline_counts(scenario, params, stream,
+            want = pipeline_counts(scenario, params, rate,
                                    np.random.default_rng(fading),
                                    config.num_prbs)
             sc, mc = result.counts[0, :, trial, t]
             assert (mc, sc) == want, rate
             if with_subframe:
-                got = run_subframe(scenario, params, stream,
+                got = run_subframe(scenario, params, rate,
                                    np.random.default_rng(fading),
                                    config.num_prbs)
                 assert got == want, rate
@@ -209,14 +209,13 @@ def test_kernel_matches_pipeline_in_worker_threads(boundary, workers):
         return real_rate(*args)
 
     for rate in boundary_rates(boundary):
-        stream = StreamSpec(rate_bps=rate)
-        want = pipeline_counts(scenario, params, stream,
+        want = pipeline_counts(scenario, params, rate,
                                np.random.default_rng(fading),
                                boundary.num_prbs)
         with worker_threads(workers), \
                 mock.patch.object(kernel, "shannon_rate_bps", spy):
             sc, mc = next(kernel.unserved_counts(
-                [(scenario, [fading] * 16)], params, stream,
+                [(scenario, [fading] * 16)], params, rate,
                 boundary.num_prbs))
         assert set(zip(mc.tolist(), sc.tolist())) == {want}, rate
     assert helper_fixed.is_set()
@@ -229,9 +228,8 @@ def test_kernel_matches_pipeline_without_fading():
     # Rates at which some mean-SNR links sit exactly on the threshold.
     for snr_value in np.quantile(snr, [0.2, 0.5, 0.8]):
         rate = float(params.bandwidth_hz * np.log2(1.0 + snr_value))
-        stream = StreamSpec(rate_bps=rate)
-        assert (run_subframe(scenario, params, stream, 0)
-                == pipeline_counts(scenario, params, stream, 0, 4))
+        assert (run_subframe(scenario, params, rate, 0)
+                == pipeline_counts(scenario, params, rate, 0, 4))
 
 
 @contextlib.contextmanager
@@ -259,10 +257,10 @@ def test_placement_with_non_finite_bounds_computes_its_mean_snr_once():
     with counted_mean_snr() as calls:
         result = run_sweep(config, "users", values=(5,))
     assert len(calls) == config.trials
-    stream = StreamSpec(rate_bps=config.stream_rate_bps)
+    rate_bps = config.stream_rate_bps
     for trial, t in np.ndindex(config.trials, config.subframes):
         scenario, fading = sweep_sample(config, trial, t)
-        want = pipeline_counts(scenario, config.channel, stream,
+        want = pipeline_counts(scenario, config.channel, rate_bps,
                                np.random.default_rng(fading),
                                config.num_prbs)
         sc, mc = result.counts[0, :, trial, t]
@@ -275,7 +273,7 @@ def test_placement_in_range_opens_without_mean_snr():
     scenario = generate_scenario(7, 300.0, 175, 3)
     with counted_mean_snr() as calls:
         place = kernel._Placement(scenario, [0], ChannelParams(),
-                                  StreamSpec(), 4, 2)
+                                  RATE, 4, 2)
     assert calls == [] and place.snr is None
     assert np.isfinite(place.hi).all() and 0.0 < place.ratio < 1.0
 
@@ -289,7 +287,7 @@ def test_a_placement_holds_one_gain_bound_per_link():
     tracemalloc.start()
     try:
         place = kernel._Placement(scenario, [0], ChannelParams(),
-                                  StreamSpec(), 4, 2)
+                                  RATE, 4, 2)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -314,10 +312,10 @@ def test_kernel_matches_pipeline_where_mean_snrs_are_subnormal():
     with counted_mean_snr() as calls:
         result = run_sweep(config, "users", values=(5,))
     assert len(calls) == config.trials
-    stream = StreamSpec(rate_bps=config.stream_rate_bps)
+    rate_bps = config.stream_rate_bps
     for trial, t in np.ndindex(config.trials, config.subframes):
         scenario, fading = sweep_sample(config, trial, t)
-        want = pipeline_counts(scenario, config.channel, stream,
+        want = pipeline_counts(scenario, config.channel, rate_bps,
                                np.random.default_rng(fading),
                                config.num_prbs)
         sc, mc = result.counts[0, :, trial, t]
@@ -337,13 +335,13 @@ def test_kernel_raises_where_the_mean_snr_overflows():
 def test_kernel_rejects_no_prbs_and_placements_without_subframes():
     # The kernel refuses no PRBs as the one-sub-frame pipeline does.
     scenario = generate_scenario(7, 300.0, 5, 0)
-    params, stream = ChannelParams(), StreamSpec()
+    params = ChannelParams()
     with pytest.raises(ValueError, match="num_prbs must be >= 1"):
         sample_rates(scenario, params, 0, num_prbs=0)
     with pytest.raises(ValueError, match="num_prbs must be >= 1"):
-        next(kernel.unserved_counts([(scenario, [0])], params, stream, 0))
+        next(kernel.unserved_counts([(scenario, [0])], params, RATE, 0))
     with pytest.raises(ValueError, match="at least one sub-frame"):
-        next(kernel.unserved_counts([(scenario, [])], params, stream, 4))
+        next(kernel.unserved_counts([(scenario, [])], params, RATE, 4))
 
 
 # The bounds come from numpy's log, exp and multiply, the canonical mean
@@ -372,19 +370,19 @@ def test_gain_bounds_bracket_the_canonical_thresholds(
                            pathloss_slope_db=slope, noise_figure_db=figure,
                            min_distance_m=10.0 ** log_min_distance)
     scenario = generate_scenario(cells, 10.0 ** log_radius, 3, seed)
-    stream = StreamSpec(rate_bps=10.0 ** log_rate)
+    rate_bps = 10.0 ** log_rate
     with np.errstate(over="ignore"):
         try:
             snr = mean_snr(scenario, params)
         except ValueError:
             with pytest.raises(ValueError, match="mean SNR must be finite"):
-                kernel._Placement(scenario, [0], params, stream, 1, 2)
+                kernel._Placement(scenario, [0], params, rate_bps, 1, 2)
             return
-        place = kernel._Placement(scenario, [0], params, stream, 1, 2)
-    assert_bounds_bracket_the_thresholds(place, snr, params, stream)
+        place = kernel._Placement(scenario, [0], params, rate_bps, 1, 2)
+    assert_bounds_bracket_the_thresholds(place, snr, params, rate_bps)
 
 
-def assert_bounds_bracket_the_thresholds(place, snr, params, stream):
+def assert_bounds_bracket_the_thresholds(place, snr, params, rate_bps):
     """Each bound of ``place``, ``hi`` and the lower ``hi * ratio`` that
     `_draw` derives, lies within a quarter of the guard band of (x -/+
     half) / snr, or ``hi`` is NaN, and then the placement keeps the
@@ -394,7 +392,7 @@ def assert_bounds_bracket_the_thresholds(place, snr, params, stream):
     assert (band | np.isfinite(hi)).all()
     with np.errstate(over="ignore", invalid="ignore"):
         lo = np.multiply(hi, place.ratio)
-        x = np.expm1(stream.rate_bps / params.bandwidth_hz * np.log(2.0))
+        x = np.expm1(rate_bps / params.bandwidth_hz * np.log(2.0))
         half = kernel._GUARD * (1.0 + x)
         # The bound times snr against x -/+ half, where no quotient
         # overflows.
@@ -427,11 +425,11 @@ def test_gain_bounds_at_extreme_rates(rate, fields):
     config = ExperimentConfig(num_cells=7, users_per_cell=20, num_prbs=2,
                               trials=1, subframes=4, seed=8,
                               stream_rate_bps=rate, **fields)
-    params, stream = config.channel, StreamSpec(rate_bps=rate)
+    params = config.channel
     scenario = sweep_sample(config, 0, 0)[0]
     snr = mean_snr(scenario, params)
-    place = kernel._Placement(scenario, [0], params, stream, 2, 2)
-    assert_bounds_bracket_the_thresholds(place, snr, params, stream)
+    place = kernel._Placement(scenario, [0], params, rate, 2, 2)
+    assert_bounds_bracket_the_thresholds(place, snr, params, rate)
     if rate < 1:
         assert place.ratio <= 0 and place.snr is None
     else:
@@ -440,7 +438,7 @@ def test_gain_bounds_at_extreme_rates(rate, fields):
         result = run_sweep(config, "users", values=(20,))
     for t in range(config.subframes):
         scenario, fading = sweep_sample(config, 0, t)
-        want = pipeline_counts(scenario, params, stream,
+        want = pipeline_counts(scenario, params, rate,
                                np.random.default_rng(fading), 2)
         sc, mc = result.counts[0, :, 0, t]
         assert (mc, sc) == want
@@ -474,12 +472,12 @@ def test_kept_mean_snr_decides_links_on_the_threshold():
                          num_prbs).ravel()
     rates = np.sort(rates[rates > 0])
     for rate in rates[::len(rates) // 5]:
-        stream = StreamSpec(rate_bps=float(rate))
+        rate_bps = float(rate)
         with counted_mean_snr() as calls:
             sc, mc = next(kernel.unserved_counts([(scenario, fadings)],
-                                                 params, stream, num_prbs))
+                                                 params, rate_bps, num_prbs))
         assert len(calls) == 1
-        want = [pipeline_counts(scenario, params, stream,
+        want = [pipeline_counts(scenario, params, rate_bps,
                                 np.random.default_rng(fading), num_prbs)
                 for fading in fadings]
         assert list(zip(mc.tolist(), sc.tolist())) == want
@@ -618,15 +616,15 @@ def test_batches_across_placements_match_one_placement_per_batch(
                   primary_cell=rng.integers(0, cells, users)),
          rng.integers(0, 2**32, n).tolist())
         for n in subframes]
-    params, stream = ChannelParams(), StreamSpec(rate_bps=rate)
+    params = ChannelParams()
     columns = kernel.COLUMNS if prbs ** cells <= 256 else kernel.BASE_COLUMNS
-    want = [next(kernel.unserved_counts([placement], params, stream, prbs,
+    want = [next(kernel.unserved_counts([placement], params, rate, prbs,
                                         columns))
             for placement in placements]
     with worker_threads(workers), \
             mock.patch.object(kernel, "_BATCH_CELL_BYTES", budget), \
             mock.patch.object(kernel, "_BATCH_OPEN_BYTES", open_budget):
-        got = list(kernel.unserved_counts(placements, params, stream, prbs,
+        got = list(kernel.unserved_counts(placements, params, rate, prbs,
                                           columns))
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -688,7 +686,7 @@ def test_kernel_reads_placements_only_as_batches_need_them():
     with mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
         assert kernel._batch_subframes(4, scenario.num_users) == 3
         for counts in kernel.unserved_counts(pairs(), ChannelParams(),
-                                             StreamSpec(), 4):
+                                             RATE, 4):
             assert counts.shape == (2, 3)
             seen.append(len(read))
     assert len(seen) == 6
@@ -855,7 +853,7 @@ def test_helper_error_reaches_the_caller(workers):
     seeds = HelperGetsBadSeed(8)
     with worker_threads(workers):
         error = run_in_thread(lambda: list(kernel.unserved_counts(
-            [(scenario, seeds)], ChannelParams(), StreamSpec(), 4)))
+            [(scenario, seeds)], ChannelParams(), RATE, 4)))
     assert seeds.helper_took.is_set()
     assert isinstance(error, ValueError)
     assert not helpers_alive()
@@ -873,7 +871,7 @@ def test_helper_error_in_look_ahead_placement_reaches_the_caller(workers):
                   (second, bad)]
     with worker_threads(workers):
         error = run_in_thread(lambda: list(kernel.unserved_counts(
-            placements, ChannelParams(), StreamSpec(), 4)))
+            placements, ChannelParams(), RATE, 4)))
     assert bad.helper_took.is_set()
     assert isinstance(error, ValueError)
 
@@ -889,11 +887,11 @@ def test_sweep_after_an_error_or_an_early_stop_gives_the_same_result():
         # be left behind.
         bad = HelperGetsBadSeed(8)
         assert isinstance(run_in_thread(lambda: list(kernel.unserved_counts(
-            [(scenario, bad)], ChannelParams(), StreamSpec(), 4))),
+            [(scenario, bad)], ChannelParams(), RATE, 4))),
             ValueError)
         assert not helpers_alive()
         counts = kernel.unserved_counts([(scenario, range(9))] * 3,
-                                        ChannelParams(), StreamSpec(), 4)
+                                        ChannelParams(), RATE, 4)
         next(counts)
         counts.close()
         assert not helpers_alive()
@@ -933,7 +931,7 @@ def test_solver_error_reaches_the_caller_while_the_next_batch_is_drawn():
     with worker_threads(2), \
             mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
         error = run_in_thread(lambda: list(kernel.unserved_counts(
-            [(scenario, seeds)], ChannelParams(), StreamSpec(), 4, columns)))
+            [(scenario, seeds)], ChannelParams(), RATE, 4, columns)))
     assert isinstance(error, RuntimeError)
     assert not helpers_alive()
     drawn = [t for t, _ in uses]
@@ -975,7 +973,7 @@ def test_closing_the_kernel_stops_helpers_after_their_current_subframe():
     with worker_threads(2), \
             mock.patch.object(kernel, "_BATCH_CELL_BYTES", 3 * 4 * 3 * 8):
         counts = kernel.unserved_counts(placements, ChannelParams(),
-                                        StreamSpec(), 4)
+                                        RATE, 4)
         next(counts)
         assert blocked.wait(timeout=10)
         closer = threading.Thread(target=counts.close, daemon=True)
@@ -1029,13 +1027,13 @@ def test_helpers_never_read_fading_seeds():
         with worker_threads(3), started_helpers() as started:
             got = []
             assert run_in_thread(lambda: got.extend(kernel.unserved_counts(
-                placements, ChannelParams(), StreamSpec(), 4))) is None
+                placements, ChannelParams(), RATE, 4))) is None
         assert started and helper_used.is_set()
         assert reads == [False] * 10
         want = list(kernel.unserved_counts(
             [(scenario, [np.random.SeedSequence(8 * k + t)
                          for t in range(8)]) for k in range(3)],
-            ChannelParams(), StreamSpec(), 4))
+            ChannelParams(), RATE, 4))
     assert len(got) == len(want) == 3
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -1077,11 +1075,11 @@ def test_one_thread_or_one_subframe_starts_no_pool():
     scenario = generate_scenario(7, 300.0, 20, 5)
     with worker_threads(2):
         with started_helpers() as started:
-            got = run_subframe(scenario, ChannelParams(), StreamSpec(), 3)
+            got = run_subframe(scenario, ChannelParams(), RATE, 3)
         assert not started
         assert_same_sweep(run_sweep(config, "users", values=(20, 30)),
                           one_thread)
-    assert got == pipeline_counts(scenario, ChannelParams(), StreamSpec(),
+    assert got == pipeline_counts(scenario, ChannelParams(), RATE,
                                   3, 4)
 
 
@@ -1121,18 +1119,18 @@ def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
     # In one-cell slabs or in _SLAB_BYTES ones, _draw packs the words of
     # one whole standard_exponential fill thresholded by the same bounds.
     scenario = generate_scenario(cells, 300.0, users, seed)
-    params, stream = ChannelParams(), StreamSpec()
+    params = ChannelParams()
     budget = prbs * scenario.num_users * 8 if one_cell else kernel._SLAB_BYTES
     with mock.patch.object(kernel, "_SLAB_BYTES", budget):
-        place = kernel._Placement(scenario, [seed], params, stream, prbs,
+        place = kernel._Placement(scenario, [seed], params, RATE, prbs,
                                   len(kernel.COLUMNS))
-        buffers = kernel._DrawBuffers().of(place, "rayleigh")
+        buffers = kernel._DrawBuffers().of(place)
     gains = buffers[0]
     assert gains.shape == (place.slab, prbs, scenario.num_users)
     if one_cell:
         assert place.slab == 1
     got = np.empty(place.word_shape, dtype=np.uint64)
-    kernel._draw(place, seed, got, buffers, params, stream)
+    kernel._draw(place, seed, got, buffers, params, RATE)
     whole = np.empty((cells, prbs, scenario.num_users))
     np.random.default_rng(seed).standard_exponential(out=whole)
     # The gains left in the buffer are the last slab's.
@@ -1142,7 +1140,7 @@ def test_slab_draws_equal_one_whole_fill(seed, cells, prbs, users, one_cell):
     band = ~covers & ~(whole < place.hi * place.ratio)
     rates = shannon_rate_bps(mean_snr(scenario, params)[:, None, :] * whole,
                              params.bandwidth_hz)
-    covers[band] = rates[band] >= stream.rate_bps
+    covers[band] = rates[band] >= RATE
     bits = np.zeros((cells, prbs, place.word_shape[2] * 64), dtype=bool)
     bits[..., :scenario.num_users] = covers
     want = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
@@ -1177,29 +1175,26 @@ def test_reused_draw_buffers_never_leak_into_the_words():
     cases = [(7, 250, "rayleigh"), (7, 100, "rayleigh"),
              (19, 175, "rayleigh"), (7, 100, "none")]
     mine = kernel._DrawBuffers()
-    stream = StreamSpec()
     with counted_buffer_allocations() as calls:
         for seed, (cells, users, fading) in enumerate(cases):
             params = ChannelParams(fading=fading)
             scenario = generate_scenario(cells, 300.0, users, seed)
             seeds = [np.random.SeedSequence(seed, spawn_key=(t,))
                      for t in range(3)]
-            place = kernel._Placement(scenario, seeds, params, stream, 4,
+            place = kernel._Placement(scenario, seeds, params, RATE, 4,
                                       len(kernel.COLUMNS))
             shape = (place.slab, 4, scenario.num_users)
             padded = (place.slab, 4, place.word_shape[2] * 64)
             for fading_seed in seeds:
-                fresh = (np.empty(shape) if fading == "rayleigh"
-                         else np.ones(shape),
-                         np.empty(shape, dtype=bool),
+                fresh = (np.empty(shape), np.empty(shape, dtype=bool),
                          np.zeros(padded, dtype=bool),
                          np.empty((place.slab, 1, scenario.num_users)))
                 want = np.empty(place.word_shape, dtype=np.uint64)
                 got = np.empty_like(want)
-                kernel._draw(place, fading_seed, want, fresh, params, stream)
-                views = mine.of(place, fading)
+                kernel._draw(place, fading_seed, want, fresh, params, RATE)
+                views = mine.of(place)
                 mine.flat[3].fill(np.inf)
-                kernel._draw(place, fading_seed, got, views, params, stream)
+                kernel._draw(place, fading_seed, got, views, params, RATE)
                 assert np.array_equal(got, want), (cells, users, fading)
                 assert np.count_nonzero(want), (cells, users, fading)
                 lower, last = views[3], range(0, cells, place.slab)[-1]
@@ -1457,7 +1452,7 @@ def test_kernel_exact_is_the_optimum_certified_or_enumerated(batch):
                 mock.patch.object(kernel, "_draw", draw), \
                 counted_searches() as calls:
             exact = next(kernel.unserved_counts(
-                [instance_placement(batch)], ChannelParams(), StreamSpec(),
+                [instance_placement(batch)], ChannelParams(), RATE,
                 prbs, kernel.COLUMNS))[2]
         assert exact.tolist() == want
         assert len(calls) < len(batch)

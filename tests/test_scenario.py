@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from mcms import (
     ChannelParams,
     Scenario,
-    StreamSpec,
     derive_instance,
     generate_scenario,
     sample_rates,
@@ -398,14 +397,11 @@ def test_derive_instance_validates_rates():
     for rates in (np.full((1, 1, 2), -1.0), np.full((1, 1, 2), np.nan),
                   np.full((1, 1, 2), np.inf), np.zeros((1, 2))):
         with pytest.raises(ValueError, match="rates"):
-            derive_instance(s, rates, StreamSpec())
-
-
-def test_stream_spec_validation():
-    with pytest.raises(ValueError):
-        StreamSpec(rate_bps=0.0)
-    with pytest.raises(ValueError):
-        StreamSpec(rate_bps=-5.0)
+            derive_instance(s, rates, 1.4e6)
+    # The stream rate must be a number > 0.
+    for rate_bps in (0.0, -5.0, True, "1.4e6"):
+        with pytest.raises(ValueError, match="rate_bps"):
+            derive_instance(s, np.zeros((1, 1, 2)), rate_bps)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -413,7 +409,7 @@ def test_stream_rate_and_radius_must_be_finite(value):
     # An infinite rate would leave every user unserved without an error;
     # a NaN radius gave NaN cell centres or a misleading hexagon error.
     with pytest.raises(ValueError, match="rate_bps"):
-        StreamSpec(rate_bps=value)
+        derive_instance(_line_scenario([20.0]), np.zeros((1, 1, 1)), value)
     with pytest.raises(ValueError, match="radius"):
         hex_centers(7, value)
     with pytest.raises(ValueError, match="radius"):
@@ -426,12 +422,10 @@ def test_stream_rate_and_radius_must_be_finite(value):
 def test_derive_instance_threshold_extremes():
     s = generate_scenario(1, 300.0, 10, 8)
     rates = sample_rates(s, ChannelParams(), 8, num_prbs=2)
-    everything = derive_instance(s, rates, StreamSpec(rate_bps=1e-12))
+    everything = derive_instance(s, rates, 1e-12)
     assert all(st == frozenset(range(10))
                for cell in coverage_sets(everything) for st in cell)
-    nothing = derive_instance(
-        s, rates, StreamSpec(rate_bps=float(rates.max()) * 2)
-    )
+    nothing = derive_instance(s, rates, float(rates.max()) * 2)
     assert all(st == frozenset()
                for cell in coverage_sets(nothing) for st in cell)
 
@@ -439,17 +433,16 @@ def test_derive_instance_threshold_extremes():
 def test_derive_instance_boundary_is_inclusive():
     r = 1.4e6
     s = _line_scenario([20.0, 50.0, 100.0])
-    inst = derive_instance(s, np.array([[[2 * r, r, r / 2]]]),
-                           StreamSpec(rate_bps=r))
+    inst = derive_instance(s, np.array([[[2 * r, r, r / 2]]]), r)
     assert coverage_sets(inst)[0][0] == {0, 1}
 
 
 def test_derive_instance_dimension_mismatch():
     s = _line_scenario([20.0, 50.0])
     with pytest.raises(ValueError, match="users"):
-        derive_instance(s, np.zeros((1, 1, 3)), StreamSpec())
+        derive_instance(s, np.zeros((1, 1, 3)), 1.4e6)
     with pytest.raises(ValueError, match="cells"):
-        derive_instance(s, np.zeros((2, 1, 2)), StreamSpec())
+        derive_instance(s, np.zeros((2, 1, 2)), 1.4e6)
 
 
 def test_threshold_monotonicity_of_membership_and_objective(rng):
@@ -457,8 +450,8 @@ def test_threshold_monotonicity_of_membership_and_objective(rng):
     for _ in range(10):
         rates = sample_rates(s, ChannelParams(), rng, num_prbs=2)
         r1 = float(rng.uniform(0.5e6, 1.5e6))
-        lo = derive_instance(s, rates, StreamSpec(rate_bps=r1))
-        hi = derive_instance(s, rates, StreamSpec(rate_bps=2 * r1))
+        lo = derive_instance(s, rates, r1)
+        hi = derive_instance(s, rates, 2 * r1)
         for cell_lo, cell_hi in zip(coverage_sets(lo), coverage_sets(hi)):
             for set_lo, set_hi in zip(cell_lo, cell_hi):
                 assert set_hi <= set_lo

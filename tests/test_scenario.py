@@ -398,7 +398,11 @@ def test_derive_instance_validates_rates():
                   np.full((1, 1, 2), np.inf), np.zeros((1, 2))):
         with pytest.raises(ValueError, match="rates"):
             derive_instance(s, rates, 1.4e6)
+
+
+def test_stream_spec_validation():
     # The stream rate must be a number > 0.
+    s = _line_scenario([20.0, 50.0])
     for rate_bps in (0.0, -5.0, True, "1.4e6"):
         with pytest.raises(ValueError, match="rate_bps"):
             derive_instance(s, np.zeros((1, 1, 2)), rate_bps)

@@ -179,6 +179,16 @@ def whole_number(value, what: str) -> int:
     return int(value)
 
 
+def integer_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a plain int; ValueError unless it is an integer, not a
+    bool, >= ``least``.  A count read from text takes `whole_number`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _primary_array(primary_cell: Iterable[int]) -> np.ndarray:
     if (isinstance(primary_cell, np.ndarray)
             and primary_cell.dtype.kind in "iu"):  # no per-id check

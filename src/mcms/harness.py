@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import numbers
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -31,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coverage import CoverageInstance, InstanceError, whole_number
+from .coverage import (CoverageInstance, InstanceError, integer_count,
+                       whole_number)
 from .scenario import (
     ChannelParams,
     derive_instance,
@@ -83,18 +83,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Plain ints for the .meta.json; SeedSequence takes seeds >= 0.
         for name in ("num_cells", "users_per_cell", "num_prbs", "subframes",
                      "trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # Plain ints, as json writes the config to the .meta.json.
-            object.__setattr__(self, name, int(value))
-            # SeedSequence takes no negative entropy; no count is below 1.
-            least = 0 if name == "seed" else 1
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, integer_count(
+                getattr(self, name), name, least=0 if name == "seed" else 1))
         if self.subframes > MAX_SUBFRAMES:
             raise ValueError(
                 f"subframes must be <= 2**32 ({MAX_SUBFRAMES}), since a "

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coverage import pack_users
+from .coverage import integer_count, pack_users
 from .scenario import (ChannelParams, Scenario, inverse_mean_snr, mean_snr,
                        shannon_rate_bps)
 from .solvers import (exact_search, greedy_batch, primary_words, sc_batch,
@@ -285,6 +285,7 @@ def unserved_counts(
     per sub-frame (`_draw`), anything ``np.random.default_rng`` accepts,
     in a sequence that slices.  Only the calling thread reads it, and
     reads ``fading_seeds[start:stop]`` once per segment of a batch.
+    ValueError, on the first ``next``, unless ``num_prbs`` is an integer >= 1.
 
     Yields, per placement and in order, once its last sub-frame is
     solved, its unserved counts: an int64 array [columns, sub-frames],
@@ -304,8 +305,7 @@ def unserved_counts(
     """
     import queue  # not at module import: a run that never sweeps skips it
 
-    if num_prbs < 1:
-        raise ValueError("num_prbs must be >= 1")
+    num_prbs = integer_count(num_prbs, "num_prbs")
     # Thread id -> its _DrawBuffers; fresh buffers per shape page-fault more.
     buffers = {}
     pool = None

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageInstance, whole_number
+from .coverage import CoverageInstance, integer_count, whole_number
 
 # The layouts `hex_centers` builds: a center cell and 0, 1 or 2 rings.
 CELL_COUNTS = (1, 7, 19)
@@ -115,24 +115,22 @@ def hex_centers(num_cells: int, radius: float) -> np.ndarray:
 
     Cell 0 sits at the origin; ring cells follow counter-clockwise from
     the positive x axis.  Adjacent centers are sqrt(3)*radius apart.
-    Raises ValueError unless every coordinate of the layout, and every
-    distance between a station and a user, is finite.
+    Raises ValueError unless ``num_cells`` is an integer in `CELL_COUNTS`
+    (numpy's included; bools, 7.0 and "7" not), and every coordinate of
+    the layout, and every station-user distance, is finite.
     """
-    if num_cells not in CELL_COUNTS:
+    if integer_count(num_cells, "num_cells") not in CELL_COUNTS:
         raise ValueError(f"num_cells must be 1, 7 or 19, got {num_cells}")
-    finite_float(radius, "radius", positive=True)
+    radius = finite_float(radius, "radius", positive=True)
     spacing = _SQRT3 * radius
+    # Each ring's stations: distance and angle offset, six at 60-degree steps.
+    rings = ([(spacing, 0.0)], [(2 * spacing, 0.0), (3.0 * radius, 30.0)])
     centers = [(0.0, 0.0)]
-    if num_cells >= 7:
+    for ring in rings[:CELL_COUNTS.index(num_cells)]:
         for k in range(6):
-            a = math.radians(60.0 * k)
-            centers.append((spacing * math.cos(a), spacing * math.sin(a)))
-    if num_cells == 19:
-        for k in range(6):
-            a = math.radians(60.0 * k)
-            centers.append((2 * spacing * math.cos(a), 2 * spacing * math.sin(a)))
-            b = math.radians(60.0 * k + 30.0)
-            centers.append((3.0 * radius * math.cos(b), 3.0 * radius * math.sin(b)))
+            for d, offset in ring:
+                a = math.radians(60.0 * k + offset)
+                centers.append((d * math.cos(a), d * math.sin(a)))
     out = np.array(centers, dtype=float)
     # Users lie within radius of their station, so no coordinate and no
     # station-user distance exceeds twice this reach.
@@ -273,8 +271,9 @@ def generate_scenario(
     ``[c * users_per_cell, (c + 1) * users_per_cell)``.  ``rng`` may be
     a Generator or anything default_rng accepts (seed int, SeedSequence).
     Each cell's users come from rejection sampling in its hexagon, cell
-    after cell from one stream (`_sample_cells`).  ``users_per_cell``
-    must be a whole number >= 0 (InstanceError, a ValueError, if not).
+    after cell from one stream (`_sample_cells`).  Raises ValueError
+    unless ``num_cells`` is an integer `hex_centers` takes and
+    ``users_per_cell`` a whole number >= 0 (InstanceError if not whole).
     """
     users_per_cell = whole_number(users_per_cell, "users_per_cell")
     if users_per_cell < 0:
@@ -378,17 +377,15 @@ def sample_rates(
     independent unit-mean exponential power gain on top, otherwise the
     mean SNR is used as-is (so all PRBs of a cell tie).  Channel draws
     come only from ``rng``; pass a stream derived from (seed, subframe)
-    to make sub-frames independently reproducible.
+    to make sub-frames independently reproducible.  ValueError, before
+    any draw, unless ``num_prbs`` is an integer >= 1 (bools, 2.0 not).
     """
-    if num_prbs < 1:
-        raise ValueError("num_prbs must be >= 1")
+    num_prbs = integer_count(num_prbs, "num_prbs")
     rng = np.random.default_rng(rng)
     snr = mean_snr(scenario, params)
     shape = (scenario.num_cells, num_prbs, scenario.num_users)
-    if params.fading == "rayleigh":
-        gain = rng.exponential(1.0, size=shape)
-    else:
-        gain = np.ones(shape)
+    gain = (rng.exponential(1.0, size=shape) if params.fading == "rayleigh"
+            else np.ones(shape))
     return shannon_rate_bps(snr[:, None, :] * gain, params.bandwidth_hz)
 
 

@@ -342,6 +342,23 @@ def test_kernel_rejects_no_prbs_and_placements_without_subframes():
         next(kernel.unserved_counts([(scenario, [0])], params, RATE, 0))
     with pytest.raises(ValueError, match="at least one sub-frame"):
         next(kernel.unserved_counts([(scenario, [])], params, RATE, 4))
+    # A PRB count is an integer: not a bool, 2.0 or 2.5, each refused by
+    # name before a draw, with the rng and the placements left unread.
+    for bad in (True, 2.0, 2.5):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="num_prbs must be an integer"):
+            sample_rates(scenario, params, rng, num_prbs=bad)
+        assert rng.bit_generator.state == state
+        stream = iter([(scenario, [0])])
+        with pytest.raises(ValueError, match="num_prbs must be an integer"):
+            next(kernel.unserved_counts(stream, params, RATE, bad))
+        assert next(stream)[0] is scenario
+    # numpy's integers are integers.
+    four = np.int64(4)
+    assert sample_rates(scenario, params, 0, num_prbs=four).shape == (7, 4, 35)
+    counts = next(kernel.unserved_counts([(scenario, [0])], params, RATE, four))
+    assert counts.shape == (2, 1)
 
 
 # The bounds come from numpy's log, exp and multiply, the canonical mean

@@ -89,6 +89,19 @@ def test_hex_centers_rejects_unsupported_layouts():
             hex_centers(bad, 300.0)
     with pytest.raises(ValueError):
         hex_centers(7, -1.0)
+    # A cell count is an integer: not a bool, 7.0 or "7", each refused
+    # by name in both entry points, with the placement's rng left undrawn.
+    for bad in (True, 7.0, "7"):
+        with pytest.raises(ValueError, match="num_cells must be an integer"):
+            hex_centers(bad, 300.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="num_cells must be an integer"):
+            generate_scenario(bad, 300.0, 5, rng)
+        assert rng.bit_generator.state == state
+    # numpy's integers are integers.
+    assert hex_centers(np.int64(7), 300.0).shape == (7, 2)
+    assert generate_scenario(np.int64(7), 300.0, 5, 0).num_cells == 7
 
 
 def test_in_hexagon_boundaries():
